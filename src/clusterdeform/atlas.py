@@ -3,12 +3,13 @@
 Each cluster variable is tracked through its principal-coefficient Laurent
 expansion in the ring K[x_1^{+-},..,x_n^{+-}, x_{n+1},..,x_m, y_1,..,y_n];
 g-vectors, F-polynomials and coefficient-free Laurent expansions are read
-off from it, while an independent g-matrix recursion via E-matrices is run
-alongside and must agree at every step.
+off from it.  An independent g-vector recursion runs alongside and must
+agree at every step: mutation at k changes only column k of the g-matrix,
+to -g_k + sum over i != k of max(0, -eps*b_ik) g_i.
 """
 
 from .polynomials import Poly, exact_divide
-from .seeds import ExtendedExchangeMatrix, Seed
+from .seeds import ExtendedExchangeMatrix, e_column, mutate_entries
 
 
 class AtlasError(Exception):
@@ -67,34 +68,6 @@ class SeedState:
         return tuple(row[i] for row in self.g_matrix)
 
 
-def _mutate_rows(rows, n, k):
-    m = len(rows)
-    out = []
-    for i in range(m):
-        new_row = []
-        for j in range(n):
-            if i == k or j == k:
-                new_row.append(-rows[i][j])
-            else:
-                bik = rows[i][k]
-                sgn = (bik > 0) - (bik < 0)
-                new_row.append(rows[i][j] + sgn * max(bik * rows[k][j], 0))
-        out.append(tuple(new_row))
-    return tuple(out)
-
-
-def _e_matrix_rows(rows, m, k, sign):
-    E = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    for i in range(m):
-        E[i][k] = -1 if i == k else max(0, -sign * rows[i][k])
-    return E
-
-
-def _mat_mul(A, B):
-    bt = list(zip(*B))
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in A)
-
-
 class Atlas:
     def __init__(self, initial_seed):
         self.initial_seed = initial_seed
@@ -143,19 +116,6 @@ class Atlas:
 
 def _variable_name(g):
     return "x(" + ",".join(str(x) for x in g) + ")"
-
-
-def _strip(poly, keep):
-    """Project a Poly to the coordinates listed in `keep`."""
-    terms = {}
-    for e, c in poly.terms.items():
-        key = tuple(e[i] for i in keep)
-        s = terms.get(key, 0) + c
-        if s == 0:
-            terms.pop(key, None)
-        else:
-            terms[key] = s
-    return Poly(len(keep), terms)
 
 
 def _extract_g(principal, m, n):
@@ -274,9 +234,11 @@ def _mutate_state(atlas, state, k, n, m):
     if has_pos and has_neg:
         raise AtlasError("c-vector sign-coherence violated")
     eps = 1 if has_pos else -1
-    E = _e_matrix_rows(rows, m, k, eps)
-    new_g_matrix = _mat_mul(state.g_matrix, E)
-    g_new = tuple(row[k] for row in new_g_matrix)
+    col = e_column(rows[:m], k, eps)
+    g_new = tuple(sum(g * e for g, e in zip(grow, col))
+                  for grow in state.g_matrix)
+    new_g_matrix = tuple(grow[:k] + (x,) + grow[k + 1:]
+                         for grow, x in zip(state.g_matrix, g_new))
 
     g_extracted = _extract_g(new_pvar, m, n)
     if g_extracted != g_new:
@@ -287,8 +249,8 @@ def _mutate_state(atlas, state, k, n, m):
         new_id = atlas.id_by_g[g_new]
     else:
         new_id = _variable_name(g_new)
-        f_poly = _strip(new_pvar.specialize({i: 1 for i in range(m)}), range(m, nv))
-        laurent = _strip(new_pvar.specialize({i: 1 for i in range(m, nv)}), range(m))
+        f_poly = new_pvar.project(range(m, nv))
+        laurent = new_pvar.project(range(m))
         var = ClusterVariable(new_id, g_new, laurent, f_poly, new_pvar, False)
         atlas.variables[new_id] = var
         atlas.id_by_g[g_new] = new_id
@@ -310,7 +272,7 @@ def _mutate_state(atlas, state, k, n, m):
     new_ids[k] = new_id
     new_pvars = list(state.pvars)
     new_pvars[k] = new_pvar
-    new_state = SeedState(-1, _mutate_rows(rows, n, k), tuple(new_ids),
+    new_state = SeedState(-1, mutate_entries(rows, k), tuple(new_ids),
                           new_g_matrix, tuple(new_pvars), state.path + (k,))
     return new_state, (pair_key, monomials)
 

@@ -8,16 +8,17 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 from .atlas import AtlasError, enumerate_atlas
-from .cotangent import (CotangentError, characteristic_image,
-                        obstruction_class, t1_degree_families, t1_invariant)
+from .cotangent import (CotangentError, obstruction_class,
+                        t1_degree_families, t1_invariant)
 from .deform import DeformError, first_order, lift, verify_family
 from .gradings import (add_frozen_for_positivity, find_positive_grading,
                        find_strictly_positive, m_grading, rank_flags,
                        t_degrees)
 from .groebner import GroebnerError, groebner_cone
-from .polynomials import Poly
+from .polynomials import join_terms, monomial_str
 from .properties import (PropertyError, check_t0, check_t0_star, check_t1,
                          repair_t1, semigroup_data)
 from .seeds import load_seed, seed_to_dict
@@ -29,18 +30,46 @@ PIPELINE_ERRORS = (AtlasError, CotangentError, DeformError, GroebnerError,
                    PropertyError, UniversalError, ValueError)
 
 
-def _monomial_str(names, exponents):
-    factors = []
-    for name, e in zip(names, exponents):
-        if e == 1:
-            factors.append(name)
-        elif e != 0:
-            factors.append("%s^%d" % (name, e))
-    return "*".join(factors) if factors else "1"
+class Pipeline:
+    """The stages built from one seed, each computed on first use and kept:
+    atlas -> complex -> ideal, atlas -> universal -> cone, and the strictly
+    positive grading of the atlas.  No stage is computed twice."""
 
+    def __init__(self, seed, max_seeds):
+        self.seed = seed
+        self.max_seeds = max_seeds
 
-def _poly_lines(poly, names):
-    return poly.to_string(names)
+    @cached_property
+    def atlas(self):
+        return enumerate_atlas(self.seed, max_seeds=self.max_seeds)
+
+    @cached_property
+    def complex(self):
+        return cluster_complex(self.atlas)
+
+    @cached_property
+    def ideal(self):
+        return sr_ideal(self.complex, self.atlas.frozen_ids)
+
+    @cached_property
+    def universal(self):
+        return build_universal(self.seed, max_seeds=self.max_seeds,
+                               base_atlas=self.atlas)
+
+    @cached_property
+    def cone(self):
+        return groebner_cone(self.universal)
+
+    @cached_property
+    def strict_grading(self):
+        return find_strictly_positive(self.atlas)
+
+    def lifted_family(self, max_order):
+        """The flat family, lifted from the first-order perturbation at the
+        cone's interior weight.  Lifting mutates it, so it is not kept."""
+        family = first_order(self.universal, self.ideal,
+                             weight=self.cone.interior_weight)
+        return lift(family, max_order=max_order)
 
 
 def _laurent_parts(poly):
@@ -60,22 +89,27 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _load(args):
-    return load_seed(args.seed)
+def _pipeline(args):
+    return Pipeline(load_seed(args.seed), args.max_seeds)
+
+
+def _factors_str(items):
+    """monomial_str over (variable, exponent) pairs."""
+    return monomial_str([v for v, _ in items], [e for _, e in items])
 
 
 def cmd_enumerate(args):
-    seed = _load(args)
-    atlas = enumerate_atlas(seed, max_seeds=args.max_seeds)
-    names = list(seed.var_ids)
+    pipe = _pipeline(args)
+    atlas = pipe.atlas
+    names = list(pipe.seed.var_ids)
     variables = []
     for var in atlas.variables.values():
         num, den = _laurent_parts(var.laurent)
         variables.append({
             "id": var.id, "g_vector": list(var.g_vector),
             "frozen": var.is_frozen,
-            "numerator": _poly_lines(num, names),
-            "denominator": _monomial_str(names, den)})
+            "numerator": num.to_string(names),
+            "denominator": monomial_str(names, den)})
     clusters = [list(c) for c in atlas.clusters]
     pairs = []
     for ep in sorted(atlas.exchange_pairs.values(),
@@ -95,18 +129,14 @@ def cmd_enumerate(args):
         lines.append("  " + " ".join(c))
     lines.append("exchange pairs: %d" % len(pairs))
     for p in pairs:
-        sides = " + ".join(
-            _monomial_str([v for v, _ in s], [e for _, e in s])
-            for s in p["sides"])
+        sides = " + ".join(_factors_str(s) for s in p["sides"])
         lines.append("  %s * %s = %s" % (p["pair"][0], p["pair"][1], sides))
     _emit(args, payload, lines)
     return 0
 
 
 def cmd_complex(args):
-    seed = _load(args)
-    atlas = enumerate_atlas(seed, max_seeds=args.max_seeds)
-    K = cluster_complex(atlas)
+    K = _pipeline(args).complex
     payload = {"vertices": K.vertices,
                "facets": [sorted(f) for f in K.facets]}
     lines = ["vertices: " + " ".join(K.vertices)]
@@ -116,26 +146,24 @@ def cmd_complex(args):
 
 
 def cmd_sr_ideal(args):
-    seed = _load(args)
-    atlas = enumerate_atlas(seed, max_seeds=args.max_seeds)
-    K = cluster_complex(atlas)
-    J = sr_ideal(K, atlas.frozen_ids)
+    J = _pipeline(args).ideal
     payload = {"variables": J.variables,
                "generators": [list(g) for g in J.generators]}
     lines = ["variables: " + " ".join(J.variables)]
-    lines += ["gen: " + _monomial_str(J.variables, g) for g in J.generators]
+    lines += ["gen: " + monomial_str(J.variables, g) for g in J.generators]
     _emit(args, payload, lines)
     return 0
 
 
 def cmd_grading(args):
-    seed = _load(args)
+    pipe = _pipeline(args)
+    seed = pipe.seed
     if args.add_frozen:
         augmented = add_frozen_for_positivity(seed, max_seeds=args.max_seeds)
         payload = seed_to_dict(augmented)
         _emit(args, payload, [json.dumps(payload)])
         return 0
-    atlas = enumerate_atlas(seed, max_seeds=args.max_seeds)
+    atlas = pipe.atlas
     grading = m_grading(seed.matrix, atlas)
     payload = {"free_rank": grading.free_rank, "torsion": grading.torsion,
                "rank_flags": rank_flags(seed.matrix),
@@ -150,7 +178,7 @@ def cmd_grading(args):
                                           " mod %s" % (tors,) if tors else ""))
     if args.find_positive:
         payload["positive_grading"] = find_positive_grading(atlas)
-        payload["strictly_positive_grading"] = find_strictly_positive(atlas)
+        payload["strictly_positive_grading"] = pipe.strict_grading
         lines.append("positive grading: %s" % payload["positive_grading"])
         lines.append("strictly positive grading: %s"
                      % payload["strictly_positive_grading"])
@@ -170,24 +198,17 @@ def _relation_payload(univ):
 
 
 def _relation_line(rel):
-    parts = []
-    for side in rel["sides"]:
-        factors = [("%s^%d" % (v, e)) if e != 1 else v
-                   for v, e in sorted(side["t"].items())]
-        factors += [("%s^%d" % (v, e)) if e != 1 else v
-                    for v, e in sorted(side["z"].items())]
-        parts.append("*".join(factors) if factors else "1")
+    parts = [_factors_str(sorted(side["t"].items()) + sorted(side["z"].items()))
+             for side in rel["sides"]]
     return "%s * %s = %s" % (rel["pair"][0], rel["pair"][1],
                              " + ".join(parts))
 
 
 def cmd_univ(args):
-    seed = _load(args)
-    univ = build_universal(seed, max_seeds=args.max_seeds)
-    atlas = univ.base_atlas
-    J = sr_ideal(cluster_complex(atlas), atlas.frozen_ids)
+    pipe = _pipeline(args)
+    univ = pipe.universal
     degs = t_degrees(univ)
-    fiber = fiber_at_zero(univ, J)
+    fiber = fiber_at_zero(univ, pipe.ideal)
     payload = {"u_rows": univ.u_rows, "t_ids": univ.t_ids,
                "relations": _relation_payload(univ),
                "t_degrees": {t: list(degs[t]) for t in univ.t_ids},
@@ -204,16 +225,13 @@ def cmd_univ(args):
 
 
 def cmd_t1(args):
-    seed = _load(args)
-    atlas = enumerate_atlas(seed, max_seeds=args.max_seeds)
-    K = cluster_complex(atlas)
-    J = sr_ideal(K, atlas.frozen_ids)
+    pipe = _pipeline(args)
     want_families = args.families or not args.invariant
     want_invariant = args.invariant or not args.families
     payload = {}
     lines = []
     if want_families:
-        fams = t1_degree_families(atlas, K)
+        fams = t1_degree_families(pipe.atlas, pipe.complex)
         payload["families"] = [{"pair": sorted(d.pair),
                                 "omega": sorted(d.omega)} for d in fams]
         lines.append("degree families: %d" % len(fams))
@@ -221,8 +239,8 @@ def cmd_t1(args):
             ", ".join(f["pair"]), ", ".join(f["omega"]))
             for f in payload["families"]]
     if want_invariant:
-        D = find_strictly_positive(atlas)
-        pinned = t1_invariant(atlas, K, J, D)
+        pinned = t1_invariant(pipe.atlas, pipe.complex, pipe.ideal,
+                              pipe.strict_grading)
         payload["pinned"] = [{"pair": sorted(d.pair),
                               "a": dict(sorted(d.a.items())),
                               "b": dict(sorted(d.b.items())),
@@ -236,41 +254,36 @@ def cmd_t1(args):
 
 
 def cmd_check(args):
-    seed = _load(args)
-    atlas = enumerate_atlas(seed, max_seeds=args.max_seeds)
-    D = find_strictly_positive(atlas)
+    if args.repair and args.property != "t1":
+        raise PropertyError("--repair only applies to --property t1")
+    pipe = _pipeline(args)
+    atlas, D = pipe.atlas, pipe.strict_grading
     if args.property == "t1":
         report = check_t1(atlas, D)
+    elif args.property == "t0":
+        grading = m_grading(pipe.seed.matrix, atlas)
+        report = check_t0(pipe.complex, pipe.ideal, grading, atlas, D)
     else:
-        K = cluster_complex(atlas)
-        J = sr_ideal(K, atlas.frozen_ids)
-        if args.property == "t0":
-            grading = m_grading(seed.matrix, atlas)
-            report = check_t0(K, J, grading, atlas, D)
-        else:
-            univ = build_universal(seed, max_seeds=args.max_seeds)
-            sg = semigroup_data(univ)
-            report = check_t0_star(K, J, univ, sg, D)
+        univ = pipe.universal
+        report = check_t0_star(pipe.complex, pipe.ideal, univ,
+                               semigroup_data(univ), D)
     payload = {"property": report.property, "holds": report.holds,
                "witnesses": report.witnesses}
     lines = ["%s holds: %s" % (report.property, report.holds)]
     lines += ["  witness: %s" % w for w in report.witnesses]
+    code = 0 if report.holds else 1
     if args.repair and not report.holds:
-        if args.property != "t1":
-            raise PropertyError("--repair only applies to --property t1")
-        repaired = repair_t1(seed, max_seeds=args.max_seeds)
+        repaired = repair_t1(pipe.seed, max_seeds=args.max_seeds)
         payload["repaired_seed"] = seed_to_dict(repaired)
         lines.append("repaired seed: %s" % json.dumps(payload["repaired_seed"]))
-        _emit(args, payload, lines)
-        return 0
+        code = 0
     _emit(args, payload, lines)
-    return 0 if report.holds else 1
+    return code
 
 
 def cmd_cone(args):
-    seed = _load(args)
-    univ = build_universal(seed, max_seeds=args.max_seeds)
-    gc = groebner_cone(univ)
+    pipe = _pipeline(args)
+    univ, gc = pipe.universal, pipe.cone
     payload = {"ambient": univ.variable_order,
                "lineality": gc.cone.lineality,
                "rays": [list(r) for r in gc.cone.rays],
@@ -307,29 +320,12 @@ def family_lines(family):
     for g in family.generators:
         terms = sorted(g.items(), key=lambda item: family.order_key(item[0]),
                        reverse=True)
-        parts = []
-        for e, c in terms:
-            mon = _monomial_str(names, e)
-            if c == 1:
-                parts.append(mon)
-            elif c == -1:
-                parts.append("-" + mon)
-            else:
-                parts.append("%s*%s" % (c, mon))
-        text = parts[0]
-        for p in parts[1:]:
-            text += " - " + p[1:] if p.startswith("-") else " + " + p
-        out.append(text)
+        out.append(join_terms((c, monomial_str(names, e)) for e, c in terms))
     return out
 
 
 def cmd_lift(args):
-    seed = _load(args)
-    univ = build_universal(seed, max_seeds=args.max_seeds)
-    atlas = univ.base_atlas
-    J = sr_ideal(cluster_complex(atlas), atlas.frozen_ids)
-    family = first_order(univ, J)
-    family = lift(family, max_order=args.max_order)
+    family = _pipeline(args).lifted_family(args.max_order)
     payload = family_payload(family)
     lines = ["generators: %d  (order %d)" % (len(family.generators),
                                              family.order)]
@@ -353,21 +349,18 @@ def _data_path(name):
 def cmd_demo(args):
     for name in ("a2", "g2"):
         print("== %s ==" % name)
-        seed = load_seed(_data_path(name))
-        atlas = enumerate_atlas(seed, max_seeds=args.max_seeds)
-        K = cluster_complex(atlas)
-        J = sr_ideal(K, atlas.frozen_ids)
+        pipe = Pipeline(load_seed(_data_path(name)), args.max_seeds)
+        atlas = pipe.atlas
         print("variables: %d mutable, %d frozen; ideal generators: %d"
               % (len(atlas.mutable_variables), len(atlas.frozen_ids),
-                 len(J.generators)))
-        univ = build_universal(seed, max_seeds=args.max_seeds)
-        gc = groebner_cone(univ)
+                 len(pipe.ideal.generators)))
+        univ, gc = pipe.universal, pipe.cone
         print("coefficients: %d; cone rays: %d, lineality: %d, smooth: %s"
               % (univ.p, len(gc.cone.rays), gc.cone.lineality_dim,
                  gc.smooth_mod_lineality))
         print("obstruction class: %s"
-              % obstruction_class(seed.matrix)["reason"])
-        family = lift(first_order(univ, J), max_order=args.max_order)
+              % obstruction_class(pipe.seed.matrix)["reason"])
+        family = pipe.lifted_family(args.max_order)
         print("lifted family (%d generators):" % len(family.generators))
         for line in family_lines(family):
             print("  " + line)
@@ -384,8 +377,6 @@ def build_parser():
                         help="enumeration budget (default 100000)")
     common.add_argument("--max-order", type=int, default=16,
                         help="lifting order budget (default 16)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="reserved; all kernels run single-threaded")
 
     parser = argparse.ArgumentParser(
         prog="cluster-deform",

@@ -8,9 +8,10 @@ cone compare equal.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .intlinalg import primitive, row_lattice_basis, vec_dot
+from .intlinalg import (identity_matrix, primitive, row_lattice_basis, rref,
+                        vec_dot)
 
 
 class Cone:
@@ -42,33 +43,12 @@ class Cone:
         return all(vec_dot(a, v) >= 0 for a in self.inequalities)
 
 
-def _rref(rows, dim):
-    """Reduced row echelon form over Q; returns (rref rows, pivot columns)."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for col in range(dim):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    return mat[:r], pivots
-
-
 def _canonical_rays(rays, lineality, dim):
-    rref, pivots = _rref(lineality, dim) if lineality else ([], [])
+    reduced, pivots = rref(lineality, dim)
     out = set()
     for ray in rays:
         v = [Fraction(x) for x in ray]
-        for row, col in zip(rref, pivots):
+        for row, col in zip(reduced, pivots):
             if v[col] != 0:
                 f = v[col]
                 v = [a - f * b for a, b in zip(v, row)]
@@ -85,7 +65,7 @@ def dual_cone(generators, dim):
 
     An empty generator list yields the full space.
     """
-    lineality = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+    lineality = identity_matrix(dim)
     rays = []
     processed = []
 

@@ -51,23 +51,6 @@ class T1Degree:
             set(self.pair), self.a, self.family)
 
 
-class DerivationProbe:
-    """The derivation z^alpha d/dz_v and its behavior on the monomial ideal."""
-
-    __slots__ = ("v", "alpha", "j_nontrivial", "exchangeable", "witness_w")
-
-    def __init__(self, v, alpha, j_nontrivial, exchangeable, witness_w):
-        self.v = v
-        self.alpha = dict(alpha)
-        self.j_nontrivial = j_nontrivial
-        self.exchangeable = exchangeable
-        self.witness_w = witness_w
-
-    def __repr__(self):
-        return "DerivationProbe(v=%r, alpha=%r, j_nontrivial=%r, exchangeable=%r)" % (
-            self.v, self.alpha, self.j_nontrivial, self.exchangeable)
-
-
 def _subsets(items):
     out = [[]]
     for x in items:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .gradings import t_degrees
 from .groebner import groebner_cone
 from .polynomials import Poly
-from .intlinalg import vec_dot
+from .intlinalg import rref, vec_dot
 
 
 class DeformError(Exception):
@@ -56,16 +56,14 @@ class DeformationFamily:
         return [Poly(self.nv, dict(g)) for g in self.generators]
 
 
-def _full_degree(family, e):
-    """Fine degree in Z^{p+q} of a monomial exponent over z and t."""
-    nz = family.nz
-    deg = list(e[:nz])
-    for i, t in enumerate(family.t_vars):
-        b = e[nz + i]
-        if b:
-            d = family.t_deg[t]
-            deg = [x + b * y for x, y in zip(deg, d)]
-    return tuple(deg)
+def _exponent(index, nv, *monomials):
+    """Exponent tuple over nv variables, placed by `index`, of the product
+    of the given {variable: exponent} monomials."""
+    e = [0] * nv
+    for mono in monomials:
+        for v, x in mono.items():
+            e[index[v]] += x
+    return tuple(e)
 
 
 def first_order(univ, J, weight=None):
@@ -77,8 +75,7 @@ def first_order(univ, J, weight=None):
     t_vars = list(univ.t_ids)
     nz, nt = len(z_vars), len(t_vars)
     nv = nz + nt
-    zindex = {v: i for i, v in enumerate(z_vars)}
-    tindex = {t: i for i, t in enumerate(t_vars)}
+    index = {v: i for i, v in enumerate(z_vars + t_vars)}
 
     tdeg_map = t_degrees(univ)
     if weight is None:
@@ -97,7 +94,7 @@ def first_order(univ, J, weight=None):
     for gen in J.generators:
         e = [0] * nz
         for v, i in jindex.items():
-            e[zindex[v]] = gen[i]
+            e[index[v]] = gen[i]
         jgens.append(tuple(e))
     jgens.sort()
 
@@ -109,30 +106,20 @@ def first_order(univ, J, weight=None):
         sr_leads.append(full)
     lead_index = {l: i for i, l in enumerate(sr_leads)}
 
-    pairs = set()
-    for ep in univ.base_atlas.exchange_pairs.values():
-        e = [0] * nz
-        for v in ep.pair:
-            e[zindex[v]] += 1
-        pairs.add(tuple(e) + (0,) * nt)
+    pairs = {_exponent(index, nv, dict.fromkeys(ep.pair, 1))
+             for ep in univ.base_atlas.exchange_pairs.values()}
     exchange_flags = [l in pairs for l in sr_leads]
 
     for t in t_vars:
         rel_idx, side_idx = univ.owners[t][0]
         rel = univ.univ_relations[rel_idx]
-        b = [0] * nv
-        for v in rel["pair"]:
-            b[zindex[v]] += 1
-        b = tuple(b)
+        b = _exponent(index, nv, dict.fromkeys(rel["pair"], 1))
         if b not in lead_index:
             raise DeformError("exchange monomial %r is not an ideal "
                               "generator" % (b,))
         _, z_part = rel["sides"][side_idx]
-        corr = [0] * nv
-        for v, e in z_part.items():
-            corr[zindex[v]] = e
-        corr[nz + tindex[t]] = 1
-        generators[lead_index[b]][tuple(corr)] = Fraction(-1)
+        corr = _exponent(index, nv, z_part, {t: 1})
+        generators[lead_index[b]][corr] = Fraction(-1)
 
     return DeformationFamily(
         univ=univ, z_vars=z_vars, t_vars=t_vars, t_deg=tdeg_map,
@@ -249,38 +236,20 @@ def _max_possible_order(family):
 def _solve_affine(rows, rhs):
     """Solution space of rows . u = rhs over Q as (particular, nullspace
     basis); None if inconsistent."""
-    m = len(rows)
     n = len(rows[0]) if rows else 0
-    A = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
-         for i, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if A[i][col] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = 1 / A[r][col]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, m):
-        if A[i][n] != 0:
-            return None
+    A, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)], n)
+    if any(row[n] != 0 for row in A[len(pivots):]):
+        return None
     particular = [Fraction(0)] * n
-    for row, col in enumerate(pivots):
-        particular[col] = A[row][n]
+    for row, col in zip(A, pivots):
+        particular[col] = row[n]
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
-        for row, col in enumerate(pivots):
-            vec[col] = -A[row][fc]
+        for row, col in zip(A, pivots):
+            vec[col] = -row[fc]
         basis.append(vec)
     return particular, basis
 
@@ -344,8 +313,6 @@ def _lift_round(family, k):
     reductions = _pair_reductions(family, k)
     if all(not r for _, _, _, _, r, _ in reductions):
         return False
-    nz = family.nz
-    nt = len(family.t_vars)
 
     unknowns = []
     index = {}
@@ -417,7 +384,7 @@ def verify_family(family, atlas=None):
     univ = family.univ
     if atlas is None:
         atlas = univ.base_atlas
-    nz, nt = family.nz, len(family.t_vars)
+    nz = family.nz
     report = {}
 
     fiber_ok = True
@@ -430,38 +397,19 @@ def verify_family(family, atlas=None):
     images = [atlas.laurent_expansion(v) for v in family.z_vars]
     laurent_ok = True
     for g in family.generators:
-        at_one = Poly(family.nv, dict(g)).specialize(
-            {nz + i: 1 for i in range(nt)})
-        terms = {}
-        for e, c in at_one.terms.items():
-            key = e[:nz]
-            s = terms.get(key, 0) + c
-            if s == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        proj = Poly(nz, terms)
+        proj = Poly(family.nv, dict(g)).project(range(nz))
         if not proj.compose(images).is_zero():
             laurent_ok = False
     report["laurent_vanishing"] = laurent_ok
 
-    zindex = {v: i for i, v in enumerate(family.z_vars)}
-    tindex = {t: i for i, t in enumerate(family.t_vars)}
+    index = {v: i for i, v in enumerate(family.z_vars + family.t_vars)}
     match_ok = True
     lead_index = {l: i for i, l in enumerate(family.sr_leads)}
     for rel in univ.univ_relations:
-        b = [0] * family.nv
-        for v in rel["pair"]:
-            b[zindex[v]] += 1
-        b = tuple(b)
+        b = _exponent(index, family.nv, dict.fromkeys(rel["pair"], 1))
         expected = {b: Fraction(1)}
         for t_part, z_part in rel["sides"]:
-            e = [0] * family.nv
-            for v, x in z_part.items():
-                e[zindex[v]] = x
-            for t, x in t_part.items():
-                e[nz + tindex[t]] = x
-            expected[tuple(e)] = Fraction(-1)
+            expected[_exponent(index, family.nv, z_part, t_part)] = Fraction(-1)
         got = family.generators[lead_index[b]]
         if got != expected:
             match_ok = False

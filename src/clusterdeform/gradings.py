@@ -1,8 +1,10 @@
 """Gradings: the M-grading (cokernel of the exchange matrix), positive
 grading search, rank flags, frozen-variable augmentation, and t-degrees."""
 
+from .atlas import enumerate_atlas
 from .cones import dual_cone
-from .intlinalg import kernel_basis, smith_normal_form, transpose, vec_dot
+from .intlinalg import (identity_matrix, kernel_basis, smith_normal_form,
+                        transpose, vec_dot)
 from .seeds import ExtendedExchangeMatrix, Seed
 
 
@@ -13,13 +15,12 @@ class GradingData:
     torsion moduli are listed in `torsion`.
     """
 
-    __slots__ = ("free_rank", "torsion", "deg_H", "snf", "_rows", "_moduli_rows")
+    __slots__ = ("free_rank", "torsion", "deg_H", "_rows", "_moduli_rows")
 
-    def __init__(self, free_rank, torsion, deg_H, snf, rows, moduli_rows):
+    def __init__(self, free_rank, torsion, deg_H, rows, moduli_rows):
         self.free_rank = free_rank
         self.torsion = torsion
         self.deg_H = deg_H
-        self.snf = snf
         self._rows = rows          # rows of L giving the free components
         self._moduli_rows = moduli_rows  # (modulus, row of L) for torsion
 
@@ -57,13 +58,12 @@ def m_grading(matrix, atlas=None):
     free_rank = m - r
 
     deg_H = {}
-    data = GradingData(free_rank, torsion, deg_H, snf, rows, moduli_rows)
+    data = GradingData(free_rank, torsion, deg_H, rows, moduli_rows)
     if atlas is not None:
         for var in atlas.variables.values():
             deg_H[var.id] = data.degree_of_vector(list(var.g_vector))
     else:
-        for i in range(m):
-            e = [1 if j == i else 0 for j in range(m)]
+        for i, e in enumerate(identity_matrix(m)):
             deg_H[i] = data.degree_of_vector(e)
     return data
 
@@ -102,8 +102,7 @@ def find_positive_grading(atlas, strict=False):
         return None
     targets = [list(v.g_vector) for v in atlas.mutable_variables]
     if strict:
-        for j in range(matrix.n, matrix.m):
-            targets.append([1 if i == j else 0 for i in range(matrix.m)])
+        targets += identity_matrix(matrix.m)[matrix.n:]
     constraints = [[vec_dot(g, b) for b in basis] for g in targets]
     mu = _positive_combination(constraints, len(basis))
     if mu is None:
@@ -120,8 +119,6 @@ def find_strictly_positive(atlas):
 def add_frozen_for_positivity(seed, max_seeds=100000):
     """Add n frozen rows plus one balancing row so that (1,...,1) becomes a
     grading giving every cluster variable positive degree."""
-    from .atlas import enumerate_atlas
-
     base = enumerate_atlas(seed, max_seeds=max_seeds)
     n, m = seed.matrix.n, seed.matrix.m
     c = min(sum(v.g_vector) for v in base.mutable_variables) - 1

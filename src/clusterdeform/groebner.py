@@ -5,8 +5,8 @@ from math import gcd
 
 from .cones import dual_cone
 from .gradings import t_degrees
-from .intlinalg import kernel_basis, vec_dot
-from .seeds import _det_int
+from .intlinalg import (determinant, identity_matrix, kernel_basis,
+                        vec_dot)
 
 
 class GroebnerError(Exception):
@@ -94,8 +94,7 @@ def cone_certificates(cone):
     if cone.lineality:
         coords = kernel_basis([list(r) for r in cone.lineality])
     else:
-        coords = [[1 if i == j else 0 for j in range(cone.ambient_dim)]
-                  for i in range(cone.ambient_dim)]
+        coords = identity_matrix(cone.ambient_dim)
     images = []
     for r in cone.rays:
         img = [vec_dot(c, r) for c in coords]
@@ -105,5 +104,5 @@ def cone_certificates(cone):
         if g == 0:
             return False, False
         images.append([x // g for x in img])
-    det = _det_int(images)
+    det = determinant(images)
     return det != 0, abs(det) == 1

@@ -228,27 +228,64 @@ def kernel_basis(A):
     return [list(rt[j]) for j in range(r, cols)]
 
 
+def rref(rows, ncols):
+    """Reduced row echelon form over Q, pivoting only in the first ncols
+    columns; any further (augmented) columns are carried along.
+
+    The pivot of each column is the first nonzero row at or below the
+    current one.  Returns (rows, pivot columns): the first len(pivots) rows
+    are the pivot rows, the rest are zero in the first ncols columns.
+    """
+    mat = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = 1 / mat[r][col]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    return mat, pivots
+
+
 def invert_unimodular(U):
     """Inverse of a unimodular integer matrix, returned as an integer matrix."""
     n = len(U)
-    aug = [[Fraction(U[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    out = []
-    for i in range(n):
-        row = aug[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append([int(x) for x in row])
-    return out
+    mat, pivots = rref([list(row) + e for row, e in zip(U, identity_matrix(n))],
+                       n)
+    inverse = [row[n:] for row in mat]
+    if len(pivots) < n or any(x.denominator != 1 for row in inverse for x in row):
+        raise ValueError("matrix is not unimodular")
+    return [[int(x) for x in row] for row in inverse]
+
+
+def determinant(rows):
+    """Fraction-free determinant (Bareiss) of a square integer matrix."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 def primitive(v):

@@ -17,6 +17,39 @@ def _sub_exp(e1, e2):
     return tuple(a - b for a, b in zip(e1, e2))
 
 
+def monomial_str(names, exponents):
+    """`x*y^2` for the exponents over the named variables; "1" if empty."""
+    factors = []
+    for name, k in zip(names, exponents):
+        if k == 1:
+            factors.append(name)
+        elif k != 0:
+            factors.append("%s^%d" % (name, k))
+    return "*".join(factors) if factors else "1"
+
+
+def join_terms(terms):
+    """`a - b + 2*c` from (coefficient, monomial string) pairs in order;
+    the empty monomial "1" prints as its coefficient alone."""
+    out = ""
+    for c, mon in terms:
+        if mon == "1":
+            part = str(c)
+        elif c == 1:
+            part = mon
+        elif c == -1:
+            part = "-" + mon
+        else:
+            part = "%s*%s" % (c, mon)
+        if not out:
+            out = part
+        elif part.startswith("-"):
+            out += " - " + part[1:]
+        else:
+            out += " + " + part
+    return out
+
+
 class Poly:
     """A sparse polynomial (or Laurent polynomial) with rational coefficients.
 
@@ -53,9 +86,6 @@ class Poly:
 
     def is_zero(self):
         return not self.terms
-
-    def is_monomial(self):
-        return len(self.terms) == 1
 
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, 0)
@@ -173,6 +203,19 @@ class Poly:
                 out[key] = s
         return Poly(self.nvars, out)
 
+    def project(self, keep):
+        """Specialize every variable not listed in `keep` to 1 and drop it:
+        the result is a Poly in the kept variables, in their given order."""
+        terms = {}
+        for e, c in self.terms.items():
+            key = tuple(e[i] for i in keep)
+            s = terms.get(key, 0) + c
+            if s == 0:
+                terms.pop(key, None)
+            else:
+                terms[key] = s
+        return Poly(len(keep), terms)
+
     def compose(self, images):
         """Substitute images[i] (a Poly) for variable i.
 
@@ -194,39 +237,11 @@ class Poly:
             result = result + term
         return result
 
-    def total_degrees(self, indices=None):
-        """Max total degree over terms, restricted to the given variables."""
-        if not self.terms:
-            return 0
-        if indices is None:
-            return max(sum(e) for e in self.terms)
-        return max(sum(e[i] for i in indices) for e in self.terms)
-
     def to_string(self, names):
         if not self.terms:
             return "0"
-        parts = []
-        for e in sorted(self.terms, key=lambda t: (-sum(t), tuple(-x for x in t))):
-            c = self.terms[e]
-            factors = []
-            for name, k in zip(names, e):
-                if k == 1:
-                    factors.append(name)
-                elif k != 0:
-                    factors.append("%s^%d" % (name, k))
-            mon = "*".join(factors)
-            if not mon:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mon)
-            elif c == -1:
-                parts.append("-" + mon)
-            else:
-                parts.append("%s*%s" % (c, mon))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        order = sorted(self.terms, key=lambda t: (-sum(t), tuple(-x for x in t)))
+        return join_terms((self.terms[e], monomial_str(names, e)) for e in order)
 
     def __repr__(self):
         return "Poly(%d, %r)" % (self.nvars, self.terms)

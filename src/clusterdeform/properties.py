@@ -3,9 +3,9 @@ the derivation conditions on the Stanley-Reisner ideal, plus the
 constructive repair by added frozen rows."""
 
 from .atlas import enumerate_atlas
-from .cotangent import CotangentError, seed_weights, t1_witnesses
+from .cotangent import seed_weights, t1_witnesses
 from .gradings import (_positive_combination, add_frozen_for_positivity,
-                       find_strictly_positive, t_degrees)
+                       find_strictly_positive, rank_flags, t_degrees)
 from .intlinalg import lattice_coordinates, vec_dot
 from .seeds import ExtendedExchangeMatrix, Seed
 
@@ -107,8 +107,14 @@ def check_t1(atlas, D_strict=None):
 
 
 def _variable_weights(atlas, ids, D_strict):
+    """Degrees g . D of the given variables, each of which must be >= 1."""
+    if D_strict is None:
+        raise PropertyError("no strictly positive grading")
     g = {v.id: v.g_vector for v in atlas.variables.values()}
-    return [vec_dot(g[i], D_strict) for i in ids]
+    weights = [vec_dot(g[i], D_strict) for i in ids]
+    if any(x < 1 for x in weights):
+        raise PropertyError("grading not strictly positive on all variables")
+    return weights
 
 
 def _monomials_of_weight(weights, total):
@@ -135,12 +141,8 @@ def _monomials_of_weight(weights, total):
 def check_t0(K, J, grading, atlas, D_strict):
     """For every variable and every monomial of the same fine degree, the
     contraction of every ideal generator must stay in the ideal."""
-    if D_strict is None:
-        raise PropertyError("no strictly positive grading")
     ids = J.variables
     weights = _variable_weights(atlas, ids, D_strict)
-    if any(x < 1 for x in weights):
-        raise PropertyError("grading not strictly positive on all variables")
     witnesses = []
     for i, v in enumerate(ids):
         unit = tuple(1 if l == i else 0 for l in range(len(ids)))
@@ -169,14 +171,10 @@ def exchangeable_pairs(atlas):
 def check_t0_star(K, J, univ, semigroup, D_strict):
     """Every ideal-non-trivial derivation whose degree lies in the
     semigroup must act on a generator coming from an exchangeable pair."""
-    if D_strict is None:
-        raise PropertyError("no strictly positive grading")
     atlas = univ.base_atlas
     ids = J.variables
     index = {v: i for i, v in enumerate(ids)}
     weights = _variable_weights(atlas, ids, D_strict)
-    if any(x < 1 for x in weights):
-        raise PropertyError("grading not strictly positive on all variables")
     pairs = exchangeable_pairs(atlas)
     mutable = [v.id for v in atlas.mutable_variables]
     witnesses = []
@@ -215,8 +213,6 @@ def check_t0_star(K, J, univ, semigroup, D_strict):
 def repair_t1(seed, max_seeds=100000, max_rounds=64):
     """Add frozen rows, one per surviving witness, until the lattice
     condition holds on every seed in the class."""
-    from .gradings import rank_flags
-
     if not rank_flags(seed.matrix)["full_rank"]:
         raise PropertyError("repair requires a full-rank matrix")
     current = seed

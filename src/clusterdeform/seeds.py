@@ -8,6 +8,8 @@ import json
 from fractions import Fraction
 from math import gcd
 
+from .intlinalg import determinant, identity_matrix
+
 
 class ExtendedExchangeMatrix:
     """An m x n integer matrix whose top n x n block is skew-symmetrizable."""
@@ -42,29 +44,34 @@ class ExtendedExchangeMatrix:
     def __repr__(self):
         return "ExtendedExchangeMatrix(%r, n=%d)" % ([list(r) for r in self.entries], self.n)
 
-    def column(self, k):
-        return [row[k] for row in self.entries]
-
-    def top_block(self):
-        return [list(row) for row in self.entries[:self.n]]
-
     def mutate(self, k):
         if not 0 <= k < self.n:
             raise IndexError("mutation index out of range")
-        b = self.entries
-        new = []
-        for i in range(self.m):
-            row = []
-            for j in range(self.n):
-                if i == k or j == k:
-                    row.append(-b[i][j])
-                else:
-                    bik = b[i][k]
-                    sgn = (bik > 0) - (bik < 0)
-                    row.append(b[i][j] + sgn * max(bik * b[k][j], 0))
-            new.append(row)
-        return ExtendedExchangeMatrix(new, n=self.n,
+        return ExtendedExchangeMatrix(mutate_entries(self.entries, k),
+                                      n=self.n,
                                       skew_symmetrizer=self.skew_symmetrizer)
+
+
+def mutate_entries(entries, k):
+    """Matrix mutation at k of a tuple of rows whose first rows form the
+    mutable block: b'_ij = -b_ij if i = k or j = k, else
+    b_ij + sgn(b_ik) max(b_ik b_kj, 0).  Extra rows below the extended
+    matrix (such as principal coefficient rows) mutate the same way."""
+    row_k = entries[k]
+    out = []
+    for i, row in enumerate(entries):
+        bik = row[k]
+        if i == k:
+            new = [-x for x in row]
+        elif bik > 0:
+            new = [x + max(bik * y, 0) for x, y in zip(row, row_k)]
+        elif bik < 0:
+            new = [x - max(bik * y, 0) for x, y in zip(row, row_k)]
+        else:
+            new = list(row)
+        new[k] = -bik
+        out.append(tuple(new))
+    return tuple(out)
 
 
 def _find_skew_symmetrizer(entries, n):
@@ -152,9 +159,6 @@ def _bt_times_d(matrix, grading_rows):
              for c in range(width)] for j in range(n)]
 
 
-_fresh_counter = [0]
-
-
 def mutate(seed, k):
     """Mutate a seed at mutable index k; the new variable gets a fresh id."""
     matrix = seed.matrix.mutate(k)
@@ -166,26 +170,34 @@ def mutate(seed, k):
     return Seed(matrix, var_ids, grading)
 
 
-def e_matrix(matrix, k, sign):
-    """The m x m elementary matrix E_{k,eps}: identity off column k,
-    -1 at (k,k), and max(0, -eps*b_ik) at (i,k)."""
+def e_column(entries, k, sign):
+    """Column k of E_{k,eps}, the only column where it differs from the
+    identity: -1 at k and max(0, -eps*b_ik) at every other row i.
+
+    Mutation at k multiplies the g-matrix by E on the right and the grading
+    rows by E^T on the left (Fomin-Zelevinsky, Cluster algebras IV), so in
+    both only the k-th g-vector or grading row changes."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    m = matrix.m
-    E = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    for i in range(m):
-        E[i][k] = -1 if i == k else max(0, -sign * matrix.entries[i][k])
+    return [-1 if i == k else max(0, -sign * row[k])
+            for i, row in enumerate(entries)]
+
+
+def e_matrix(matrix, k, sign):
+    """The m x m elementary matrix E_{k,eps}: identity off column k."""
+    col = e_column(matrix.entries, k, sign)
+    E = identity_matrix(matrix.m)
+    for row, x in zip(E, col):
+        row[k] = x
     return E
 
 
 def mutate_grading(matrix, grading_rows, k, sign=1):
     """Transport grading rows across a mutation: D' = (E_{k,eps})^T D."""
-    E = e_matrix(matrix, k, sign)
-    m = matrix.m
-    width = len(grading_rows[0])
-    new_k = [sum(E[j][k] * grading_rows[j][c] for j in range(m)) for c in range(width)]
+    col = e_column(matrix.entries, k, sign)
     out = [list(r) for r in grading_rows]
-    out[k] = new_k
+    out[k] = [sum(e * x for e, x in zip(col, column))
+              for column in zip(*grading_rows)]
     return tuple(tuple(r) for r in out)
 
 
@@ -193,28 +205,6 @@ def is_isolated_vertex_free(matrix):
     """True iff no mutable index has an all-zero column of the extended matrix."""
     return all(any(matrix.entries[i][k] != 0 for i in range(matrix.m))
                for k in range(matrix.n))
-
-
-def _det_int(rows):
-    """Fraction-free determinant (Bareiss) of an integer matrix."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
 
 
 def cartan_counterpart(matrix):
@@ -251,7 +241,7 @@ def _positive_principal_minors(A):
     for r in range(1, n + 1):
         for subset in combinations(range(n), r):
             sub = [[A[i][j] for j in subset] for i in subset]
-            if _det_int(sub) <= 0:
+            if determinant(sub) <= 0:
                 return False
     return True
 

@@ -150,24 +150,18 @@ def sphere_check(K):
     if not K.is_pure() or not K.facets:
         return {"pseudomanifold": False, "euler_ok": False}
     s = len(K.facets[0])
-    # every codimension-1 face in exactly two facets
-    ridge_count = {}
-    for f in K.facets:
+    ridge_owners = {}
+    for i, f in enumerate(K.facets):
         for r in combinations(sorted(f), s - 1):
-            ridge_count[r] = ridge_count.get(r, 0) + 1
-    pseudo = all(c == 2 for c in ridge_count.values()) if s >= 1 else False
+            ridge_owners.setdefault(r, []).append(i)
+    # every codimension-1 face in exactly two facets
+    pseudo = s >= 1 and all(len(o) == 2 for o in ridge_owners.values())
     # facet adjacency connected
     if pseudo and len(K.facets) > 1:
         adjacency = {i: set() for i in range(len(K.facets))}
-        ridge_owners = {}
-        for i, f in enumerate(K.facets):
-            for r in combinations(sorted(f), s - 1):
-                ridge_owners.setdefault(r, []).append(i)
-        for owners in ridge_owners.values():
-            for i in owners:
-                for j in owners:
-                    if i != j:
-                        adjacency[i].add(j)
+        for i, j in ridge_owners.values():
+            adjacency[i].add(j)
+            adjacency[j].add(i)
         seen = {0}
         stack = [0]
         while stack:

@@ -20,7 +20,7 @@ class UniversalData:
     """
 
     __slots__ = ("base_seed", "base_atlas", "univ_seed", "univ_atlas",
-                 "u_rows", "t_ids", "t_g_vectors", "univ_relations",
+                 "u_rows", "t_ids", "univ_relations",
                  "owners", "variable_order", "has_isolated_vertex")
 
     def __init__(self, **kw):
@@ -36,10 +36,14 @@ def _t_name(g):
     return "t(" + ",".join(str(x) for x in g) + ")"
 
 
-def build_universal(seed, max_seeds=100000):
+def build_universal(seed, max_seeds=100000, base_atlas=None):
     """Enumerate the transpose pattern, stack its g-vectors as frozen rows,
-    re-enumerate, and collect the coefficient-extended exchange relations."""
-    base_atlas = enumerate_atlas(seed, max_seeds=max_seeds)
+    re-enumerate, and collect the coefficient-extended exchange relations.
+
+    base_atlas, when given, must be the atlas of `seed`; it is enumerated
+    here otherwise."""
+    if base_atlas is None:
+        base_atlas = enumerate_atlas(seed, max_seeds=max_seeds)
     n, m = seed.matrix.n, seed.matrix.m
 
     bt_rows = [[seed.matrix.entries[j][i] for j in range(n)] for i in range(n)]
@@ -70,7 +74,6 @@ def build_universal(seed, max_seeds=100000):
                                  % (prefix,))
         to_base[var.id] = base_atlas.id_by_g[prefix]
 
-    mutable_base = {v.id for v in base_atlas.mutable_variables}
     frozen_base = set(base_atlas.frozen_ids)
     t_set = set(t_ids)
 
@@ -132,7 +135,6 @@ def build_universal(seed, max_seeds=100000):
     return UniversalData(
         base_seed=seed, base_atlas=base_atlas, univ_seed=univ_seed,
         univ_atlas=univ_atlas, u_rows=[list(g) for g in t_gs], t_ids=t_ids,
-        t_g_vectors={t: g for t, g in zip(t_ids, t_gs)},
         univ_relations=relations,
         owners=owners,
         variable_order=order, has_isolated_vertex=has_isolated)

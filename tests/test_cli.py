@@ -2,22 +2,66 @@
 
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from clusterdeform.cli import main
+from clusterdeform import cli, universal
+from clusterdeform.cli import Pipeline, main
+from clusterdeform.seeds import load_seed
 
 _DATA = resources.files("clusterdeform.data")
 A2 = str(_DATA / "a2.json")
 A3_BAD = str(_DATA / "a3_bad.json")
 G2 = str(_DATA / "g2.json")
 A1F = str(_DATA / "a1f.json")
+GOLDEN = Path(__file__).with_name("golden")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def test_enumerate_text(capsys):
+    code, out = run(capsys, "enumerate", A2)
+    assert code == 0
+    assert out == (
+        "variables: 8 (5 mutable)\n"
+        "  x13  g=(1, 0, 0, 0, 0)  x13 / 1\n"
+        "  x14  g=(0, 1, 0, 0, 0)  x14 / 1\n"
+        "  s1  g=(0, 0, 1, 0, 0)  s1 / 1\n"
+        "  s2  g=(0, 0, 0, 1, 0)  s2 / 1\n"
+        "  s3  g=(0, 0, 0, 0, 1)  s3 / 1\n"
+        "  x(-1,1,0,1,0)  g=(-1, 1, 0, 1, 0)  x14*s2 + s1*s3 / x13\n"
+        "  x(0,-1,0,1,1)  g=(0, -1, 0, 1, 1)  x13*s1 + s2*s3 / x14\n"
+        "  x(-1,0,0,2,0)  g=(-1, 0, 0, 2, 0)"
+        "  x13*s1^2 + x14*s2^2 + s1*s2*s3 / x13*x14\n"
+        "clusters: 5\n"
+        "  x13 x14 s1 s2 s3\n"
+        "  x(-1,1,0,1,0) x14 s1 s2 s3\n"
+        "  x(0,-1,0,1,1) x13 s1 s2 s3\n"
+        "  x(-1,0,0,2,0) x(-1,1,0,1,0) s1 s2 s3\n"
+        "  x(-1,0,0,2,0) x(0,-1,0,1,1) s1 s2 s3\n"
+        "exchange pairs: 5\n"
+        "  x(-1,0,0,2,0) * x13 = s1*x(0,-1,0,1,1) + s2^2\n"
+        "  x(-1,0,0,2,0) * x14 = s1^2 + s2*x(-1,1,0,1,0)\n"
+        "  x(-1,1,0,1,0) * x(0,-1,0,1,1) = s1*s2 + s3*x(-1,0,0,2,0)\n"
+        "  x(-1,1,0,1,0) * x13 = s1*s3 + s2*x14\n"
+        "  x(0,-1,0,1,1) * x14 = s1*x13 + s2*s3\n")
+
+
+def test_complex_text(capsys):
+    code, out = run(capsys, "complex", A2)
+    assert code == 0
+    assert out == (
+        "vertices: x(-1,0,0,2,0) x(-1,1,0,1,0) x(0,-1,0,1,1) x13 x14\n"
+        "facet: x(-1,0,0,2,0) x(-1,1,0,1,0)\n"
+        "facet: x(-1,0,0,2,0) x(0,-1,0,1,1)\n"
+        "facet: x(-1,1,0,1,0) x14\n"
+        "facet: x(0,-1,0,1,1) x13\n"
+        "facet: x13 x14\n")
 
 
 def test_sr_ideal_text(capsys):
@@ -89,6 +133,17 @@ def test_check_repair(capsys):
     assert repaired["B"][6:] == [[0, 0, -1], [-1, 0, 0], [1, 0, 0]]
 
 
+def test_check_repair_rejected_for_t0_properties(capsys):
+    # A2 satisfies both properties and A3_BAD fails T0, so the rejection
+    # must come before the check, whatever its verdict.
+    for seed in (A2, A3_BAD):
+        for prop in ("t0", "t0star"):
+            code, out = run(capsys, "check", seed, "--property", prop,
+                            "--repair")
+            assert code == 2
+            assert out == ""
+
+
 def test_check_success_exit_code(capsys):
     code, out = run(capsys, "check", A2, "--property", "t1")
     assert code == 0
@@ -157,3 +212,33 @@ def test_demo(capsys):
     code, out = run(capsys, "demo")
     assert code == 0
     assert out.rstrip().endswith("verified: True")
+
+
+def test_demo_text(capsys):
+    code, out = run(capsys, "demo")
+    assert code == 0
+    assert out == (GOLDEN / "demo.txt").read_text()
+
+
+def test_pipeline_computes_each_stage_once(monkeypatch):
+    calls = {"enumerate_atlas": 0, "groebner_cone": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    atlas_fn = counted("enumerate_atlas", cli.enumerate_atlas)
+    monkeypatch.setattr(cli, "enumerate_atlas", atlas_fn)
+    monkeypatch.setattr(universal, "enumerate_atlas", atlas_fn)
+    monkeypatch.setattr(cli, "groebner_cone",
+                        counted("groebner_cone", cli.groebner_cone))
+    pipe = Pipeline(load_seed(A2), max_seeds=1000)
+    stages = ("atlas", "complex", "ideal", "universal", "cone",
+              "strict_grading")
+    first = [getattr(pipe, name) for name in stages]
+    assert [getattr(pipe, name) for name in stages] == first
+    assert pipe.universal.base_atlas is pipe.atlas
+    # base, transpose and extended pattern; the base is not enumerated again
+    assert calls == {"enumerate_atlas": 3, "groebner_cone": 1}

@@ -1,5 +1,6 @@
 """Integer lattice linear algebra: normal forms, kernels, solving."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterdeform.intlinalg import (hermite_normal_form, identity_matrix,
@@ -103,6 +104,8 @@ def test_invert_unimodular():
         pass
     else:
         raise AssertionError("non-unimodular matrix accepted")
+    with pytest.raises(ValueError, match="not unimodular"):
+        invert_unimodular([[1, 1], [1, 1]])
 
 
 def test_primitive():
