@@ -262,11 +262,10 @@ def cmd_check(args):
         report = check_t1(atlas, D)
     elif args.property == "t0":
         grading = m_grading(pipe.seed.matrix, atlas)
-        report = check_t0(pipe.complex, pipe.ideal, grading, atlas, D)
+        report = check_t0(pipe.ideal, grading, atlas, D)
     else:
         univ = pipe.universal
-        report = check_t0_star(pipe.complex, pipe.ideal, univ,
-                               semigroup_data(univ), D)
+        report = check_t0_star(pipe.ideal, univ, semigroup_data(univ), D)
     payload = {"property": report.property, "holds": report.holds,
                "witnesses": report.witnesses}
     lines = ["%s holds: %s" % (report.property, report.holds)]

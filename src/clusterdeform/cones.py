@@ -68,10 +68,6 @@ def dual_cone(generators, dim):
     lineality = identity_matrix(dim)
     rays = []
     processed = []
-
-    def tight_set(r):
-        return frozenset(i for i, a in enumerate(processed) if vec_dot(a, r) == 0)
-
     for a in generators:
         a = list(a)
         if all(x == 0 for x in a):
@@ -95,23 +91,27 @@ def dual_cone(generators, dim):
             rays.append(primitive(v0))
             lineality = new_lin
         else:
-            pos, zero, neg = [], [], []
-            for r in rays:
-                val = vec_dot(a, r)
-                (pos if val > 0 else zero if val == 0 else neg).append(r)
-            if neg:
-                new_rays = pos + zero
+            vals = [vec_dot(a, r) for r in rays]
+            if any(v < 0 for v in vals):
+                # combinatorial adjacency test (Fukuda & Prodon 1996): p
+                # and m are adjacent iff no third ray is tight on every
+                # processed constraint on which both are tight.  Tight sets
+                # are bitmasks over `processed`.
+                masks = [sum(1 << i for i, c in enumerate(processed)
+                             if vec_dot(c, r) == 0) for r in rays]
+                pos = [i for i, v in enumerate(vals) if v > 0]
+                neg = [i for i, v in enumerate(vals) if v < 0]
+                new_rays = [rays[i] for i in pos]
+                new_rays += [r for r, v in zip(rays, vals) if v == 0]
                 for p in pos:
-                    tp = tight_set(p)
                     for m in neg:
-                        common = tp & tight_set(m)
-                        adjacent = not any(
-                            r is not p and r is not m and common <= tight_set(r)
-                            for r in rays)
-                        if adjacent:
-                            ap, am = vec_dot(a, p), vec_dot(a, m)
+                        common = masks[p] & masks[m]
+                        if not any(common & b == common
+                                   for i, b in enumerate(masks)
+                                   if i != p and i != m):
                             new_rays.append(primitive(
-                                [ap * x - am * y for x, y in zip(m, p)]))
+                                [vals[p] * x - vals[m] * y
+                                 for x, y in zip(rays[m], rays[p])]))
                 rays = new_rays
         seen = set()
         unique = []
@@ -124,3 +124,14 @@ def dual_cone(generators, dim):
         processed.append(a)
 
     return Cone(dim, lineality, rays, inequalities=[list(g) for g in generators])
+
+
+def slack_ray(rows, dim):
+    """A ray x of {x : <a, x> >= 0 for every row a, x[-1] >= 0} with
+    x[-1] > 0, or None if there is none.
+
+    This solves a feasibility problem homogenized by a slack coordinate,
+    the last of `dim`: the first such ray of the dual cone, scaled down by
+    x[-1], is a rational solution of the inhomogeneous problem."""
+    cone = dual_cone(list(rows) + [[0] * (dim - 1) + [1]], dim)
+    return next((ray for ray in cone.rays if ray[-1] > 0), None)

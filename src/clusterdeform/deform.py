@@ -128,17 +128,20 @@ def first_order(univ, J, weight=None):
         exchange_flags=exchange_flags, order=1, order_zero=J, _jgens=jgens)
 
 
-def _spoly_data(family, i, l):
-    """(cofactor_i, cofactor_l) exponents for the S-pair, or None if the
-    leads are coprime."""
-    a = family.sr_leads[i]
-    b = family.sr_leads[l]
-    lcm = tuple(max(x, y) for x, y in zip(a, b))
-    if all(lcm[j] == a[j] + b[j] for j in range(family.nz)):
-        return None
-    mi = tuple(x - y for x, y in zip(lcm, a))
-    ml = tuple(x - y for x, y in zip(lcm, b))
-    return mi, ml
+def _spairs(family):
+    """(i, l, cofactor_i, cofactor_l) exponents of every S-pair whose leads
+    are not coprime.  The leads never change, so neither does this list."""
+    out = []
+    leads = family.sr_leads
+    for i, a in enumerate(leads):
+        for l in range(i + 1, len(leads)):
+            b = leads[l]
+            lcm = tuple(max(x, y) for x, y in zip(a, b))
+            if all(lcm[j] == a[j] + b[j] for j in range(family.nz)):
+                continue
+            out.append((i, l, tuple(x - y for x, y in zip(lcm, a)),
+                        tuple(x - y for x, y in zip(lcm, b))))
+    return out
 
 
 def _shift(g, mono, coeff=Fraction(1)):
@@ -195,35 +198,54 @@ def _divide(family, f, cut):
 def _candidates(family, j, k):
     """Correction monomials for generator j at t-degree exactly k: the
     t-exponent beta determines the z-exponent by degree matching; the
-    z-part must be a standard monomial."""
+    z-part must be a standard monomial.
+
+    One more unit of t_i .. t_{nt-1} raises gamma[x] by at most
+    gain[i][x], the suffix maximum of max(0, -deg_T[x]).  A child at index
+    i + 1 is entered only if gamma[x] + left * gain[i + 1][x] >= 0 for
+    every x; that test is linear in beta[i], so the values worth trying
+    form an interval.  Skipped subtrees hold no candidate, so the list and
+    its order are those of the full enumeration."""
     nz, nt = family.nz, len(family.t_vars)
     target = family.sr_leads[j][:nz]
     budget = vec_dot(family.weights, target)
+    degs = [family.t_deg[t] for t in family.t_vars]
+    gain = [[0] * nz]
+    for d in reversed(degs):
+        gain.append([max(g, -y) for g, y in zip(gain[-1], d)])
+    gain.reverse()
+    # gamma - b * d + (left - b) * gain[i + 1] >= 0 reads a - b * c >= 0
+    # with a = gamma + left * gain[i + 1] and c = d + gain[i + 1]
+    slope = [[y + z for y, z in zip(d, g)] for d, g in zip(degs, gain[1:])]
     out = []
     beta = [0] * nt
-    gamma0 = list(target)
 
     def rec(i, left, spent, gamma):
         if left == 0:
             g = tuple(gamma)
-            if all(x >= 0 for x in g) and not family.in_order_zero(
-                    g + (0,) * nt):
+            if not family.in_order_zero(g + (0,) * nt):
                 out.append((tuple(beta), g))
             return
         if i == nt:
             return
         lam = family.lam[i]
-        d = family.t_deg[family.t_vars[i]]
-        b = 0
-        g = list(gamma)
-        while spent + b * lam <= budget and b <= left:
+        lo, hi = 0, min(left, (budget - spent) // lam)
+        for x, y, c in zip(gamma, gain[i + 1], slope[i]):
+            a = x + left * y
+            if c > 0:
+                hi = min(hi, a // c)
+            elif c < 0:
+                lo = max(lo, -(a // -c))
+            elif a < 0:
+                return
+        d = degs[i]
+        for b in range(lo, hi + 1):
             beta[i] = b
-            rec(i + 1, left - b, spent + b * lam, g)
-            b += 1
-            g = [x - y for x, y in zip(g, d)]
+            rec(i + 1, left - b, spent + b * lam,
+                [x - b * y for x, y in zip(gamma, d)])
         beta[i] = 0
 
-    rec(0, k, 0, gamma0)
+    rec(0, k, 0, target)
     return out
 
 
@@ -273,44 +295,49 @@ def _exchange_minimal(particular, basis, priority):
 
 
 def lift(family, max_order=16):
-    """Raise the truncation order until every S-pair reduces to zero and the
-    weight budget rules out further corrections."""
+    """Correct the family order by order, k = 2 .. max_order.
+
+    The loop stops early once a round makes no progress and k has reached
+    `_max_possible_order`, past which the weight budget admits no
+    correction monomial.  That bound exceeds the default max_order on most
+    seeds (G2 18, B3 45, D4 513), so the stopping rule that decides is the
+    final uncut check, Buchberger's criterion: the generators are a
+    Groebner basis for `order_key`, hence a flat family, exactly when every
+    S-pair reduces to zero without truncation.  The reported order is the
+    last round run."""
     budget = _max_possible_order(family)
+    spairs = _spairs(family)
+    exhausted = True
     for k in range(2, max_order + 1):
-        progressed = _lift_round(family, k)
+        progressed = _lift_round(family, k, spairs)
         family.order = k
         if not progressed and k >= budget:
+            exhausted = False
             break
-    else:
-        if _has_obstructions(family):
+    if _has_obstructions(family, spairs):
+        if exhausted:
             raise DeformError("order budget exceeded")
-    if _has_obstructions(family):
         raise DeformError("obstructed at order %d" % family.order)
     return family
 
 
-def _pair_reductions(family, cut):
+def _pair_reductions(family, spairs, cut):
     out = []
-    n = len(family.generators)
-    for i in range(n):
-        for l in range(i + 1, n):
-            data = _spoly_data(family, i, l)
-            if data is None:
-                continue
-            mi, ml = data
-            s = _shift(family.generators[i], mi)
-            _add_into(s, _shift(family.generators[l], ml, Fraction(-1)))
-            r, q = _divide(family, s, cut)
-            out.append((i, l, mi, ml, r, q))
+    for i, l, mi, ml in spairs:
+        s = _shift(family.generators[i], mi)
+        _add_into(s, _shift(family.generators[l], ml, Fraction(-1)))
+        r, q = _divide(family, s, cut)
+        out.append((i, l, mi, ml, r, q))
     return out
 
 
-def _has_obstructions(family):
-    return any(r for _, _, _, _, r, _ in _pair_reductions(family, None))
+def _has_obstructions(family, spairs):
+    reductions = _pair_reductions(family, spairs, None)
+    return any(r for _, _, _, _, r, _ in reductions)
 
 
-def _lift_round(family, k):
-    reductions = _pair_reductions(family, k)
+def _lift_round(family, k, spairs):
+    reductions = _pair_reductions(family, spairs, k)
     if all(not r for _, _, _, _, r, _ in reductions):
         return False
 

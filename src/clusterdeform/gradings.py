@@ -2,7 +2,7 @@
 grading search, rank flags, frozen-variable augmentation, and t-degrees."""
 
 from .atlas import enumerate_atlas
-from .cones import dual_cone
+from .cones import slack_ray
 from .intlinalg import (identity_matrix, kernel_basis, smith_normal_form,
                         transpose, vec_dot)
 from .seeds import ExtendedExchangeMatrix, Seed
@@ -76,18 +76,13 @@ def rank_flags(matrix):
     return {"full_rank": full_rank, "full_Z_rank": full_z_rank}
 
 
-def _positive_combination(constraint_rows, dim):
+def positive_combination(constraint_rows, dim):
     """A mu with <a, mu> >= 1 for every constraint row, or None.
 
-    Solved exactly by converting the homogenized feasibility problem to a
-    cone and looking for a generator with positive slack coordinate."""
-    gens = [list(a) + [-1] for a in constraint_rows]
-    gens.append([0] * dim + [1])
-    cone = dual_cone(gens, dim + 1)
-    for ray in cone.rays:
-        if ray[dim] > 0:
-            return ray[:dim]
-    return None
+    Solved exactly as the slack ray of the homogenized problem
+    <a, mu> - s >= 0, s >= 0."""
+    ray = slack_ray([list(a) + [-1] for a in constraint_rows], dim + 1)
+    return None if ray is None else ray[:dim]
 
 
 def find_positive_grading(atlas, strict=False):
@@ -104,7 +99,7 @@ def find_positive_grading(atlas, strict=False):
     if strict:
         targets += identity_matrix(matrix.m)[matrix.n:]
     constraints = [[vec_dot(g, b) for b in basis] for g in targets]
-    mu = _positive_combination(constraints, len(basis))
+    mu = positive_combination(constraints, len(basis))
     if mu is None:
         return None
     D = [sum(mu[b] * basis[b][i] for b in range(len(basis))) for i in range(matrix.m)]

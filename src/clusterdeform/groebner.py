@@ -3,7 +3,7 @@ simpliciality and smoothness certificates, and interior weight selection."""
 
 from math import gcd
 
-from .cones import dual_cone
+from .cones import dual_cone, slack_ray
 from .gradings import t_degrees
 from .intlinalg import (determinant, identity_matrix, kernel_basis,
                         vec_dot)
@@ -55,15 +55,13 @@ def _nonnegative_shift(w, lineality):
         return w if all(x >= 0 for x in w) else None
     r = len(lineality)
     dim = len(w)
-    gens = [[lineality[b][i] for b in range(r)] + [w[i]] for i in range(dim)]
-    gens.append([0] * r + [1])
-    cone = dual_cone(gens, r + 1)
-    for ray in cone.rays:
-        if ray[r] > 0:
-            s = ray[r]
-            return [s * w[i] + sum(ray[b] * lineality[b][i] for b in range(r))
-                    for i in range(dim)]
-    return None
+    ray = slack_ray([[lineality[b][i] for b in range(r)] + [w[i]]
+                     for i in range(dim)], r + 1)
+    if ray is None:
+        return None
+    s = ray[r]
+    return [s * w[i] + sum(ray[b] * lineality[b][i] for b in range(r))
+            for i in range(dim)]
 
 
 def groebner_cone(univ, gradings=None):

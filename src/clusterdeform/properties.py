@@ -4,8 +4,8 @@ constructive repair by added frozen rows."""
 
 from .atlas import enumerate_atlas
 from .cotangent import seed_weights, t1_witnesses
-from .gradings import (_positive_combination, add_frozen_for_positivity,
-                       find_strictly_positive, rank_flags, t_degrees)
+from .gradings import (add_frozen_for_positivity, find_strictly_positive,
+                       positive_combination, rank_flags, t_degrees)
 from .intlinalg import lattice_coordinates, vec_dot
 from .seeds import ExtendedExchangeMatrix, Seed
 
@@ -64,7 +64,7 @@ def semigroup_data(univ):
     nonzero = [g for g in gens if any(g)]
     if not nonzero:
         raise PropertyError("all generators are zero")
-    f = _positive_combination(nonzero, len(gens[0]))
+    f = positive_combination(nonzero, len(gens[0]))
     if f is None:
         raise PropertyError("no strictly positive functional: semigroup "
                             "cone is not pointed")
@@ -138,7 +138,7 @@ def _monomials_of_weight(weights, total):
     return out
 
 
-def check_t0(K, J, grading, atlas, D_strict):
+def check_t0(J, grading, atlas, D_strict):
     """For every variable and every monomial of the same fine degree, the
     contraction of every ideal generator must stay in the ideal."""
     ids = J.variables
@@ -168,7 +168,7 @@ def exchangeable_pairs(atlas):
     return set(atlas.exchange_pairs.keys())
 
 
-def check_t0_star(K, J, univ, semigroup, D_strict):
+def check_t0_star(J, univ, semigroup, D_strict):
     """Every ideal-non-trivial derivation whose degree lies in the
     semigroup must act on a generator coming from an exchangeable pair."""
     atlas = univ.base_atlas

@@ -106,7 +106,7 @@ def test_criterion_1_rank2_single_edge_pipeline():
     # lattice and derivation conditions
     assert check_t1(atlas).holds
     D = find_strictly_positive(atlas)
-    assert check_t0_star(K, J, univ, semigroup_data(univ), D).holds
+    assert check_t0_star(J, univ, semigroup_data(univ), D).holds
 
     # the lifted family, sign-normalized to leading coefficient +1
     fam = lift(first_order(univ, J))

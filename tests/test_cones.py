@@ -1,9 +1,11 @@
 """Polyhedral cones: double description, canonical form, double dualization."""
 
-from hypothesis import given, settings, strategies as st
+from itertools import combinations
+
+from hypothesis import assume, given, settings, strategies as st
 
 from clusterdeform.cones import Cone, dual_cone
-from clusterdeform.intlinalg import vec_dot
+from clusterdeform.intlinalg import kernel_basis, primitive, rank, vec_dot
 
 
 def cone_generators(cone):
@@ -72,6 +74,34 @@ def test_dual_cone_satisfies_constraints(gens):
         assert all(vec_dot(g, r) >= 0 for g in gens)
     for l in cone.lineality:
         assert all(vec_dot(g, l) == 0 for g in gens)
+
+
+def brute_force_rays(gens, dim):
+    """Extreme rays of a pointed cone {w : <w, g> >= 0}: the primitive
+    spanning vectors of the 1-dimensional kernels of (dim - 1)-subsets of
+    the constraints that satisfy every constraint."""
+    out = set()
+    for subset in combinations(gens, dim - 1):
+        basis = kernel_basis([list(g) for g in subset])
+        if len(basis) != 1:
+            continue
+        for v in (basis[0], [-x for x in basis[0]]):
+            if all(vec_dot(g, v) >= 0 for g in gens):
+                out.add(tuple(primitive(v)))
+    return sorted(list(r) for r in out)
+
+
+@given(st.integers(3, 4).flatmap(lambda dim: st.tuples(
+    st.just(dim),
+    st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+             min_size=dim, max_size=8))))
+@settings(max_examples=80, deadline=None)
+def test_dual_cone_matches_brute_force(case):
+    dim, gens = case
+    assume(rank(gens) == dim)
+    cone = dual_cone(gens, dim)
+    assert cone.lineality == []
+    assert cone.rays == brute_force_rays(gens, dim)
 
 
 def test_pointed_cone_from_simplex_constraints():

@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from clusterdeform.atlas import enumerate_atlas
-from clusterdeform.cli import family_lines
+from clusterdeform.cli import Pipeline, family_lines
 from clusterdeform.deform import (DeformError, first_order, lift,
                                   verify_family)
-from clusterdeform.deform import _exchange_minimal, _solve_affine
+from clusterdeform.deform import (_candidates, _exchange_minimal,
+                                  _solve_affine)
+from clusterdeform.intlinalg import vec_dot
 from clusterdeform.simplicial import cluster_complex, sr_ideal
 from clusterdeform.universal import build_universal
 from tests.conftest import data_seed, path_seed
@@ -214,6 +216,68 @@ def test_lift_order_budget():
     fam = first_order(build_universal(seed), J)
     with pytest.raises(DeformError):
         lift(fam, max_order=2)
+
+
+def compositions(k, n):
+    """The n-tuples of nonnegative integers summing to k, in lexicographic
+    order."""
+    if n == 0:
+        if k == 0:
+            yield ()
+        return
+    for b in range(k + 1):
+        for rest in compositions(k - b, n - 1):
+            yield (b,) + rest
+
+
+def reference_candidates(fam, k):
+    """For each generator j, every t-exponent of total degree k, in
+    lexicographic order, kept when it fits the weight budget of j and
+    leaves a standard z-part >= 0."""
+    nz, nt = fam.nz, len(fam.t_vars)
+    degs = [fam.t_deg[t] for t in fam.t_vars]
+    moves = [(beta, vec_dot(fam.lam, beta),
+              [sum(b * d[x] for b, d in zip(beta, degs)) for x in range(nz)])
+             for beta in compositions(k, nt)]
+    out = []
+    for lead in fam.sr_leads:
+        target = lead[:nz]
+        budget = vec_dot(fam.weights, target)
+        found = []
+        for beta, cost, shift in moves:
+            gamma = tuple(x - y for x, y in zip(target, shift))
+            if (cost <= budget and min(gamma) >= 0
+                    and not fam.in_order_zero(gamma + (0,) * nt)):
+                found.append((beta, gamma))
+        out.append(found)
+    return out
+
+
+@pytest.mark.parametrize("name", ["g2", "b2", "a3"])
+def test_pruned_candidates_match_full_enumeration(name):
+    pipe = Pipeline(data_seed(name), 100000)
+    fam = first_order(pipe.universal, pipe.ideal,
+                      weight=pipe.cone.interior_weight)
+    found = 0
+    for k in range(2, 7):
+        for j, expected in enumerate(reference_candidates(fam, k)):
+            got = _candidates(fam, j, k)
+            assert got == expected, (j, k)
+            found += len(got)
+    assert found > 0
+
+
+@pytest.mark.parametrize("name, make", [
+    ("B3", lambda: path_seed([(1, -1), (1, -2)])),
+    ("C3", lambda: path_seed([(1, -1), (2, -1)])),
+    ("D4", lambda: data_seed("d4")),
+], ids=["B3", "C3", "D4"])
+def test_rank3_and_rank4_lifts_verify(name, make):
+    pipe = Pipeline(make(), 100000)
+    fam = pipe.lifted_family(16)
+    if name == "D4":
+        assert (len(fam.generators), fam.order) == (54, 16)
+    assert all(verify_family(fam, pipe.atlas).values()), name
 
 
 def test_solve_affine():

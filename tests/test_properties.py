@@ -11,7 +11,6 @@ from clusterdeform.properties import (PropertyError, SemigroupData, check_t0,
                                       check_t0_star, check_t1,
                                       exchangeable_pairs, repair_t1,
                                       semigroup_data)
-from clusterdeform.simplicial import cluster_complex, sr_ideal
 from clusterdeform.universal import build_universal
 from tests.conftest import data_seed
 
@@ -55,25 +54,22 @@ def test_repair_requires_full_rank():
 
 
 def test_derivation_condition_a2(a2_seed, a2_atlas, a2_ideal):
-    K = cluster_complex(a2_atlas)
     grading = m_grading(a2_seed.matrix, a2_atlas)
     D = find_strictly_positive(a2_atlas)
-    report = check_t0(K, a2_ideal, grading, a2_atlas, D)
+    report = check_t0(a2_ideal, grading, a2_atlas, D)
     assert report.holds
 
 
 def test_strong_derivation_condition_a2(a2_atlas, a2_ideal, a2_univ):
-    K = cluster_complex(a2_atlas)
     D = find_strictly_positive(a2_atlas)
     sg = semigroup_data(a2_univ)
-    report = check_t0_star(K, a2_ideal, a2_univ, sg, D)
+    report = check_t0_star(a2_ideal, a2_univ, sg, D)
     assert report.holds
 
 
 def test_checks_require_strict_grading(a2_atlas, a2_ideal, g2_atlas):
-    K = cluster_complex(a2_atlas)
     with pytest.raises(PropertyError):
-        check_t0(K, a2_ideal, None, a2_atlas, None)
+        check_t0(a2_ideal, None, a2_atlas, None)
     # no strictly positive grading exists without frozen variables
     with pytest.raises(PropertyError):
         check_t1(g2_atlas)
