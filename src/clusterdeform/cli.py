@@ -18,7 +18,7 @@ from .gradings import (add_frozen_for_positivity, find_positive_grading,
                        find_strictly_positive, m_grading, rank_flags,
                        t_degrees)
 from .groebner import GroebnerError, groebner_cone
-from .polynomials import join_terms, monomial_str
+from .polynomials import MonomialOrder, join_terms, monomial_str
 from .properties import (PropertyError, check_t0, check_t0_star, check_t1,
                          repair_t1, semigroup_data)
 from .seeds import load_seed, seed_to_dict
@@ -300,27 +300,26 @@ def cmd_cone(args):
     return 0
 
 
+def _sorted_terms(family):
+    """Each generator's (exponent, coefficient) terms, leading term first."""
+    key = MonomialOrder(family.weights).key
+    return [sorted(g.terms.items(), key=lambda item: key(item[0]),
+                   reverse=True) for g in family.generators]
+
+
 def family_payload(family):
     """Generators in stable order with terms sorted by the monomial order."""
-    names = family.z_vars + family.t_vars
-    gens = []
-    for g in family.generators:
-        terms = sorted(g.items(), key=lambda item: family.order_key(item[0]),
-                       reverse=True)
-        gens.append([{"coeff": str(Fraction(c)), "exponents": list(e)}
-                     for e, c in terms])
-    return {"variables": names, "weights": family.weights,
-            "order": family.order, "generators": gens}
+    gens = [[{"coeff": str(Fraction(c)), "exponents": list(e)}
+             for e, c in terms] for terms in _sorted_terms(family)]
+    return {"variables": family.z_vars + family.t_vars,
+            "weights": family.weights, "order": family.order,
+            "generators": gens}
 
 
 def family_lines(family):
     names = family.z_vars + family.t_vars
-    out = []
-    for g in family.generators:
-        terms = sorted(g.items(), key=lambda item: family.order_key(item[0]),
-                       reverse=True)
-        out.append(join_terms((c, monomial_str(names, e)) for e, c in terms))
-    return out
+    return [join_terms((c, monomial_str(names, e)) for e, c in terms)
+            for terms in _sorted_terms(family)]
 
 
 def cmd_lift(args):

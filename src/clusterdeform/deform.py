@@ -2,18 +2,22 @@
 flat family over the coefficient parameters, with exchange-minimal
 tie-breaking.  All arithmetic is exact.
 
-Variables are indexed z first, t after; every polynomial is homogeneous for
-the fine grading in which z_v has degree e_v and t_i the degree computed by
-the gradings module.  Corrections at each order live in the standard-monomial
-complement of the order-zero ideal, which makes each obstruction system a
-small sparse rational linear system.
+The generators are `Poly`s over the variables z first, t after, ordered by
+`MonomialOrder(weights)`: the weights cover the z-variables only (the
+t-variables weigh zero), and ties break by total degree, then
+lexicographically.  Every
+generator is homogeneous for the fine grading in which z_v has degree e_v
+and t_i the degree computed by the gradings module, and its leading term is
+its squarefree monomial with coefficient 1.  Corrections at each order live
+in the standard-monomial complement of the order-zero ideal, which makes
+each obstruction system a small sparse rational linear system.
 """
 
 from fractions import Fraction
 
 from .gradings import t_degrees
 from .groebner import groebner_cone
-from .polynomials import Poly
+from .polynomials import MonomialOrder, Poly, divide
 from .intlinalg import rref, vec_dot
 
 
@@ -24,7 +28,7 @@ class DeformError(Exception):
 class DeformationFamily:
     __slots__ = ("univ", "z_vars", "t_vars", "t_deg", "weights", "lam",
                  "generators", "sr_leads", "exchange_flags", "order",
-                 "order_zero", "_jgens")
+                 "_jgens")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -38,12 +42,6 @@ class DeformationFamily:
     def nv(self):
         return len(self.z_vars) + len(self.t_vars)
 
-    def order_key(self, e):
-        return (vec_dot(self.weights, e[:self.nz]), sum(e), e)
-
-    def lead(self, g):
-        return max(g, key=self.order_key)
-
     def tdeg(self, e):
         return sum(e[self.nz:])
 
@@ -51,9 +49,6 @@ class DeformationFamily:
         """Whether the z-part of the exponent lies in the monomial ideal."""
         z = e[:self.nz]
         return any(all(a <= b for a, b in zip(j, z)) for j in self._jgens)
-
-    def polynomials(self):
-        return [Poly(self.nv, dict(g)) for g in self.generators]
 
 
 def _exponent(index, nv, *monomials):
@@ -98,12 +93,8 @@ def first_order(univ, J, weight=None):
         jgens.append(tuple(e))
     jgens.sort()
 
-    generators = []
-    sr_leads = []
-    for zgen in jgens:
-        full = zgen + (0,) * nt
-        generators.append({full: Fraction(1)})
-        sr_leads.append(full)
+    sr_leads = [zgen + (0,) * nt for zgen in jgens]
+    generators = [{lead: 1} for lead in sr_leads]
     lead_index = {l: i for i, l in enumerate(sr_leads)}
 
     pairs = {_exponent(index, nv, dict.fromkeys(ep.pair, 1))
@@ -119,13 +110,13 @@ def first_order(univ, J, weight=None):
                               "generator" % (b,))
         _, z_part = rel["sides"][side_idx]
         corr = _exponent(index, nv, z_part, {t: 1})
-        generators[lead_index[b]][corr] = Fraction(-1)
+        generators[lead_index[b]][corr] = -1
 
     return DeformationFamily(
         univ=univ, z_vars=z_vars, t_vars=t_vars, t_deg=tdeg_map,
         weights=list(weight), lam=[lam[t] for t in t_vars],
-        generators=generators, sr_leads=sr_leads,
-        exchange_flags=exchange_flags, order=1, order_zero=J, _jgens=jgens)
+        generators=[Poly(nv, g) for g in generators], sr_leads=sr_leads,
+        exchange_flags=exchange_flags, order=1, _jgens=jgens)
 
 
 def _spairs(family):
@@ -142,57 +133,6 @@ def _spairs(family):
             out.append((i, l, tuple(x - y for x, y in zip(lcm, a)),
                         tuple(x - y for x, y in zip(lcm, b))))
     return out
-
-
-def _shift(g, mono, coeff=Fraction(1)):
-    return {tuple(a + b for a, b in zip(e, mono)): c * coeff
-            for e, c in g.items()}
-
-
-def _add_into(target, source):
-    for e, c in source.items():
-        s = target.get(e, Fraction(0)) + c
-        if s == 0:
-            target.pop(e, None)
-        else:
-            target[e] = s
-
-
-def _divide(family, f, cut):
-    """Truncated division by the family generators.
-
-    Terms of t-degree above `cut` are discarded.  Returns the remainder and
-    the quotient on each generator; every remainder term has a z-part
-    outside the order-zero ideal.
-    """
-    work = {e: c for e, c in f.items() if cut is None or family.tdeg(e) <= cut}
-    remainder = {}
-    quotients = [dict() for _ in family.generators]
-    nz = family.nz
-    while work:
-        e = family.lead(work)
-        c = work[e]
-        hit = None
-        for j, lead in enumerate(family.sr_leads):
-            if all(e[x] >= lead[x] for x in range(nz)):
-                hit = j
-                break
-        if hit is None:
-            remainder[e] = c
-            del work[e]
-            continue
-        mono = tuple(a - b for a, b in zip(e, family.sr_leads[hit]))
-        _add_into(quotients[hit], {mono: c})
-        piece = _shift(family.generators[hit], mono, c)
-        if cut is not None:
-            piece = {x: v for x, v in piece.items() if family.tdeg(x) <= cut}
-        for x in list(piece):
-            s = work.get(x, Fraction(0)) - piece[x]
-            if s == 0:
-                work.pop(x, None)
-            else:
-                work[x] = s
-    return remainder, quotients
 
 
 def _candidates(family, j, k):
@@ -302,8 +242,8 @@ def lift(family, max_order=16):
     correction monomial.  That bound exceeds the default max_order on most
     seeds (G2 18, B3 45, D4 513), so the stopping rule that decides is the
     final uncut check, Buchberger's criterion: the generators are a
-    Groebner basis for `order_key`, hence a flat family, exactly when every
-    S-pair reduces to zero without truncation.  The reported order is the
+    Groebner basis for `MonomialOrder(weights)`, hence a flat family,
+    exactly when every S-pair reduces to zero without truncation.  The reported order is the
     last round run."""
     budget = _max_possible_order(family)
     spairs = _spairs(family)
@@ -322,23 +262,30 @@ def lift(family, max_order=16):
 
 
 def _pair_reductions(family, spairs, cut):
+    """Each S-pair divided by the generators, dropping terms of t-degree
+    above `cut` (none if cut is None): (i, l, mi, ml, remainder,
+    quotients).  Every remainder term has a z-part outside the order-zero
+    ideal."""
+    gens = family.generators
+    divisors = list(zip(family.sr_leads, gens))
+    order = MonomialOrder(family.weights)
+    keep = None if cut is None else (lambda e: family.tdeg(e) <= cut)
     out = []
     for i, l, mi, ml in spairs:
-        s = _shift(family.generators[i], mi)
-        _add_into(s, _shift(family.generators[l], ml, Fraction(-1)))
-        r, q = _divide(family, s, cut)
+        s = gens[i].scale_monomial(mi) + gens[l].scale_monomial(ml, -1)
+        q, r = divide(s, divisors, order, keep)
         out.append((i, l, mi, ml, r, q))
     return out
 
 
 def _has_obstructions(family, spairs):
     reductions = _pair_reductions(family, spairs, None)
-    return any(r for _, _, _, _, r, _ in reductions)
+    return any(not r.is_zero() for _, _, _, _, r, _ in reductions)
 
 
 def _lift_round(family, k, spairs):
     reductions = _pair_reductions(family, spairs, k)
-    if all(not r for _, _, _, _, r, _ in reductions):
+    if all(r.is_zero() for _, _, _, _, r, _ in reductions):
         return False
 
     unknowns = []
@@ -362,23 +309,21 @@ def _lift_round(family, k, spairs):
         return equations[key]
 
     for pair_id, (i, l, mi, ml, r, q) in enumerate(reductions):
-        for e, c in r.items():
+        for e, c in r.terms.items():
             if family.tdeg(e) != k:
                 raise DeformError("residual obstruction below order %d" % k)
             eq(pair_id, e)[1] -= c
         # net degree-zero multiplier of each generator's correction
-        mult = [dict() for _ in family.generators]
-        _add_into(mult[i], {mi: Fraction(1)})
-        _add_into(mult[l], {ml: Fraction(-1)})
-        for j, qj in enumerate(q):
-            _add_into(mult[j], {e: -c for e, c in qj.items()
-                                if family.tdeg(e) == 0})
+        mult = [Poly(family.nv, {e: -c for e, c in qj.terms.items()
+                                 if family.tdeg(e) == 0}) for qj in q]
+        mult[i] += Poly.monomial(family.nv, mi)
+        mult[l] -= Poly.monomial(family.nv, ml)
         for uidx, (j, beta, gamma) in enumerate(unknowns):
             mj = mult[j]
-            if not mj:
+            if mj.is_zero():
                 continue
             corr = gamma + beta
-            for e, c in mj.items():
+            for e, c in mj.terms.items():
                 tot = tuple(a + b for a, b in zip(e, corr))
                 if family.in_order_zero(tot):
                     continue
@@ -397,7 +342,7 @@ def _lift_round(family, k, spairs):
         if val == 0:
             continue
         e = tuple(gamma) + tuple(beta)
-        _add_into(family.generators[j], {e: val})
+        family.generators[j] += Poly.monomial(family.nv, e, val)
         changed = True
     if not changed:
         raise DeformError("obstruction without corrective action at order %d"
@@ -411,21 +356,20 @@ def verify_family(family, atlas=None):
     univ = family.univ
     if atlas is None:
         atlas = univ.base_atlas
-    nz = family.nz
     report = {}
 
     fiber_ok = True
     for g, lead in zip(family.generators, family.sr_leads):
-        zero_part = {e: c for e, c in g.items() if family.tdeg(e) == 0}
-        if zero_part != {lead: Fraction(1)}:
+        zero_part = {e: c for e, c in g.terms.items()
+                     if family.tdeg(e) == 0}
+        if zero_part != {lead: 1}:
             fiber_ok = False
     report["fiber_at_zero"] = fiber_ok
 
     images = [atlas.laurent_expansion(v) for v in family.z_vars]
     laurent_ok = True
     for g in family.generators:
-        proj = Poly(family.nv, dict(g)).project(range(nz))
-        if not proj.compose(images).is_zero():
+        if not g.project(range(family.nz)).compose(images).is_zero():
             laurent_ok = False
     report["laurent_vanishing"] = laurent_ok
 
@@ -434,11 +378,10 @@ def verify_family(family, atlas=None):
     lead_index = {l: i for i, l in enumerate(family.sr_leads)}
     for rel in univ.univ_relations:
         b = _exponent(index, family.nv, dict.fromkeys(rel["pair"], 1))
-        expected = {b: Fraction(1)}
+        expected = {b: 1}
         for t_part, z_part in rel["sides"]:
-            expected[_exponent(index, family.nv, z_part, t_part)] = Fraction(-1)
-        got = family.generators[lead_index[b]]
-        if got != expected:
+            expected[_exponent(index, family.nv, z_part, t_part)] = -1
+        if family.generators[lead_index[b]] != Poly(family.nv, expected):
             match_ok = False
     report["matches_universal_relations"] = match_ok
     return report

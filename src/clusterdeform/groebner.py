@@ -64,7 +64,7 @@ def _nonnegative_shift(w, lineality):
             for i in range(dim)]
 
 
-def groebner_cone(univ, gradings=None):
+def groebner_cone(univ):
     """Dual generators are the coefficient degrees of the extension; the
     cone is their dual, with certificates from the ray matrix."""
     if univ.has_isolated_vertex:

@@ -252,7 +252,8 @@ class MonomialOrder:
 
     Monomials compare first by the inner product with `weights`, then by
     total degree, then lexicographically on the exponent tuple.  This is a
-    multiplicative total order on monomials in a fixed variable set.
+    multiplicative total order on monomials in a fixed variable set.  A
+    weight vector shorter than the exponents reads as padded with zeros.
     """
 
     __slots__ = ("weights",)
@@ -278,36 +279,53 @@ def grlex_order(nvars):
     return MonomialOrder((0,) * nvars)
 
 
-def _divides(e_div, e):
-    return all(a <= b for a, b in zip(e_div, e))
+def divide(f, divisors, order, keep=None):
+    """Multivariate division of f by (leading exponent, Poly) pairs.
 
-
-def normal_form(f, basis, order):
-    """Remainder of multivariate division of f by the list `basis`.
-
-    No term of the result is divisible by any leading term of `basis`.
-    Deterministic: terms are processed in decreasing order and divisors are
-    tried in list order.  All exponents must be nonnegative.
+    Returns (quotients, remainder): no remainder term is divisible by a
+    divisor's leading exponent, and f = sum(q_i * g_i) + remainder up to
+    the terms e with keep(e) false, which are dropped wherever they arise.
+    Terms are processed in decreasing order and divisors are tried in list
+    order.  All exponents must be nonnegative.
     """
-    if not basis:
-        return f
-    leads = [(order.leading_exponent(g), g) for g in basis if not g.is_zero()]
-    work = f
+    work = {e: c for e, c in f.terms.items() if keep is None or keep(e)}
+    quotients = [{} for _ in divisors]
     remainder = {}
-    while not work.is_zero():
-        e = order.leading_exponent(work)
-        c = work.terms[e]
-        for le, g in leads:
-            if _divides(le, e):
-                factor = Fraction(c) / Fraction(g.terms[le])
-                if factor.denominator == 1:
-                    factor = int(factor)
-                work = work - g.scale_monomial(_sub_exp(e, le), factor)
+    while work:
+        e = max(work, key=order.key)
+        c = work.pop(e)
+        for (le, g), q in zip(divisors, quotients):
+            if all(a <= b for a, b in zip(le, e)):
                 break
         else:
             remainder[e] = c
-            work = Poly(work.nvars, {k: v for k, v in work.terms.items() if k != e})
-    return Poly(f.nvars, remainder)
+            continue
+        m = _sub_exp(e, le)
+        factor = Fraction(c) / Fraction(g.terms[le])
+        if factor.denominator == 1:
+            factor = int(factor)
+        q[m] = factor
+        for x, cx in g.terms.items():
+            if x == le:
+                continue
+            x = _add_exp(x, m)
+            if keep is not None and not keep(x):
+                continue
+            s = work.get(x, 0) - factor * cx
+            if s == 0:
+                work.pop(x, None)
+            else:
+                work[x] = s
+    zero = Poly(f.nvars)  # a value, so every empty quotient can share it
+    return ([Poly(f.nvars, q) if q else zero for q in quotients],
+            Poly(f.nvars, remainder))
+
+
+def normal_form(f, basis, order):
+    """Remainder of multivariate division of f by the list `basis`: no term
+    of the result is divisible by any leading term of `basis`."""
+    leads = [(order.leading_exponent(g), g) for g in basis if not g.is_zero()]
+    return divide(f, leads, order)[1]
 
 
 def s_polynomial(f, g, order):
@@ -367,18 +385,7 @@ def exact_divide(f, g):
     fs = f.scale_monomial([-s for s in shift_f])
     gs = g.scale_monomial([-s for s in shift_g])
     order = grlex_order(n)
-    le_g, lc_g = order.leading_term(gs)
-    quotient = {}
-    work = fs
-    while not work.is_zero():
-        e, c = order.leading_term(work)
-        if not _divides(le_g, e):
-            raise ValueError("not divisible")
-        qe = _sub_exp(e, le_g)
-        qc = Fraction(c) / Fraction(lc_g)
-        if qc.denominator == 1:
-            qc = int(qc)
-        quotient[qe] = qc
-        work = work - gs.scale_monomial(qe, qc)
-    q = Poly(n, quotient)
+    (q,), r = divide(fs, [(order.leading_exponent(gs), gs)], order)
+    if not r.is_zero():
+        raise ValueError("not divisible")
     return q.scale_monomial([a - b for a, b in zip(shift_f, shift_g)])

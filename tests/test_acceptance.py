@@ -16,7 +16,7 @@ from clusterdeform.cones import Cone, dual_cone
 from clusterdeform.cotangent import (characteristic_image, obstruction_class,
                                      t1_invariant)
 from clusterdeform.deform import first_order, lift, verify_family
-from clusterdeform.cli import family_lines
+from clusterdeform.cli import Pipeline, family_lines
 from clusterdeform.gradings import (find_strictly_positive, m_grading,
                                     t_degrees)
 from clusterdeform.groebner import groebner_cone
@@ -25,7 +25,7 @@ from clusterdeform.polynomials import (Poly, buchberger, grlex_order,
 from clusterdeform.properties import (check_t0_star, check_t1, repair_t1,
                                       semigroup_data)
 from clusterdeform.simplicial import (cluster_complex, minimal_nonfaces,
-                                      sphere_check, sr_ideal)
+                                      sphere_check)
 from clusterdeform.universal import build_universal
 
 from tests.conftest import data_seed, path_seed
@@ -59,12 +59,8 @@ def criterion(num):
 
 
 def full_pipeline(name):
-    seed = data_seed(name)
-    atlas = enumerate_atlas(seed)
-    K = cluster_complex(atlas)
-    J = sr_ideal(K, atlas.frozen_ids)
-    univ = build_universal(seed)
-    return seed, atlas, K, J, univ
+    pipe = Pipeline(data_seed(name), 100000)
+    return pipe.seed, pipe.atlas, pipe.complex, pipe.ideal, pipe.universal
 
 
 @criterion(1)
@@ -131,9 +127,10 @@ def test_criterion_2_rank2_triple_edge_pipeline():
     fam = lift(first_order(univ, J))
     assert family_lines(fam) == G2_FAMILY_LINES
     # cubic corrections carry the coefficient -3; nothing else appears
-    coeffs = {c for g in fam.generators for c in g.values()}
+    coeffs = {c for g in fam.generators for c in g.terms.values()}
     assert coeffs == {Fraction(1), Fraction(-1), Fraction(-3)}
-    assert sum(1 for g in fam.generators if Fraction(-3) in g.values()) == 2
+    assert sum(1 for g in fam.generators
+               if Fraction(-3) in g.terms.values()) == 2
 
     # specializing t = 1 lands in the Laurent ideal; fiber at t = 0 is J
     result = verify_family(fam, atlas)

@@ -1,5 +1,6 @@
 """Order-by-order lifting of the squarefree ideal over the coefficient ring."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from clusterdeform.deform import (DeformError, first_order, lift,
 from clusterdeform.deform import (_candidates, _exchange_minimal,
                                   _solve_affine)
 from clusterdeform.intlinalg import vec_dot
+from clusterdeform.polynomials import MonomialOrder, buchberger
 from clusterdeform.simplicial import cluster_complex, sr_ideal
 from clusterdeform.universal import build_universal
 from tests.conftest import data_seed, path_seed
@@ -98,7 +100,7 @@ def test_g2_family_golden():
 
 def test_g2_cubic_coefficients():
     fam, _ = lifted_family("g2")
-    coeffs = {c for g in fam.generators for c in g.values()}
+    coeffs = {c for g in fam.generators for c in g.terms.values()}
     assert Fraction(-3) in coeffs
     assert coeffs <= {Fraction(1), Fraction(-1), Fraction(-3)}
 
@@ -108,7 +110,7 @@ def _corrections(fam):
     out = []
     for g, lead, exch in zip(fam.generators, fam.sr_leads,
                              fam.exchange_flags):
-        extra = [(e[:fam.nz], e[fam.nz:]) for e in g
+        extra = [(e[:fam.nz], e[fam.nz:]) for e in g.terms
                  if e[:fam.nz] != tuple(lead[:fam.nz])]
         out.append((exch, tuple(lead[:fam.nz]), extra))
     return out
@@ -188,7 +190,7 @@ def test_rank2_double_edge_unobstructed(name):
 def test_lifted_tails_are_reduced():
     fam, _ = lifted_family("a2")
     for g, lead in zip(fam.generators, fam.sr_leads):
-        for e in g:
+        for e in g.terms:
             if e[:fam.nz] != tuple(lead[:fam.nz]):
                 assert not fam.in_order_zero(e)
 
@@ -267,17 +269,37 @@ def test_pruned_candidates_match_full_enumeration(name):
     assert found > 0
 
 
-@pytest.mark.parametrize("name, make", [
-    ("B3", lambda: path_seed([(1, -1), (1, -2)])),
-    ("C3", lambda: path_seed([(1, -1), (2, -1)])),
-    ("D4", lambda: data_seed("d4")),
+@pytest.mark.parametrize("name, make, digest", [
+    ("B3", lambda: path_seed([(1, -1), (1, -2)]),
+     "0ba6d6ff73a6b40a06866ea8cc0be17d941bb0de07f791ffa78145d36563ef6f"),
+    ("C3", lambda: path_seed([(1, -1), (2, -1)]),
+     "6921a4bb28060875fd72fd1dfae0035476d9fbe80dd84e1e3f3435953dc67f20"),
+    ("D4", lambda: data_seed("d4"),
+     "3bb2b300aede94cd2fef0c1e4aa9b5a03da2ca09f823097e07a89831f3c984b5"),
 ], ids=["B3", "C3", "D4"])
-def test_rank3_and_rank4_lifts_verify(name, make):
+def test_rank3_and_rank4_lifts_verify(name, make, digest):
+    """Generator count and order, verify flags, and the SHA-256 of the
+    printed family, frozen from the lift as first written."""
     pipe = Pipeline(make(), 100000)
     fam = pipe.lifted_family(16)
     if name == "D4":
         assert (len(fam.generators), fam.order) == (54, 16)
+    else:
+        assert (len(fam.generators), fam.order) == (36, 16)
     assert all(verify_family(fam, pipe.atlas).values()), name
+    text = "\n".join(family_lines(fam))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("name", ["a2", "b2", "c2", "g2", "gr26_pullback"])
+def test_buchberger_adds_nothing_to_lift(name):
+    """Independent oracle for the lift: Buchberger's algorithm, run on the
+    lifted generators in the lift's monomial order, finds them a Groebner
+    basis already."""
+    pipe = Pipeline(data_seed(name), 100000)
+    fam = pipe.lifted_family(16)
+    order = MonomialOrder(fam.weights + [0] * len(fam.t_vars))
+    assert buchberger(fam.generators, order) == fam.generators
 
 
 def test_solve_affine():

@@ -2,11 +2,11 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from clusterdeform.polynomials import (MonomialOrder, Poly, buchberger,
-                                       exact_divide, grlex_order, normal_form,
-                                       s_polynomial)
+                                       divide, exact_divide, grlex_order,
+                                       normal_form, s_polynomial)
 
 NVARS = 3
 
@@ -35,6 +35,33 @@ def test_exact_divide_roundtrip(f, g):
     if g.is_zero():
         return
     assert exact_divide(f * g, g) == f
+
+
+@given(poly_strategy(), poly_strategy(),
+       st.lists(poly_strategy(), min_size=1, max_size=3),
+       st.sampled_from([None, 2, 4]))
+# the lead x^3 is kept, the tail y^2*z^2 it brings in is dropped
+@example(Poly.zero(NVARS), Poly.one(NVARS),
+         [Poly(NVARS, {(3, 0, 0): 1, (0, 2, 2): 1})], 2)
+@settings(max_examples=80, deadline=None)
+def test_divide_quotients_and_remainder(f0, h, basis, cut):
+    """f = sum(q_i * g_i) + r up to terms that `keep` drops, and no term of
+    r is divisible by a divisor's leading exponent."""
+    f = f0 + h * basis[0]
+    order = MonomialOrder((3, 1, 2))
+    divisors = [(order.leading_exponent(g), g) for g in basis
+                if not g.is_zero()]
+    keep = None if cut is None else (lambda e: e[1] + e[2] <= cut)
+    quotients, r = divide(f, divisors, order, keep)
+    assert len(quotients) == len(divisors)
+    rest = f - r
+    for q, (_, g) in zip(quotients, divisors):
+        rest = rest - q * g
+    assert all(keep is not None and not keep(e) for e in rest.terms)
+    for e in r.terms:
+        assert keep is None or keep(e)
+        assert not any(all(a <= b for a, b in zip(le, e))
+                       for le, _ in divisors)
 
 
 def test_exact_divide_rejects_nondivisor():
