@@ -34,15 +34,18 @@ class ClusterVariable:
 class ExchangePair:
     """An unordered exchangeable pair with its exchange-relation monomials.
 
-    monomials holds the two sides of x*x' = alpha_1 + alpha_2 as exponent
-    dicts over variable ids, in a canonical order.
+    monomials holds the two sides of x*x' = alpha_1 + alpha_2 as sorted
+    (id, exponent) tuples, in a canonical order.  The enumeration first
+    found the pair by mutating the seed with index `seed` at position k.
     """
 
-    __slots__ = ("pair", "monomials")
+    __slots__ = ("pair", "monomials", "seed", "k")
 
-    def __init__(self, pair, monomials):
+    def __init__(self, pair, monomials, seed, k):
         self.pair = frozenset(pair)
         self.monomials = monomials
+        self.seed = seed
+        self.k = k
 
     def __repr__(self):
         return "ExchangePair(%r, %r)" % (set(self.pair), self.monomials)
@@ -183,7 +186,8 @@ def enumerate_atlas(seed, max_seeds=100000):
                     next_frontier.append(new_state)
                 pair_key, monomials = pair_info
                 if pair_key not in atlas.exchange_pairs:
-                    atlas.exchange_pairs[pair_key] = ExchangePair(pair_key, monomials)
+                    atlas.exchange_pairs[pair_key] = ExchangePair(
+                        pair_key, monomials, state.index, k)
         frontier = next_frontier
     return atlas
 
@@ -211,21 +215,17 @@ def _mutate_state(atlas, state, k, n, m):
     rows = state.matrix
 
     # exchange: numerator of the new principal expansion
-    plus = Poly.one(nv)
-    minus = Poly.one(nv)
-    for i in range(nv):
-        b = rows[i][k]
-        if b == 0:
-            continue
-        if i < n:
-            base = state.pvars[i]
-        else:
-            base = Poly.variable(nv, i)
-        if b > 0:
-            plus = plus * base ** b
-        else:
-            minus = minus * base ** (-b)
-    new_pvar = exact_divide(plus + minus, state.pvars[k])
+    sides = []
+    for side in exchange_monomials(range(nv), rows, k):
+        poly = Poly.one(nv)
+        for i, b in side.items():
+            if i < n:
+                base = state.pvars[i]
+            else:
+                base = Poly.variable(nv, i)
+            poly = poly * base ** b
+        sides.append(poly)
+    new_pvar = exact_divide(sides[0] + sides[1], state.pvars[k])
 
     # g-matrix recursion: eps = common sign of the k-th c-vector
     c_col = [rows[m + i][k] for i in range(n)]
@@ -255,18 +255,9 @@ def _mutate_state(atlas, state, k, n, m):
         atlas.variables[new_id] = var
         atlas.id_by_g[g_new] = new_id
 
-    # exchange-relation monomials over the current seed's variable ids
-    mon_plus = {}
-    mon_minus = {}
-    for i in range(m):
-        b = rows[i][k]
-        if b > 0:
-            mon_plus[state.ids[i]] = b
-        elif b < 0:
-            mon_minus[state.ids[i]] = -b
     pair_key = frozenset({state.ids[k], new_id})
-    monomials = tuple(sorted(
-        (tuple(sorted(mon_plus.items())), tuple(sorted(mon_minus.items())))))
+    monomials = tuple(sorted(tuple(sorted(side.items())) for side in
+                             exchange_monomials(state.ids, rows[:m], k)))
 
     new_ids = list(state.ids)
     new_ids[k] = new_id
@@ -275,6 +266,20 @@ def _mutate_state(atlas, state, k, n, m):
     new_state = SeedState(-1, mutate_entries(rows, k), tuple(new_ids),
                           new_g_matrix, tuple(new_pvars), state.path + (k,))
     return new_state, (pair_key, monomials)
+
+
+def exchange_monomials(ids, rows, k):
+    """The two sides of the exchange relation at column k, as exponent dicts
+    keyed by ids[i] for row i: the positive and the negated negative entries."""
+    plus = {}
+    minus = {}
+    for v, row in zip(ids, rows):
+        b = row[k]
+        if b > 0:
+            plus[v] = b
+        elif b < 0:
+            minus[v] = -b
+    return plus, minus
 
 
 def separation_check(atlas):

@@ -350,12 +350,10 @@ def _lift_round(family, k, spairs):
     return True
 
 
-def verify_family(family, atlas=None):
+def verify_family(family):
     """Fiber at zero, vanishing on the cluster embedding at t = 1, and
     agreement with the universal exchange relations."""
     univ = family.univ
-    if atlas is None:
-        atlas = univ.base_atlas
     report = {}
 
     fiber_ok = True
@@ -366,7 +364,7 @@ def verify_family(family, atlas=None):
             fiber_ok = False
     report["fiber_at_zero"] = fiber_ok
 
-    images = [atlas.laurent_expansion(v) for v in family.z_vars]
+    images = [univ.base_atlas.laurent_expansion(v) for v in family.z_vars]
     laurent_ok = True
     for g in family.generators:
         if not g.project(range(family.nz)).compose(images).is_zero():

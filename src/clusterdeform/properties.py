@@ -7,7 +7,7 @@ from .cotangent import seed_weights, t1_witnesses
 from .gradings import (add_frozen_for_positivity, find_strictly_positive,
                        positive_combination, rank_flags, t_degrees)
 from .intlinalg import lattice_coordinates, vec_dot
-from .seeds import ExtendedExchangeMatrix, Seed
+from .seeds import ExtendedExchangeMatrix, Seed, mutate_along
 
 
 class PropertyError(Exception):
@@ -241,15 +241,11 @@ def repair_t1(seed, max_seeds=100000, max_rounds=64):
         new_row = [0] * atlas.n
         new_row[k] = 1 if lam[k] < 0 else -1
         # transport the row back to the initial seed along the reverse path
-        rows = [list(r) for r in matrix.entries] + [new_row]
-        work = ExtendedExchangeMatrix(rows, n=atlas.n)
-        for step in reversed(state.path):
-            work = work.mutate(step)
-        if work.entries[:atlas.m] != current.matrix.entries:
+        work = mutate_along(matrix.entries + (tuple(new_row),),
+                            reversed(state.path))
+        if work[:atlas.m] != current.matrix.entries:
             raise PropertyError("row transport did not return to the "
                                 "initial seed")
-        base_rows = [list(r) for r in current.matrix.entries]
-        base_rows.append(list(work.entries[atlas.m]))
-        labels = list(current.var_ids) + ["r%d" % (len(base_rows),)]
-        current = Seed(ExtendedExchangeMatrix(base_rows, n=atlas.n), labels)
+        labels = list(current.var_ids) + ["r%d" % (len(work),)]
+        current = Seed(ExtendedExchangeMatrix(work, n=atlas.n), labels)
     raise PropertyError("repair did not terminate within the round budget")

@@ -74,6 +74,13 @@ def mutate_entries(entries, k):
     return tuple(out)
 
 
+def mutate_along(entries, path):
+    """Rows mutated at each index of `path` in turn (see mutate_entries)."""
+    for k in path:
+        entries = mutate_entries(entries, k)
+    return entries
+
+
 def _find_skew_symmetrizer(entries, n):
     """Minimal positive integer d with d_i b_ij = -d_j b_ji, per component."""
     d = [None] * n

@@ -1,8 +1,15 @@
 """Universal coefficients: the canonical frozen extension, its exchange
-relations, coefficient ownership, and the fiber-at-zero consistency check."""
+relations, coefficient ownership, and the fiber-at-zero consistency check.
 
-from .atlas import enumerate_atlas
-from .seeds import ExtendedExchangeMatrix, Seed, is_isolated_vertex_free
+The coefficient rows are the g-vectors of the transpose pattern (Reading
+2014).  Frozen rows mutate with the mutable block alone (Fomin-Zelevinsky,
+Cluster algebras IV), so each extended exchange relation is a column of
+the extended matrix at a base seed.
+"""
+
+from .atlas import enumerate_atlas, exchange_monomials
+from .seeds import (ExtendedExchangeMatrix, Seed, is_isolated_vertex_free,
+                    mutate_along)
 
 
 class UniversalError(Exception):
@@ -19,8 +26,7 @@ class UniversalData:
     appears alone with exponent 1 on a side containing a mutable variable.
     """
 
-    __slots__ = ("base_seed", "base_atlas", "univ_seed", "univ_atlas",
-                 "u_rows", "t_ids", "univ_relations",
+    __slots__ = ("base_atlas", "u_rows", "t_ids", "univ_relations",
                  "owners", "variable_order", "has_isolated_vertex")
 
     def __init__(self, **kw):
@@ -37,11 +43,12 @@ def _t_name(g):
 
 
 def build_universal(seed, max_seeds=100000, base_atlas=None):
-    """Enumerate the transpose pattern, stack its g-vectors as frozen rows,
-    re-enumerate, and collect the coefficient-extended exchange relations.
-
-    base_atlas, when given, must be the atlas of `seed`; it is enumerated
-    here otherwise."""
+    """Enumerate the transpose pattern, stack its g-vectors as frozen rows
+    under the base matrix, and read each extended exchange relation off
+    column k of that matrix moved to the seed where the base atlas first
+    found the pair; the two sides are ordered by their sorted (id, exponent)
+    items.  base_atlas, when given, must be the atlas of `seed`; it is
+    enumerated here otherwise."""
     if base_atlas is None:
         base_atlas = enumerate_atlas(seed, max_seeds=max_seeds)
     n, m = seed.matrix.n, seed.matrix.m
@@ -55,62 +62,26 @@ def build_universal(seed, max_seeds=100000, base_atlas=None):
     if len(set(t_ids)) != len(t_ids):
         raise UniversalError("coefficient g-vectors are not distinct")
 
-    rows = [list(r) for r in seed.matrix.entries] + [list(g) for g in t_gs]
-    labels = list(seed.var_ids) + t_ids
-    univ_seed = Seed(ExtendedExchangeMatrix(rows, n=n), labels)
-    univ_atlas = enumerate_atlas(univ_seed, max_seeds=max_seeds)
-
-    # match extended cluster variables to base ones by the g-vector prefix
-    to_base = {}
-    for var in univ_atlas.variables.values():
-        if var.id in t_ids:
-            continue
-        if var.id in seed.var_ids:
-            to_base[var.id] = var.id
-            continue
-        prefix = var.g_vector[:m]
-        if prefix not in base_atlas.id_by_g:
-            raise UniversalError("g-vector prefix %r has no base counterpart"
-                                 % (prefix,))
-        to_base[var.id] = base_atlas.id_by_g[prefix]
-
-    frozen_base = set(base_atlas.frozen_ids)
-    t_set = set(t_ids)
-
+    top = seed.matrix.entries[:n] + tuple(t_gs)
     relations = []
-    for ep in univ_atlas.exchange_pairs.values():
-        pair = frozenset(to_base[v] for v in ep.pair)
-        if len(pair) != 2:
-            raise UniversalError("exchange pair collapsed under relabeling")
-        sides = []
-        for side in ep.monomials:
-            t_part = {}
-            z_part = {}
-            for v, e in side:
-                if v in t_set:
-                    t_part[v] = e
-                else:
-                    z_part[to_base[v]] = e
-            sides.append((t_part, z_part))
-        relations.append({"pair": pair, "sides": tuple(sides)})
+    for ep in base_atlas.exchange_pairs.values():
+        state = base_atlas.seeds[ep.seed]
+        moved = mutate_along(top, state.path)
+        if moved[:n] != state.matrix[:n]:
+            raise UniversalError("mutable block moved along the path of "
+                                 "seed %d does not match it" % ep.seed)
+        t_sides = exchange_monomials(t_ids, moved[n:], ep.k)
+        z_sides = exchange_monomials(state.ids, state.matrix[:m], ep.k)
+        sides = sorted(zip(t_sides, z_sides),
+                       key=lambda tz: sorted([*tz[0].items(), *tz[1].items()]))
+        relations.append({"pair": ep.pair, "sides": tuple(sides)})
     relations.sort(key=lambda r: tuple(sorted(r["pair"])))
-
-    if len(relations) != len(base_atlas.exchange_pairs):
-        raise UniversalError("exchange pair count changed under extension")
-
-    # specializing t -> 1 must recover the base exchange relations
-    base_by_pair = {ep.pair: ep.monomials
-                    for ep in base_atlas.exchange_pairs.values()}
-    for rel in relations:
-        got = tuple(sorted(tuple(sorted(z.items())) for _, z in rel["sides"]))
-        if rel["pair"] not in base_by_pair or got != base_by_pair[rel["pair"]]:
-            raise UniversalError("t -> 1 specialization does not match the "
-                                 "base relation for %r" % (set(rel["pair"]),))
 
     # a coefficient is owned through the relations where it appears alone
     # with exponent 1 while the opposite side involves no mutable variable;
     # for a sink-and-source pair both sides qualify and contribute one each
     has_isolated = not is_isolated_vertex_free(seed.matrix)
+    frozen_base = set(base_atlas.frozen_ids)
     owners = {}
     for idx, rel in enumerate(relations):
         pure_frozen = [all(v in frozen_base for v in z)
@@ -133,8 +104,7 @@ def build_universal(seed, max_seeds=100000, base_atlas=None):
     order = [v.id for v in base_atlas.mutable_variables] + base_atlas.frozen_ids
 
     return UniversalData(
-        base_seed=seed, base_atlas=base_atlas, univ_seed=univ_seed,
-        univ_atlas=univ_atlas, u_rows=[list(g) for g in t_gs], t_ids=t_ids,
+        base_atlas=base_atlas, u_rows=[list(g) for g in t_gs], t_ids=t_ids,
         univ_relations=relations,
         owners=owners,
         variable_order=order, has_isolated_vertex=has_isolated)

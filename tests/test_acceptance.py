@@ -107,7 +107,7 @@ def test_criterion_1_rank2_single_edge_pipeline():
     # the lifted family, sign-normalized to leading coefficient +1
     fam = lift(first_order(univ, J))
     assert family_lines(fam) == A2_FAMILY_LINES
-    assert all(verify_family(fam, atlas).values())
+    assert all(verify_family(fam).values())
 
     assert time.monotonic() - start < 5.0
 
@@ -133,7 +133,7 @@ def test_criterion_2_rank2_triple_edge_pipeline():
                if Fraction(-3) in g.terms.values()) == 2
 
     # specializing t = 1 lands in the Laurent ideal; fiber at t = 0 is J
-    result = verify_family(fam, atlas)
+    result = verify_family(fam)
     assert result["laurent_vanishing"]
     assert result["fiber_at_zero"]
 
@@ -146,7 +146,7 @@ def test_criterion_3_rank2_double_edge_pair():
     start = time.monotonic()
     squared = {}
     for name in ("b2", "c2"):
-        seed, atlas, K, J, univ = full_pipeline(name)
+        seed, _, K, J, univ = full_pipeline(name)
         check = sphere_check(K)
         assert check["pseudomanifold"] and check["euler_ok"]
         assert len(K.facets) == 6 and all(len(f) == 2 for f in K.facets)
@@ -166,7 +166,7 @@ def test_criterion_3_rank2_double_edge_pair():
         squared[name] = sq
 
         fam = lift(fo)
-        assert all(verify_family(fam, atlas).values())
+        assert all(verify_family(fam).values())
 
     # the two orientations square complementary alternating triples
     assert len(squared["b2"]) == 3 and len(squared["c2"]) == 3

@@ -78,28 +78,28 @@ def lifted_family(name):
     K = cluster_complex(atlas)
     J = sr_ideal(K, atlas.frozen_ids)
     univ = build_universal(seed)
-    return lift(first_order(univ, J)), atlas
+    return lift(first_order(univ, J))
 
 
 def test_a2_family_golden():
-    fam, atlas = lifted_family("a2")
+    fam = lifted_family("a2")
     assert fam.weights == [0, 2, 4, 1, 4, 1, 0, 0]
     assert fam.lam == [2, 2, 2, 1, 2]
     assert family_lines(fam) == A2_FAMILY_LINES
-    result = verify_family(fam, atlas)
+    result = verify_family(fam)
     assert all(result.values())
 
 
 def test_g2_family_golden():
-    fam, atlas = lifted_family("g2")
+    fam = lifted_family("g2")
     assert fam.weights == [9, 5, 9, 5, 5, 9, 9, 5]
     assert family_lines(fam) == G2_FAMILY_LINES
-    result = verify_family(fam, atlas)
+    result = verify_family(fam)
     assert all(result.values())
 
 
 def test_g2_cubic_coefficients():
-    fam, _ = lifted_family("g2")
+    fam = lifted_family("g2")
     coeffs = {c for g in fam.generators for c in g.terms.values()}
     assert Fraction(-3) in coeffs
     assert coeffs <= {Fraction(1), Fraction(-1), Fraction(-3)}
@@ -183,12 +183,12 @@ def test_rank2_double_edge_opposite_patterns():
 
 @pytest.mark.parametrize("name", ["b2", "c2"])
 def test_rank2_double_edge_unobstructed(name):
-    fam, atlas = lifted_family(name)
-    assert all(verify_family(fam, atlas).values())
+    fam = lifted_family(name)
+    assert all(verify_family(fam).values())
 
 
 def test_lifted_tails_are_reduced():
-    fam, _ = lifted_family("a2")
+    fam = lifted_family("a2")
     for g, lead in zip(fam.generators, fam.sr_leads):
         for e in g.terms:
             if e[:fam.nz] != tuple(lead[:fam.nz]):
@@ -286,7 +286,7 @@ def test_rank3_and_rank4_lifts_verify(name, make, digest):
         assert (len(fam.generators), fam.order) == (54, 16)
     else:
         assert (len(fam.generators), fam.order) == (36, 16)
-    assert all(verify_family(fam, pipe.atlas).values()), name
+    assert all(verify_family(fam).values()), name
     text = "\n".join(family_lines(fam))
     assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from clusterdeform.atlas import AtlasError, enumerate_atlas
+from clusterdeform.seeds import ExtendedExchangeMatrix, Seed, mutate
 from clusterdeform.simplicial import cluster_complex, sr_ideal
 from clusterdeform.universal import (UniversalError, build_universal,
                                      fiber_at_zero)
@@ -97,5 +99,65 @@ def test_fiber_at_zero(a2_univ, a2_ideal):
 
 
 def test_budget_propagates():
-    with pytest.raises(Exception):
+    with pytest.raises(AtlasError):
         build_universal(data_seed("a2"), max_seeds=2)
+
+
+def _enumerated_extension(seed, univ):
+    """Relations and owners from a full enumeration of the extended
+    pattern: the seed with the coefficient rows stacked under its matrix,
+    its variables mapped to base ones by g-vector prefix, each side split
+    into a t-part and a z-part."""
+    n, m = seed.matrix.n, seed.matrix.m
+    base = univ.base_atlas
+    rows = [list(r) for r in seed.matrix.entries] + univ.u_rows
+    ext = enumerate_atlas(Seed(ExtendedExchangeMatrix(rows, n=n),
+                               list(seed.var_ids) + univ.t_ids))
+    t_set = set(univ.t_ids)
+    to_base = {v.id: v.id if v.id in t_set or v.id in seed.var_ids
+               else base.id_by_g[v.g_vector[:m]]
+               for v in ext.variables.values()}
+    relations = []
+    for ep in ext.exchange_pairs.values():
+        pair = frozenset(to_base[v] for v in ep.pair)
+        assert len(pair) == 2
+        sides = tuple(({v: e for v, e in side if v in t_set},
+                       {to_base[v]: e for v, e in side if v not in t_set})
+                      for side in ep.monomials)
+        relations.append({"pair": pair, "sides": sides})
+    relations.sort(key=lambda r: tuple(sorted(r["pair"])))
+    # specializing t -> 1 recovers the base exchange relations
+    for rel in relations:
+        z_sides = sorted(tuple(sorted(z.items())) for _, z in rel["sides"])
+        assert tuple(z_sides) == base.exchange_pairs[rel["pair"]].monomials
+    frozen = set(base.frozen_ids)
+    owners = {}
+    for idx, rel in enumerate(relations):
+        for s in (0, 1):
+            if all(v in frozen for v in rel["sides"][1 - s][1]):
+                (t_id,) = rel["sides"][s][0]
+                owners.setdefault(t_id, []).append((idx, s))
+    return relations, owners
+
+
+BUNDLED = ("a1f", "a2", "a3", "a3_bad", "b2", "c2", "d4", "g2",
+           "gr26_pullback")
+MORE_SEEDS = {
+    "B3": lambda: path_seed([(1, -1), (1, -2)]),
+    "C3": lambda: path_seed([(1, -1), (2, -1)]),
+    "A4": lambda: path_seed([(1, -1), (1, -1), (1, -1)]),
+    "gr26_moved": lambda: mutate(mutate(mutate(
+        data_seed("gr26_pullback"), 0), 2), 1),
+}
+
+
+@pytest.mark.parametrize("name", BUNDLED + tuple(MORE_SEEDS))
+def test_relations_match_enumerated_extension(name):
+    """The relations read off the base atlas equal those of a full
+    enumeration of the extended pattern, side order included."""
+    seed = MORE_SEEDS[name]() if name in MORE_SEEDS else data_seed(name)
+    univ = build_universal(seed)
+    relations, owners = _enumerated_extension(seed, univ)
+    assert len(relations) == len(univ.base_atlas.exchange_pairs)
+    assert univ.univ_relations == relations
+    assert univ.owners == owners
