@@ -2,7 +2,7 @@
 enumeration, the invariant pinned degrees, the characteristic image, and
 the obstructedness lookup."""
 
-from .intlinalg import lattice_coordinates, vec_dot
+from .intlinalg import smith_normal_form, vec_dot
 from .seeds import classify_finite_type
 
 
@@ -98,7 +98,8 @@ def t1_witnesses(matrix, j, weights):
     componentwise lower bounds that make the degree a - b effective.
 
     weights must be strictly positive with matrix^T weights = 0; they bound
-    the search box."""
+    the search box.  The Smith form of the matrix is computed once; each
+    candidate of weight 0 is then tested against its diagonal."""
     m, n = matrix.m, matrix.n
     entries = matrix.entries
     lower = []
@@ -111,7 +112,7 @@ def t1_witnesses(matrix, j, weights):
             lower.append(-max(0, entries[i][j]))
     if any(vec_dot(row, weights[:m]) != 0 for row in zip(*entries)):
         raise CotangentError("weights are not a grading for this matrix")
-    cols = [list(r) for r in entries]
+    snf = smith_normal_form([list(r) for r in entries])
     out = []
     w = [0] * m
     tail = [0] * (m + 1)
@@ -120,7 +121,7 @@ def t1_witnesses(matrix, j, weights):
 
     def rec(i, acc):
         if i == m:
-            if acc == 0 and lattice_coordinates(list(w), cols) is not None:
+            if acc == 0 and snf.diagonal_solution(w) is not None:
                 out.append(list(w))
             return
         if i == j:

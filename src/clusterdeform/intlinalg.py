@@ -49,6 +49,26 @@ class SnfResult:
     def rank(self):
         return sum(1 for d in self.diag if d != 0)
 
+    def diagonal_solution(self, w):
+        """mu with D * mu = L * w, or None when w is not in the column
+        lattice of A: then some (L * w)_i is not divisible by d_i, or is
+        nonzero where d_i = 0.  A * (R * mu) = w; the coordinates of mu on
+        kernel directions are zero."""
+        if len(w) != self.rows:
+            raise ValueError("dimension mismatch")
+        mu = [0] * self.cols
+        for i, row in enumerate(self.left):
+            c = vec_dot(row, w)
+            d = self.diag[i] if i < len(self.diag) else 0
+            if d == 0:
+                if c != 0:
+                    return None
+            elif c % d != 0:
+                return None
+            else:
+                mu[i] = c // d
+        return mu
+
 
 def smith_normal_form(A):
     """Smith normal form over Z with unimodular transforms on both sides."""
@@ -196,24 +216,9 @@ def lattice_coordinates(w, A):
 
     Free coordinates (kernel directions of A) are set to zero.
     """
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    if len(w) != rows:
-        raise ValueError("dimension mismatch")
     snf = smith_normal_form(A)
-    c = mat_vec(snf.left, list(w))
-    mu = [0] * cols
-    for i in range(rows):
-        d = snf.diag[i] if i < len(snf.diag) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            if i < cols:
-                mu[i] = c[i] // d
-    return mat_vec(snf.right, mu)
+    mu = snf.diagonal_solution(w)
+    return None if mu is None else mat_vec(snf.right, mu)
 
 
 def kernel_basis(A):

@@ -2,6 +2,8 @@
 the derivation conditions on the Stanley-Reisner ideal, plus the
 constructive repair by added frozen rows."""
 
+from operator import add
+
 from .atlas import enumerate_atlas
 from .cotangent import seed_weights, t1_witnesses
 from .gradings import (add_frozen_for_positivity, find_strictly_positive,
@@ -18,42 +20,47 @@ class SemigroupData:
     """The semigroup generated by the characteristic-map degrees, together
     with a strictly positive functional used to bound membership search."""
 
-    __slots__ = ("generators", "positive_functional")
+    __slots__ = ("generators", "positive_functional", "_steps")
 
     def __init__(self, generators, positive_functional):
         self.generators = [tuple(g) for g in generators]
         self.positive_functional = list(positive_functional)
+        self._steps = []  # (g, f . g) for each nonzero generator g
         for g in self.generators:
-            if any(g) and vec_dot(self.positive_functional, g) < 1:
+            if not any(g):
+                continue
+            fg = vec_dot(self.positive_functional, g)
+            if fg < 1:
                 raise PropertyError("functional not positive on generator %r"
                                     % (g,))
+            self._steps.append((g, fg))
 
     def contains(self, target):
         """Membership by depth-first search; the functional strictly
-        decreases along every subtraction, bounding the depth."""
-        target = tuple(target)
-        gens = [g for g in self.generators if any(g)]
-        f = self.positive_functional
+        decreases along every subtraction, bounding the depth.  The value
+        f . t is carried along, so t - g is built only when f . (t - g) =
+        f . t - f . g >= 0.  The memo is per target."""
+        steps = self._steps
         memo = {}
 
-        def rec(t, idx):
+        def rec(t, ft, idx):
             if not any(t):
                 return True
-            if idx >= len(gens):
+            if idx >= len(steps):
                 return False
             key = (t, idx)
             if key in memo:
                 return memo[key]
-            ok = rec(t, idx + 1)
+            ok = rec(t, ft, idx + 1)
             if not ok:
-                g = gens[idx]
-                s = tuple(a - b for a, b in zip(t, g))
-                if vec_dot(f, s) >= 0:
-                    ok = rec(s, idx)
+                g, fg = steps[idx]
+                if ft >= fg:
+                    ok = rec(tuple(a - b for a, b in zip(t, g)), ft - fg, idx)
             memo[key] = ok
             return ok
 
-        return rec(target, 0)
+        target = tuple(target)
+        return rec(target, vec_dot(self.positive_functional, target), 0)
 
 
 def semigroup_data(univ):
@@ -117,40 +124,54 @@ def _variable_weights(atlas, ids, D_strict):
     return weights
 
 
-def _monomials_of_weight(weights, total):
-    """All exponent vectors alpha with sum alpha_i * weights_i = total."""
-    out = []
-    alpha = [0] * len(weights)
+def _monomials_of_weight(weights, total, degrees=None, target=(), moduli=()):
+    """All exponent vectors alpha with sum alpha_i * weights_i = total.
 
-    def rec(i, remaining):
-        if i == len(weights):
-            if remaining == 0:
+    With degrees given, only those with sum alpha_i * degrees_i = target:
+    the degrees are tuples whose last len(moduli) entries are residues, and
+    those are compared modulo moduli, the leading ones exactly.  The
+    partial sum is carried down the recursion."""
+    n = len(weights)
+    if degrees is None:
+        degrees = [()] * n
+    exact = len(target) - len(moduli)
+    out = []
+    alpha = [0] * n
+
+    def rec(i, remaining, deg):
+        if i == n:
+            if (remaining == 0 and deg[:exact] == target[:exact]
+                    and all((x - y) % d == 0 for x, y, d in
+                            zip(deg[exact:], target[exact:], moduli))):
                 out.append(tuple(alpha))
             return
+        step = degrees[i]
         e = 0
         while e * weights[i] <= remaining:
             alpha[i] = e
-            rec(i + 1, remaining - e * weights[i])
+            rec(i + 1, remaining - e * weights[i], deg)
+            deg = tuple(map(add, deg, step))
             e += 1
         alpha[i] = 0
 
-    rec(0, total)
+    rec(0, total, (0,) * len(target))
     return out
 
 
 def check_t0(J, grading, atlas, D_strict):
-    """For every variable and every monomial of the same fine degree, the
-    contraction of every ideal generator must stay in the ideal."""
+    """For every variable v and every other monomial of the same fine
+    degree, the contraction of every ideal generator must stay in the
+    ideal.  The monomials come from one recursion over those of v's
+    D-weight that carries their fine degree (free part, torsion residues)."""
     ids = J.variables
     weights = _variable_weights(atlas, ids, D_strict)
+    degrees = [free + tors for free, tors in (grading.deg_H[v] for v in ids)]
     witnesses = []
     for i, v in enumerate(ids):
         unit = tuple(1 if l == i else 0 for l in range(len(ids)))
-        deg_v = grading.degree_of_monomial(unit, ids)
-        for alpha in _monomials_of_weight(weights, weights[i]):
+        for alpha in _monomials_of_weight(weights, weights[i], degrees,
+                                          degrees[i], grading.torsion):
             if alpha == unit:
-                continue
-            if grading.degree_of_monomial(alpha, ids) != deg_v:
                 continue
             for gen in J.generators:
                 if gen[i] == 0:

@@ -4,6 +4,7 @@ import pytest
 
 from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.cli import _data_path
+from clusterdeform.gradings import add_frozen_for_positivity
 from clusterdeform.seeds import ExtendedExchangeMatrix, Seed, load_seed
 from clusterdeform.simplicial import cluster_complex, sr_ideal
 from clusterdeform.universal import build_universal
@@ -22,6 +23,16 @@ def path_seed(coeffs):
         B[i + 1][i] = b
     return Seed(ExtendedExchangeMatrix(B, n=n),
                 ["z%d" % (i + 1) for i in range(n)])
+
+
+# Path seeds of B3 and C3, to be augmented with frozen rows.
+AUGMENTED = {"aug_b3": [(1, -1), (1, -2)], "aug_c3": [(1, -1), (2, -1)]}
+
+
+def augmented_seed(name):
+    """The path seed of AUGMENTED[name] with the n frozen rows and the
+    balancing row of add_frozen_for_positivity."""
+    return add_frozen_for_positivity(path_seed(AUGMENTED[name]))
 
 
 @pytest.fixture(scope="session")

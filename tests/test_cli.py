@@ -8,7 +8,8 @@ import pytest
 
 from clusterdeform import cli, universal
 from clusterdeform.cli import Pipeline, main
-from clusterdeform.seeds import load_seed
+from clusterdeform.seeds import load_seed, seed_to_dict
+from tests.conftest import AUGMENTED, augmented_seed
 
 _DATA = resources.files("clusterdeform.data")
 A2 = str(_DATA / "a2.json")
@@ -151,6 +152,24 @@ def test_check_success_exit_code(capsys):
     for prop in ("t0", "t0star"):
         code, _ = run(capsys, "check", A2, "--property", prop)
         assert code == 0
+
+
+@pytest.mark.parametrize("name, prop", [
+    (name, prop) for name in ("a2", "a3_bad", "gr26_pullback")
+    for prop in ("t1", "t0", "t0star")]
+    + [("d4", "t1")]
+    + [(name, prop) for name in AUGMENTED for prop in ("t1", "t0")])
+def test_check_json_golden(capsys, tmp_path, name, prop):
+    if name in AUGMENTED:
+        seed_file = tmp_path / (name + ".json")
+        seed_file.write_text(json.dumps(seed_to_dict(augmented_seed(name))))
+    else:
+        seed_file = _DATA / (name + ".json")
+    code, out = run(capsys, "check", str(seed_file), "--property", prop,
+                    "--json")
+    expected = (GOLDEN / "check" / ("%s-%s.json" % (name, prop))).read_text()
+    assert out == expected
+    assert code == (0 if json.loads(expected)["holds"] else 1)
 
 
 def test_univ_text(capsys):

@@ -2,14 +2,17 @@
 
 import pytest
 
+from clusterdeform import cotangent, intlinalg
+from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.cotangent import (CotangentError, characteristic_image,
                                      obstruction_class, seed_weights,
                                      t1_degree_families, t1_invariant,
                                      t1_witnesses)
 from clusterdeform.gradings import find_strictly_positive
+from clusterdeform.intlinalg import lattice_coordinates
 from clusterdeform.simplicial import cluster_complex, sr_ideal
 from clusterdeform.universal import build_universal
-from tests.conftest import data_seed, path_seed
+from tests.conftest import augmented_seed, data_seed, path_seed
 
 
 def test_a2_families(a2_atlas):
@@ -72,6 +75,88 @@ def test_witnesses_a2_trivial(a2_atlas):
             neg_col = [-matrix.entries[i][j] for i in range(a2_atlas.m)]
             for w in t1_witnesses(matrix, j, weights):
                 assert w == [0] * a2_atlas.m or w == neg_col
+
+
+def witnesses_by_lattice_coordinates(matrix, j, weights):
+    """Reference: the same search box, each candidate of weight 0 filtered
+    by its own lattice_coordinates solve.  Returns the witnesses and the
+    number of candidates the filter rejected."""
+    m, n = matrix.m, matrix.n
+    entries = matrix.entries
+    lower = []
+    for i in range(m):
+        if i == j:
+            lower.append(0)
+        elif i < n and entries[i][j] != 0:
+            lower.append(1 - max(0, entries[i][j]))
+        else:
+            lower.append(-max(0, entries[i][j]))
+    cols = [list(r) for r in entries]
+    tail = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        tail[i] = tail[i + 1] + weights[i] * lower[i]
+    out = []
+    rejected = [0]
+    w = [0] * m
+
+    def rec(i, acc):
+        if i == m:
+            if acc == 0:
+                if lattice_coordinates(list(w), cols) is not None:
+                    out.append(list(w))
+                else:
+                    rejected[0] += 1
+            return
+        if i == j:
+            w[i] = 0
+            rec(i + 1, acc)
+            return
+        v = lower[i]
+        while acc + weights[i] * v + tail[i + 1] <= 0:
+            w[i] = v
+            rec(i + 1, acc + weights[i] * v)
+            v += 1
+
+    rec(0, 0)
+    return out, rejected[0]
+
+
+@pytest.mark.parametrize("name", ["a2", "a3_bad", "gr26_pullback", "aug_b3"])
+def test_witnesses_match_per_candidate_solve(name):
+    seed = augmented_seed(name) if name.startswith("aug_") else data_seed(name)
+    atlas = enumerate_atlas(seed)
+    D = find_strictly_positive(atlas)
+    found = rejected = 0
+    for state in atlas.seeds:
+        matrix = state.base_matrix(atlas.n, atlas.m)
+        weights = seed_weights(atlas, state, D)
+        for j in range(atlas.n):
+            ws = t1_witnesses(matrix, j, weights)
+            expected, dropped = witnesses_by_lattice_coordinates(
+                matrix, j, weights)
+            assert ws == expected
+            found += len(ws)
+            rejected += dropped
+    # the lattice test both kept and dropped candidates
+    assert found > 0 and rejected > 0
+
+
+def test_witnesses_compute_one_smith_form(monkeypatch, a3_bad_seed):
+    atlas = enumerate_atlas(a3_bad_seed)
+    state = atlas.seeds[0]
+    matrix = state.base_matrix(atlas.n, atlas.m)
+    weights = seed_weights(atlas, state, find_strictly_positive(atlas))
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return snf(A)
+
+    snf = intlinalg.smith_normal_form
+    monkeypatch.setattr(cotangent, "smith_normal_form", counted)
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
+    assert len(t1_witnesses(matrix, 0, weights)) == 2
+    assert len(calls) == 1
 
 
 def test_witnesses_require_grading(a2_atlas):

@@ -5,14 +5,16 @@ from itertools import product
 import pytest
 
 from clusterdeform.atlas import enumerate_atlas
+from clusterdeform.cli import Pipeline
 from clusterdeform.gradings import find_strictly_positive, m_grading
 from clusterdeform.intlinalg import vec_dot
-from clusterdeform.properties import (PropertyError, SemigroupData, check_t0,
-                                      check_t0_star, check_t1,
+from clusterdeform.properties import (PropertyError, SemigroupData,
+                                      _monomials_of_weight, _variable_weights,
+                                      check_t0, check_t0_star, check_t1,
                                       exchangeable_pairs, repair_t1,
                                       semigroup_data)
 from clusterdeform.universal import build_universal
-from tests.conftest import data_seed
+from tests.conftest import augmented_seed, data_seed
 
 
 def test_lattice_condition_holds_a2(a2_atlas):
@@ -67,6 +69,34 @@ def test_strong_derivation_condition_a2(a2_atlas, a2_ideal, a2_univ):
     assert report.holds
 
 
+# d4 leaves out its variables of D-weight 7 and 11: filtering their 822,029
+# monomials one by one takes minutes.  Weight 6 keeps three variables whose
+# fine-degree match differs with and without the torsion reduction.
+@pytest.mark.parametrize("name, max_weight", [
+    ("aug_b3", None), ("aug_c3", None), ("d4", 6)])
+def test_fine_degree_enumeration_matches_filter(name, max_weight):
+    seed = augmented_seed(name) if name.startswith("aug_") else data_seed(name)
+    pipe = Pipeline(seed, max_seeds=100000)
+    grading = m_grading(seed.matrix, pipe.atlas)
+    ids = pipe.ideal.variables
+    weights = _variable_weights(pipe.atlas, ids, pipe.strict_grading)
+    degrees = [free + tors for free, tors in (grading.deg_H[v] for v in ids)]
+    kept = dropped = 0
+    for i, weight in enumerate(weights):
+        if max_weight is not None and weight > max_weight:
+            continue
+        unit = tuple(1 if l == i else 0 for l in range(len(ids)))
+        deg_v = grading.degree_of_monomial(unit, ids)
+        every = _monomials_of_weight(weights, weight)
+        expected = [alpha for alpha in every
+                    if grading.degree_of_monomial(alpha, ids) == deg_v]
+        assert _monomials_of_weight(weights, weight, degrees, degrees[i],
+                                    grading.torsion) == expected
+        kept += len(expected)
+        dropped += len(every) - len(expected)
+    assert kept > 0 and dropped > 0
+
+
 def test_checks_require_strict_grading(a2_atlas, a2_ideal, g2_atlas):
     with pytest.raises(PropertyError):
         check_t0(a2_ideal, None, a2_atlas, None)
@@ -119,3 +149,32 @@ def test_semigroup_functional_positive(a2_univ):
     sg = semigroup_data(a2_univ)
     for g in sg.generators:
         assert vec_dot(sg.positive_functional, g) >= 1
+
+
+def test_semigroup_membership_by_enumeration_gr26():
+    """Every element of functional value at most 4 is enumerated as a sum of
+    generators; each one and each unit step away from it must be decided
+    as that enumeration says."""
+    sg = semigroup_data(build_universal(data_seed("gr26_pullback")))
+    f = sg.positive_functional
+    gens = [g for g in sg.generators if any(g)]
+    dim = len(gens[0])
+    bound = 4
+    members = {(0,) * dim}
+    frontier = set(members)
+    while frontier:
+        frontier = {tuple(a + b for a, b in zip(t, g))
+                    for t in frontier for g in gens
+                    if vec_dot(f, t) + vec_dot(f, g) <= bound} - members
+        members |= frontier
+    targets = set(members)
+    for t in members:
+        for k in range(dim):
+            for step in (-1, 1):
+                moved = list(t)
+                moved[k] += step
+                if vec_dot(f, moved) <= bound:
+                    targets.add(tuple(moved))
+    assert len(members) > 50 and len(targets) > len(members)
+    for t in sorted(targets):
+        assert sg.contains(t) == (t in members)
