@@ -5,12 +5,16 @@ tie-breaking.  All arithmetic is exact.
 The generators are `Poly`s over the variables z first, t after, ordered by
 `MonomialOrder(weights)`: the weights cover the z-variables only (the
 t-variables weigh zero), and ties break by total degree, then
-lexicographically.  Every
-generator is homogeneous for the fine grading in which z_v has degree e_v
-and t_i the degree computed by the gradings module, and its leading term is
-its squarefree monomial with coefficient 1.  Corrections at each order live
-in the standard-monomial complement of the order-zero ideal, which makes
-each obstruction system a small sparse rational linear system.
+lexicographically.  Every generator is homogeneous for the fine grading in
+which z_v has degree e_v and t_i the degree computed by the gradings
+module, and its leading term is its squarefree monomial with coefficient 1.
+As these leads are t-free, a division step on a term of t-degree d adds
+only terms of t-degree >= d, so the t-degree <= k part of an S-pair's
+division is the division truncated at order k.  The lift divides each
+S-pair once per state of the generators and reads every order from that.
+Corrections at each order live in the standard-monomial complement of the
+order-zero ideal, so each obstruction system is a small sparse rational
+linear system.
 """
 
 from fractions import Fraction
@@ -237,66 +241,64 @@ def _exchange_minimal(particular, basis, priority):
 def lift(family, max_order=16):
     """Correct the family order by order, k = 2 .. max_order.
 
-    The loop stops early once a round makes no progress and k has reached
-    `_max_possible_order`, past which the weight budget admits no
-    correction monomial.  That bound exceeds the default max_order on most
-    seeds (G2 18, B3 45, D4 513), so the stopping rule that decides is the
-    final uncut check, Buchberger's criterion: the generators are a
-    Groebner basis for `MonomialOrder(weights)`, hence a flat family,
-    exactly when every S-pair reduces to zero without truncation.  The reported order is the
-    last round run."""
+    Every S-pair is divided by the generators once at the start and again
+    only after a round that changed them; round k reads the t-degree <= k
+    terms of the last reductions.  The loop stops early once a round makes
+    no progress and k has reached `_max_possible_order`, past which the
+    weight budget admits no correction monomial.  That bound exceeds the
+    default max_order on most seeds (G2 18, B3 45, D4 513), so the stopping
+    rule that decides is Buchberger's criterion on the last reductions: the
+    generators are a Groebner basis for `MonomialOrder(weights)`, hence a
+    flat family, exactly when every S-pair reduces to zero.  The reported
+    order is the last round run."""
     budget = _max_possible_order(family)
     spairs = _spairs(family)
+    reductions = _pair_reductions(family, spairs)
     exhausted = True
     for k in range(2, max_order + 1):
-        progressed = _lift_round(family, k, spairs)
+        progressed = _lift_round(family, k, reductions)
         family.order = k
-        if not progressed and k >= budget:
+        if progressed:
+            reductions = _pair_reductions(family, spairs)
+        elif k >= budget:
             exhausted = False
             break
-    if _has_obstructions(family, spairs):
+    if any(not r.is_zero() for _, _, _, _, r, _ in reductions):
         if exhausted:
             raise DeformError("order budget exceeded")
         raise DeformError("obstructed at order %d" % family.order)
     return family
 
 
-def _pair_reductions(family, spairs, cut):
-    """Each S-pair divided by the generators, dropping terms of t-degree
-    above `cut` (none if cut is None): (i, l, mi, ml, remainder,
+def _pair_reductions(family, spairs):
+    """Each S-pair divided by the generators: (i, l, mi, ml, remainder,
     quotients).  Every remainder term has a z-part outside the order-zero
     ideal."""
     gens = family.generators
     divisors = list(zip(family.sr_leads, gens))
     order = MonomialOrder(family.weights)
-    keep = None if cut is None else (lambda e: family.tdeg(e) <= cut)
     out = []
     for i, l, mi, ml in spairs:
         s = gens[i].scale_monomial(mi) + gens[l].scale_monomial(ml, -1)
-        q, r = divide(s, divisors, order, keep)
+        q, r = divide(s, divisors, order)
         out.append((i, l, mi, ml, r, q))
     return out
 
 
-def _has_obstructions(family, spairs):
-    reductions = _pair_reductions(family, spairs, None)
-    return any(not r.is_zero() for _, _, _, _, r, _ in reductions)
-
-
-def _lift_round(family, k, spairs):
-    reductions = _pair_reductions(family, spairs, k)
-    if all(r.is_zero() for _, _, _, _, r, _ in reductions):
+def _lift_round(family, k, reductions):
+    """Correct at order k from the t-degree <= k part of the reductions;
+    False if that part is zero."""
+    nz, nv = family.nz, family.nv
+    low = [[(e, c) for e, c in r.terms.items() if family.tdeg(e) <= k]
+           for _, _, _, _, r, _ in reductions]
+    if not any(low):
         return False
 
-    unknowns = []
-    index = {}
     gen_order = sorted(range(len(family.generators)),
                        key=lambda j: (not family.exchange_flags[j],
                                       family.sr_leads[j]))
-    for j in gen_order:
-        for beta, gamma in _candidates(family, j, k):
-            index[(j, beta)] = len(unknowns)
-            unknowns.append((j, beta, gamma))
+    unknowns = [(j, beta, gamma) for j in gen_order
+                for beta, gamma in _candidates(family, j, k)]
     if not unknowns:
         raise DeformError("obstructed at order %d: no correction space" % k)
 
@@ -308,19 +310,20 @@ def _lift_round(family, k, spairs):
             equations[key] = [[Fraction(0)] * len(unknowns), Fraction(0)]
         return equations[key]
 
-    for pair_id, (i, l, mi, ml, r, q) in enumerate(reductions):
-        for e, c in r.terms.items():
+    for pair_id, (i, l, mi, ml, _, q) in enumerate(reductions):
+        for e, c in low[pair_id]:
             if family.tdeg(e) != k:
                 raise DeformError("residual obstruction below order %d" % k)
             eq(pair_id, e)[1] -= c
         # net degree-zero multiplier of each generator's correction
-        mult = [Poly(family.nv, {e: -c for e, c in qj.terms.items()
-                                 if family.tdeg(e) == 0}) for qj in q]
-        mult[i] += Poly.monomial(family.nv, mi)
-        mult[l] -= Poly.monomial(family.nv, ml)
+        mult = {i: Poly.monomial(nv, mi), l: Poly.monomial(nv, ml, -1)}
+        for j, qj in enumerate(q):
+            terms = {e: -c for e, c in qj.terms.items() if not any(e[nz:])}
+            if terms:
+                mult[j] = Poly(nv, terms) + mult.get(j, Poly(nv))
         for uidx, (j, beta, gamma) in enumerate(unknowns):
-            mj = mult[j]
-            if mj.is_zero():
+            mj = mult.get(j)
+            if mj is None or mj.is_zero():
                 continue
             corr = gamma + beta
             for e, c in mj.terms.items():
@@ -342,7 +345,7 @@ def _lift_round(family, k, spairs):
         if val == 0:
             continue
         e = tuple(gamma) + tuple(beta)
-        family.generators[j] += Poly.monomial(family.nv, e, val)
+        family.generators[j] += Poly.monomial(nv, e, val)
         changed = True
     if not changed:
         raise DeformError("obstruction without corrective action at order %d"

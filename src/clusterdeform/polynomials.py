@@ -279,16 +279,15 @@ def grlex_order(nvars):
     return MonomialOrder((0,) * nvars)
 
 
-def divide(f, divisors, order, keep=None):
+def divide(f, divisors, order):
     """Multivariate division of f by (leading exponent, Poly) pairs.
 
-    Returns (quotients, remainder): no remainder term is divisible by a
-    divisor's leading exponent, and f = sum(q_i * g_i) + remainder up to
-    the terms e with keep(e) false, which are dropped wherever they arise.
-    Terms are processed in decreasing order and divisors are tried in list
+    Returns (quotients, remainder) with f = sum(q_i * g_i) + remainder, where
+    no remainder term is divisible by a divisor's leading exponent.  Terms
+    are processed in decreasing order and divisors are tried in list
     order.  All exponents must be nonnegative.
     """
-    work = {e: c for e, c in f.terms.items() if keep is None or keep(e)}
+    work = dict(f.terms)
     quotients = [{} for _ in divisors]
     remainder = {}
     while work:
@@ -309,8 +308,6 @@ def divide(f, divisors, order, keep=None):
             if x == le:
                 continue
             x = _add_exp(x, m)
-            if keep is not None and not keep(x):
-                continue
             s = work.get(x, 0) - factor * cx
             if s == 0:
                 work.pop(x, None)

@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from clusterdeform import deform
 from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.cli import Pipeline, family_lines
 from clusterdeform.deform import (DeformError, first_order, lift,
                                   verify_family)
 from clusterdeform.deform import (_candidates, _exchange_minimal,
-                                  _solve_affine)
+                                  _solve_affine, _spairs)
 from clusterdeform.intlinalg import vec_dot
-from clusterdeform.polynomials import MonomialOrder, buchberger
+from clusterdeform.polynomials import MonomialOrder, Poly, buchberger
 from clusterdeform.simplicial import cluster_complex, sr_ideal
 from clusterdeform.universal import build_universal
 from tests.conftest import data_seed, path_seed
@@ -216,7 +217,7 @@ def test_lift_order_budget():
     K = cluster_complex(atlas)
     J = sr_ideal(K, atlas.frozen_ids)
     fam = first_order(build_universal(seed), J)
-    with pytest.raises(DeformError):
+    with pytest.raises(DeformError, match="order budget exceeded"):
         lift(fam, max_order=2)
 
 
@@ -255,11 +256,15 @@ def reference_candidates(fam, k):
     return out
 
 
+def first_order_family(name):
+    pipe = Pipeline(data_seed(name), 100000)
+    return first_order(pipe.universal, pipe.ideal,
+                       weight=pipe.cone.interior_weight)
+
+
 @pytest.mark.parametrize("name", ["g2", "b2", "a3"])
 def test_pruned_candidates_match_full_enumeration(name):
-    pipe = Pipeline(data_seed(name), 100000)
-    fam = first_order(pipe.universal, pipe.ideal,
-                      weight=pipe.cone.interior_weight)
+    fam = first_order_family(name)
     found = 0
     for k in range(2, 7):
         for j, expected in enumerate(reference_candidates(fam, k)):
@@ -300,6 +305,96 @@ def test_buchberger_adds_nothing_to_lift(name):
     fam = pipe.lifted_family(16)
     order = MonomialOrder(fam.weights + [0] * len(fam.t_vars))
     assert buchberger(fam.generators, order) == fam.generators
+
+
+def truncated_divide(f, divisors, order, keep):
+    """Division of f by (leading exponent, Poly) pairs that drops every
+    term e with keep(e) false wherever it arises.  With keep(e) =
+    tdeg(e) <= k it is an S-pair's division truncated at order k."""
+    work = {e: c for e, c in f.terms.items() if keep(e)}
+    quotients = [{} for _ in divisors]
+    remainder = {}
+    while work:
+        e = max(work, key=order.key)
+        c = work.pop(e)
+        for (le, g), q in zip(divisors, quotients):
+            if all(a <= b for a, b in zip(le, e)):
+                break
+        else:
+            remainder[e] = c
+            continue
+        m = tuple(a - b for a, b in zip(e, le))
+        factor = Fraction(c) / Fraction(g.terms[le])
+        q[m] = factor
+        for x, cx in g.terms.items():
+            x = tuple(a + b for a, b in zip(x, m))
+            if x == e or not keep(x):
+                continue
+            work[x] = work.get(x, 0) - factor * cx
+            if work[x] == 0:
+                del work[x]
+    return ([Poly(f.nvars, q) for q in quotients],
+            Poly(f.nvars, remainder))
+
+
+def kept_part(p, keep):
+    return Poly(p.nvars, {e: c for e, c in p.terms.items() if keep(e)})
+
+
+@pytest.mark.parametrize("name", ["a2", "b2", "c2", "g2", "gr26_pullback"])
+def test_uncut_reductions_hold_every_truncated_division(name, monkeypatch):
+    """At every state of the generators the lift divides, and for every
+    k up to the order, the division truncated at t-degree k equals the
+    t-degree <= k part of the uncut division, remainder and quotients."""
+    fam = first_order_family(name)
+    states = []
+
+    def recorded(family, spairs):
+        out = pair_reductions(family, spairs)
+        states.append((list(family.generators), out))
+        return out
+
+    pair_reductions = deform._pair_reductions
+    monkeypatch.setattr(deform, "_pair_reductions", recorded)
+    lift(fam)
+    assert len(states) > 1
+    order = MonomialOrder(fam.weights)
+    for gens, reductions in states:
+        divisors = list(zip(fam.sr_leads, gens))
+        for i, l, mi, ml, r, q in reductions:
+            s = gens[i].scale_monomial(mi) + gens[l].scale_monomial(ml, -1)
+            for k in range(fam.order + 1):
+                def keep(e):
+                    return fam.tdeg(e) <= k
+
+                cut_q, cut_r = truncated_divide(s, divisors, order, keep)
+                assert cut_r == kept_part(r, keep), (i, l, k)
+                assert cut_q == [kept_part(qj, keep) for qj in q], (i, l, k)
+
+
+@pytest.mark.parametrize("name, divisions", [("g2", 480), ("a3", 144)])
+def test_lift_divides_once_per_state(name, divisions, monkeypatch):
+    """One division per S-pair at the start and after each round that
+    changed the generators; a division per round made g2 1280 and a3
+    396."""
+    fam = first_order_family(name)
+    calls = []
+    changed = []
+
+    def counted(*args):
+        calls.append(args)
+        return divide(*args)
+
+    def recorded(*args):
+        changed.append(lift_round(*args))
+        return changed[-1]
+
+    divide, lift_round = deform.divide, deform._lift_round
+    monkeypatch.setattr(deform, "divide", counted)
+    monkeypatch.setattr(deform, "_lift_round", recorded)
+    lift(fam)
+    assert len(changed) == fam.order - 1
+    assert len(calls) == len(_spairs(fam)) * (sum(changed) + 1) == divisions
 
 
 def test_solve_affine():
