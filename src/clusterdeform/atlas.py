@@ -1,12 +1,22 @@
-"""Exhaustive exchange-graph enumeration for finite cluster type.
+"""Exhaustive exchange-graph enumeration for finite cluster type, in two
+layers.
 
-Each cluster variable is tracked through its principal-coefficient Laurent
-expansion in the ring K[x_1^{+-},..,x_n^{+-}, x_{n+1},..,x_m, y_1,..,y_n];
-g-vectors, F-polynomials and coefficient-free Laurent expansions are read
-off from it.  An independent g-vector recursion runs alongside and must
-agree at every step: mutation at k changes only column k of the g-matrix,
-to -g_k + sum over i != k of max(0, -eps*b_ik) g_i.
+The search is integer-only.  Each seed carries its extended exchange matrix
+with the c-vector rows of principal coefficients under it, and its g-matrix.
+Mutation at k requires the k-th c-vector to be sign-coherent with sign eps
+and changes only column k of the g-matrix, to -g_k + sum over i != k of
+max(0, -eps*b_ik) g_i.  Seeds are identified by the multiset of their mutable
+g-vectors, which also name the variables.
+
+The Laurent layer, `Atlas.principal`, is computed on first read: each
+variable's principal-coefficient expansion in the ring
+K[x_1^{+-},..,x_n^{+-}, x_{n+1},..,x_m, y_1,..,y_n], of which the Laurent
+expansion and the F-polynomial are projections.  It divides once per edge
+of the exchange graph, and on every edge checks that the g-vector read off
+by separation is the one the search gave.
 """
+
+from functools import cached_property
 
 from .polynomials import Poly, exact_divide
 from .seeds import ExtendedExchangeMatrix, e_column, mutate_entries
@@ -17,14 +27,11 @@ class AtlasError(Exception):
 
 
 class ClusterVariable:
-    __slots__ = ("id", "g_vector", "laurent", "f_polynomial", "principal", "is_frozen")
+    __slots__ = ("id", "g_vector", "is_frozen")
 
-    def __init__(self, id, g_vector, laurent, f_polynomial, principal, is_frozen):
+    def __init__(self, id, g_vector, is_frozen):
         self.id = id
         self.g_vector = tuple(g_vector)
-        self.laurent = laurent
-        self.f_polynomial = f_polynomial
-        self.principal = principal
         self.is_frozen = is_frozen
 
     def __repr__(self):
@@ -54,14 +61,13 @@ class ExchangePair:
 class SeedState:
     """One enumerated seed: matrix, variable ids by position, g-matrix."""
 
-    __slots__ = ("index", "matrix", "ids", "g_matrix", "pvars", "path")
+    __slots__ = ("index", "matrix", "ids", "g_matrix", "path")
 
-    def __init__(self, index, matrix, ids, g_matrix, pvars, path):
+    def __init__(self, index, matrix, ids, g_matrix, path):
         self.index = index
         self.matrix = matrix          # (m+n) x n principal extension rows
         self.ids = ids                # length m
         self.g_matrix = g_matrix      # m x m, columns are g-vectors
-        self.pvars = pvars            # length n principal expansions
         self.path = path              # mutation sequence from the root
 
     def base_matrix(self, n, m):
@@ -97,8 +103,17 @@ class Atlas:
             out.append(tuple(sorted(state.ids[:self.n])) + tuple(state.ids[self.n:]))
         return out
 
+    @cached_property
+    def principal(self):
+        """Principal-coefficient expansion of every variable, by id."""
+        return _principal_expansions(self)
+
     def laurent_expansion(self, variable_id):
-        return self._get(variable_id).laurent
+        return self.principal[self._get(variable_id).id].project(range(self.m))
+
+    def f_polynomial(self, variable_id):
+        return self.principal[self._get(variable_id).id].project(
+            range(self.m, self.m + self.n))
 
     def g_vector(self, variable_id):
         return self._get(variable_id).g_vector
@@ -136,26 +151,18 @@ def enumerate_atlas(seed, max_seeds=100000):
     """BFS over labeled seeds, deduplicated by the multiset of mutable
     g-vectors; collects all cluster variables and exchange relations."""
     n, m = seed.matrix.n, seed.matrix.m
-    nv = m + n
     atlas = Atlas(seed)
 
     for i in range(m):
         g = tuple(1 if j == i else 0 for j in range(m))
-        principal = Poly.variable(nv, i)
-        var = ClusterVariable(
-            seed.var_ids[i], g,
-            laurent=Poly.variable(m, i),
-            f_polynomial=Poly.one(n),
-            principal=principal,
-            is_frozen=i >= n)
+        var = ClusterVariable(seed.var_ids[i], g, is_frozen=i >= n)
         atlas.variables[var.id] = var
         atlas.id_by_g[g] = var.id
 
     bp0 = tuple(tuple(seed.matrix.entries[i]) for i in range(m)) + \
         tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
     g0 = tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
-    root = SeedState(0, bp0, tuple(seed.var_ids),
-                     g0, tuple(Poly.variable(nv, i) for i in range(n)), ())
+    root = SeedState(0, bp0, tuple(seed.var_ids), g0, ())
     atlas.seeds.append(root)
     cluster_index = {_cluster_key(atlas, root, n): 0}
 
@@ -211,21 +218,7 @@ def _find_back_index(atlas, existing, origin, n):
 
 
 def _mutate_state(atlas, state, k, n, m):
-    nv = m + n
     rows = state.matrix
-
-    # exchange: numerator of the new principal expansion
-    sides = []
-    for side in exchange_monomials(range(nv), rows, k):
-        poly = Poly.one(nv)
-        for i, b in side.items():
-            if i < n:
-                base = state.pvars[i]
-            else:
-                base = Poly.variable(nv, i)
-            poly = poly * base ** b
-        sides.append(poly)
-    new_pvar = exact_divide(sides[0] + sides[1], state.pvars[k])
 
     # g-matrix recursion: eps = common sign of the k-th c-vector
     c_col = [rows[m + i][k] for i in range(n)]
@@ -240,19 +233,11 @@ def _mutate_state(atlas, state, k, n, m):
     new_g_matrix = tuple(grow[:k] + (x,) + grow[k + 1:]
                          for grow, x in zip(state.g_matrix, g_new))
 
-    g_extracted = _extract_g(new_pvar, m, n)
-    if g_extracted != g_new:
-        raise AtlasError("g-vector recursion disagrees with separation: %r vs %r"
-                         % (g_new, g_extracted))
-
     if g_new in atlas.id_by_g:
         new_id = atlas.id_by_g[g_new]
     else:
         new_id = _variable_name(g_new)
-        f_poly = new_pvar.project(range(m, nv))
-        laurent = new_pvar.project(range(m))
-        var = ClusterVariable(new_id, g_new, laurent, f_poly, new_pvar, False)
-        atlas.variables[new_id] = var
+        atlas.variables[new_id] = ClusterVariable(new_id, g_new, False)
         atlas.id_by_g[g_new] = new_id
 
     pair_key = frozenset({state.ids[k], new_id})
@@ -261,11 +246,41 @@ def _mutate_state(atlas, state, k, n, m):
 
     new_ids = list(state.ids)
     new_ids[k] = new_id
-    new_pvars = list(state.pvars)
-    new_pvars[k] = new_pvar
     new_state = SeedState(-1, mutate_entries(rows, k), tuple(new_ids),
-                          new_g_matrix, tuple(new_pvars), state.path + (k,))
+                          new_g_matrix, state.path + (k,))
     return new_state, (pair_key, monomials)
+
+
+def _principal_expansions(atlas):
+    """Walk every edge (s, k) -> j of the seed graph with j > s once, in the
+    order the search found it: the new variable's principal expansion is the
+    exchange binomial in the expansions of seed s divided by that of its
+    k-th variable, and separation must read off the search's g-vector."""
+    n, m = atlas.n, atlas.m
+    nv = m + n
+    principal = {v: Poly.variable(nv, i)
+                 for i, v in enumerate(atlas.initial_seed.var_ids)}
+    ys = [Poly.variable(nv, i) for i in range(m, nv)]
+    for (s, k), j in atlas.seed_graph.items():
+        if j < s:
+            continue
+        state = atlas.seeds[s]
+        bases = [principal[v] for v in state.ids] + ys
+        sides = []
+        for side in exchange_monomials(range(nv), state.matrix, k):
+            poly = Poly.one(nv)
+            for i, b in side.items():
+                poly = poly * bases[i] ** b
+            sides.append(poly)
+        new = exact_divide(sides[0] + sides[1], bases[k])
+        (new_id,) = set(atlas.seeds[j].ids[:n]) - set(state.ids[:n])
+        g_new = atlas.variables[new_id].g_vector
+        g_extracted = _extract_g(new, m, n)
+        if g_extracted != g_new:
+            raise AtlasError("g-vector recursion disagrees with separation: "
+                             "%r vs %r" % (g_new, g_extracted))
+        principal.setdefault(new_id, new)
+    return principal
 
 
 def exchange_monomials(ids, rows, k):
@@ -295,18 +310,18 @@ def separation_check(atlas):
             e[i] += b0[i][j]
         yhat.append(Poly.monomial(nv, e))
     for var in atlas.variables.values():
-        f_full = Poly(nv, {(0,) * m + e: c for e, c in var.f_polynomial.terms.items()})
+        f = atlas.f_polynomial(var.id)
+        f_full = Poly(nv, {(0,) * m + e: c for e, c in f.terms.items()})
         rhs = f_full.compose([Poly.one(nv)] * m + yhat) if n else Poly.one(nv)
         rhs = rhs.scale_monomial(tuple(var.g_vector) + (0,) * n)
-        if rhs != var.principal:
+        if rhs != atlas.principal[var.id]:
             return False
     return True
 
 
 def tropical_g_vector(atlas, variable_id):
     """g-vector via the tropical evaluation of the F-polynomial (finite type)."""
-    var = atlas.variables[variable_id]
-    f = var.f_polynomial
+    f = atlas.f_polynomial(variable_id)
     n, m = atlas.n, atlas.m
     if f.is_zero() or f == Poly.one(n):
         raise ValueError("F-polynomial is 1; tropical formula does not apply")

@@ -104,7 +104,7 @@ def cmd_enumerate(args):
     names = list(pipe.seed.var_ids)
     variables = []
     for var in atlas.variables.values():
-        num, den = _laurent_parts(var.laurent)
+        num, den = _laurent_parts(atlas.laurent_expansion(var.id))
         variables.append({
             "id": var.id, "g_vector": list(var.g_vector),
             "frozen": var.is_frozen,

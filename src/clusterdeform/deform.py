@@ -199,43 +199,20 @@ def _max_possible_order(family):
                for l in family.sr_leads) // min_lam
 
 
-def _solve_affine(rows, rhs):
-    """Solution space of rows . u = rhs over Q as (particular, nullspace
-    basis); None if inconsistent."""
-    n = len(rows[0]) if rows else 0
-    A, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)], n)
+def _exchange_minimal(rows, rhs, n):
+    """The solution of rows . u = rhs over Q in n unknowns that zeroes the
+    entries greedily in index order; None if the system is inconsistent.
+
+    Entry i can be zeroed, given the entries before it, exactly when column
+    i lies in the span of the later columns: when it is not a pivot of the
+    RREF with the columns reversed.  Those free entries are set to 0."""
+    A, pivots = rref([row[::-1] + [b] for row, b in zip(rows, rhs)], n)
     if any(row[n] != 0 for row in A[len(pivots):]):
         return None
-    particular = [Fraction(0)] * n
+    solution = [Fraction(0)] * n
     for row, col in zip(A, pivots):
-        particular[col] = row[n]
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for row, col in zip(A, pivots):
-            vec[col] = -row[fc]
-        basis.append(vec)
-    return particular, basis
-
-
-def _exchange_minimal(particular, basis, priority):
-    """Greedy zeroing in priority order inside the affine solution space;
-    remaining freedom is collapsed to the particular point."""
-    p = list(particular)
-    N = [list(b) for b in basis]
-    for idx in priority:
-        if p[idx] == 0 and all(b[idx] == 0 for b in N):
-            continue
-        b0 = next((b for b in N if b[idx] != 0), None)
-        if b0 is None:
-            continue  # forced nonzero
-        f = p[idx] / b0[idx]
-        p = [x - f * y for x, y in zip(p, b0)]
-        N = [[x - (b[idx] / b0[idx]) * y for x, y in zip(b, b0)]
-             for b in N if b is not b0]
-    return p
+        solution[n - 1 - col] = row[n]
+    return solution
 
 
 def lift(family, max_order=16):
@@ -301,6 +278,10 @@ def _lift_round(family, k, reductions):
                 for beta, gamma in _candidates(family, j, k)]
     if not unknowns:
         raise DeformError("obstructed at order %d: no correction space" % k)
+    rank = {j: r for r, j in enumerate(gen_order)}
+    columns = {}
+    for uidx, (j, beta, gamma) in enumerate(unknowns):
+        columns.setdefault(j, []).append((uidx, gamma + beta))
 
     equations = {}
 
@@ -318,27 +299,28 @@ def _lift_round(family, k, reductions):
         # net degree-zero multiplier of each generator's correction
         mult = {i: Poly.monomial(nv, mi), l: Poly.monomial(nv, ml, -1)}
         for j, qj in enumerate(q):
+            if not qj.terms:
+                continue
             terms = {e: -c for e, c in qj.terms.items() if not any(e[nz:])}
             if terms:
                 mult[j] = Poly(nv, terms) + mult.get(j, Poly(nv))
-        for uidx, (j, beta, gamma) in enumerate(unknowns):
-            mj = mult.get(j)
-            if mj is None or mj.is_zero():
+        # by rank, so the unknowns, and the equations, come in index order
+        for j in sorted(mult, key=rank.__getitem__):
+            mj = mult[j]
+            if mj.is_zero():
                 continue
-            corr = gamma + beta
-            for e, c in mj.terms.items():
-                tot = tuple(a + b for a, b in zip(e, corr))
-                if family.in_order_zero(tot):
-                    continue
-                eq(pair_id, tot)[0][uidx] += c
+            for uidx, corr in columns.get(j, ()):
+                for e, c in mj.terms.items():
+                    tot = tuple(a + b for a, b in zip(e, corr))
+                    if family.in_order_zero(tot):
+                        continue
+                    eq(pair_id, tot)[0][uidx] += c
 
     rows = [row for row, _ in equations.values()]
     rhs = [b for _, b in equations.values()]
-    solved = _solve_affine(rows, rhs)
-    if solved is None:
+    solution = _exchange_minimal(rows, rhs, len(unknowns))
+    if solution is None:
         raise DeformError("obstructed at order %d" % k)
-    particular, basis = solved
-    solution = _exchange_minimal(particular, basis, range(len(unknowns)))
 
     changed = False
     for (j, beta, gamma), val in zip(unknowns, solution):

@@ -25,6 +25,16 @@ def path_seed(coeffs):
                 ["z%d" % (i + 1) for i in range(n)])
 
 
+def tree_seed(n, edges):
+    """Simply-laced quiver on n vertices with one arrow i -> j per edge."""
+    B = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        B[i][j] = 1
+        B[j][i] = -1
+    return Seed(ExtendedExchangeMatrix(B, n=n),
+                ["z%d" % (i + 1) for i in range(n)])
+
+
 # Path seeds of B3 and C3, to be augmented with frozen rows.
 AUGMENTED = {"aug_b3": [(1, -1), (1, -2)], "aug_c3": [(1, -1), (2, -1)]}
 

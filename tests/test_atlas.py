@@ -2,10 +2,11 @@
 
 import pytest
 
+from clusterdeform import atlas as atlas_module
 from clusterdeform.atlas import (AtlasError, enumerate_atlas,
                                  separation_check, tropical_g_vector)
-from clusterdeform.polynomials import Poly
-from tests.conftest import data_seed, path_seed
+from clusterdeform.polynomials import Poly, exact_divide
+from tests.conftest import data_seed, path_seed, tree_seed
 
 
 A2_GVECTORS = {
@@ -80,13 +81,14 @@ def test_tropical_g_cross_check(a2_atlas, g2_atlas):
 
 def test_laurent_positivity(g2_atlas):
     for var in g2_atlas.variables.values():
-        assert all(c > 0 for c in var.laurent.terms.values())
-        assert var.f_polynomial.constant_term() == 1
+        assert all(c > 0 for c in
+                   g2_atlas.laurent_expansion(var.id).terms.values())
+        assert g2_atlas.f_polynomial(var.id).constant_term() == 1
 
 
 def test_f_polynomial_of_initial_is_one(a2_atlas):
     for vid in a2_atlas.initial_seed.var_ids:
-        assert a2_atlas.variables[vid].f_polynomial == Poly.one(a2_atlas.n)
+        assert a2_atlas.f_polynomial(vid) == Poly.one(a2_atlas.n)
 
 
 def test_graph_symmetry(a2_atlas):
@@ -112,3 +114,32 @@ def test_a4_counts():
     atlas = enumerate_atlas(path_seed([(1, -1)] * 3))
     assert len(atlas.mutable_variables) == 14
     assert len(atlas.seeds) == 42
+
+
+def test_cross_check_fires_on_a_wrong_g_vector(g2_seed):
+    atlas = enumerate_atlas(g2_seed)
+    initial = set(atlas.initial_seed.var_ids)
+    var = next(v for v in atlas.variables.values() if v.id not in initial)
+    var.g_vector = tuple(-x for x in var.g_vector)
+    with pytest.raises(AtlasError, match="disagrees with separation"):
+        atlas.laurent_expansion(var.id)
+
+
+@pytest.mark.parametrize("seed, divisions", [
+    (path_seed([(1, -1)] * 5), 1287),
+    (tree_seed(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)]), 2016),
+], ids=["a6", "d6"])
+def test_laurent_layer_divides_once_per_edge(monkeypatch, seed, divisions):
+    calls = []
+
+    def counted(f, g):
+        calls.append(1)
+        return exact_divide(f, g)
+
+    monkeypatch.setattr(atlas_module, "exact_divide", counted)
+    atlas = enumerate_atlas(seed)
+    assert not calls
+    for vid in atlas.variables:
+        atlas.laurent_expansion(vid)
+    edges = sum(1 for (s, _), j in atlas.seed_graph.items() if j > s)
+    assert len(calls) == edges == divisions

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from clusterdeform import cli, universal
+from clusterdeform import atlas, cli, universal
 from clusterdeform.cli import Pipeline, main
 from clusterdeform.seeds import load_seed, seed_to_dict
 from tests.conftest import AUGMENTED, augmented_seed
@@ -248,7 +248,7 @@ def test_demo_text(capsys):
 
 
 def test_pipeline_computes_each_stage_once(monkeypatch):
-    calls = {"enumerate_atlas": 0, "groebner_cone": 0}
+    calls = {"enumerate_atlas": 0, "groebner_cone": 0, "exact_divide": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -261,6 +261,8 @@ def test_pipeline_computes_each_stage_once(monkeypatch):
     monkeypatch.setattr(universal, "enumerate_atlas", atlas_fn)
     monkeypatch.setattr(cli, "groebner_cone",
                         counted("groebner_cone", cli.groebner_cone))
+    monkeypatch.setattr(atlas, "exact_divide",
+                        counted("exact_divide", atlas.exact_divide))
     pipe = Pipeline(load_seed(A2), max_seeds=1000)
     stages = ("atlas", "complex", "ideal", "universal", "cone",
               "strict_grading")
@@ -268,5 +270,8 @@ def test_pipeline_computes_each_stage_once(monkeypatch):
     assert [getattr(pipe, name) for name in stages] == first
     assert pipe.universal.base_atlas is pipe.atlas
     # base and transpose pattern; the base is not enumerated again, and the
-    # extended relations are read off it
-    assert calls == {"enumerate_atlas": 2, "groebner_cone": 1}
+    # extended relations are read off it; no stage builds a Laurent expansion
+    assert calls == {"enumerate_atlas": 2, "groebner_cone": 1,
+                     "exact_divide": 0}
+    pipe.atlas.laurent_expansion(pipe.seed.var_ids[0])
+    assert calls["exact_divide"] > 0

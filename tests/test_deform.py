@@ -4,15 +4,15 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterdeform import deform
 from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.cli import Pipeline, family_lines
 from clusterdeform.deform import (DeformError, first_order, lift,
                                   verify_family)
-from clusterdeform.deform import (_candidates, _exchange_minimal,
-                                  _solve_affine, _spairs)
-from clusterdeform.intlinalg import vec_dot
+from clusterdeform.deform import _candidates, _exchange_minimal, _spairs
+from clusterdeform.intlinalg import rref, vec_dot
 from clusterdeform.polynomials import MonomialOrder, Poly, buchberger
 from clusterdeform.simplicial import cluster_complex, sr_ideal
 from clusterdeform.universal import build_universal
@@ -398,18 +398,67 @@ def test_lift_divides_once_per_state(name, divisions, monkeypatch):
 
 
 def test_solve_affine():
-    particular, basis = _solve_affine([[1, 1, 0], [0, 1, 1]], [3, 5])
-    assert len(basis) == 1
-    for sol in (particular,
-                [a + b for a, b in zip(particular, basis[0])]):
-        assert sol[0] + sol[1] == 3
-        assert sol[1] + sol[2] == 5
-    assert _solve_affine([[1, 0], [1, 0]], [1, 2]) is None
+    sol = _exchange_minimal([[1, 1, 0], [0, 1, 1]], [3, 5], 3)
+    assert sol[0] + sol[1] == 3
+    assert sol[1] + sol[2] == 5
+    assert _exchange_minimal([[1, 0], [1, 0]], [1, 2], 2) is None
 
 
 def test_exchange_minimal():
-    particular, basis = _solve_affine([[1, 1, 1]], [1])
-    sol = _exchange_minimal(particular, basis, [0, 1, 2])
-    assert sol[0] == 0 and sol[1] == 0 and sol[2] == 1
-    sol = _exchange_minimal(particular, basis, [2, 1, 0])
-    assert sol[2] == 0 and sol[1] == 0 and sol[0] == 1
+    assert _exchange_minimal([[1, 1, 1]], [1], 3) == [0, 0, 1]
+    assert _exchange_minimal([[1, 1, 0], [0, 1, 1]], [3, 5], 3) == [0, 3, 2]
+
+
+def _greedy_exchange_minimal(rows, rhs, n):
+    """The solver the lift used before: the affine solution space as a
+    particular point plus a nullspace basis, then greedy zeroing of the
+    entries in index order inside it."""
+    A, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)], n)
+    if any(row[n] != 0 for row in A[len(pivots):]):
+        return None
+    p = [Fraction(0)] * n
+    for row, col in zip(A, pivots):
+        p[col] = row[n]
+    N = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for row, col in zip(A, pivots):
+            vec[col] = -row[fc]
+        N.append(vec)
+    for idx in range(n):
+        if p[idx] == 0 and all(b[idx] == 0 for b in N):
+            continue
+        b0 = next((b for b in N if b[idx] != 0), None)
+        if b0 is None:
+            continue  # forced nonzero
+        f = p[idx] / b0[idx]
+        p = [x - f * y for x, y in zip(p, b0)]
+        N = [[x - (b[idx] / b0[idx]) * y for x, y in zip(b, b0)]
+             for b in N if b is not b0]
+    return p
+
+
+@st.composite
+def _linear_systems(draw):
+    """Small integer systems, half of them consistent by construction
+    (rhs = rows . x); entries in -2..2 make repeated and zero columns
+    likely."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n,
+                                  max_size=n), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        rhs = [vec_dot(row, x) for row in rows]
+    else:
+        rhs = draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                            max_size=len(rows)))
+    return rows, rhs, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_linear_systems())
+def test_exchange_minimal_matches_greedy_zeroing(system):
+    rows, rhs, n = system
+    assert _exchange_minimal(rows, rhs, n) \
+        == _greedy_exchange_minimal(rows, rhs, n)
