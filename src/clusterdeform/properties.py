@@ -2,9 +2,10 @@
 the derivation conditions on the Stanley-Reisner ideal, plus the
 constructive repair by added frozen rows."""
 
-from operator import add
+from fractions import Fraction
 
 from .atlas import enumerate_atlas
+from .cones import dual_cone
 from .cotangent import seed_weights, t1_witnesses
 from .gradings import (add_frozen_for_positivity, find_strictly_positive,
                        positive_combination, rank_flags, t_degrees)
@@ -124,54 +125,74 @@ def _variable_weights(atlas, ids, D_strict):
     return weights
 
 
-def _monomials_of_weight(weights, total, degrees=None, target=(), moduli=()):
-    """All exponent vectors alpha with sum alpha_i * weights_i = total.
+def _monomials_of_weight(weights, total, equalities=(), inequalities=()):
+    """All exponent vectors alpha >= 0 with sum alpha_i * weights_i = total,
+    a . alpha = b for each row (a, b) of equalities and a . alpha >= b for
+    each row of inequalities, in lexicographic order (weights nonempty).
 
-    With degrees given, only those with sum alpha_i * degrees_i = target:
-    the degrees are tuples whose last len(moduli) entries are residues, and
-    those are compared modulo moduli, the leading ones exactly.  The
-    partial sum is carried down the recursion."""
+    An equality is the pair of rows (a, b), (-a, -b).  The weight `left`
+    still to place after index i adds at most left * max(a_k / w_k, k > i)
+    to a . alpha; as in `deform._candidates`, that bound is linear in the
+    exponent at i, so the exponents worth trying form an interval.  The
+    last exponent is fixed by the weight."""
     n = len(weights)
-    if degrees is None:
-        degrees = [()] * n
-    exact = len(target) - len(moduli)
+    rows = list(inequalities) + [row for a, b in equalities
+                                 for row in ((a, b), ([-x for x in a], -b))]
+    # cuts[i]: (j, c, q, p) reads e * c <= p * left - q * gap_j for
+    # alpha_i = e, where gap_j = b_j - a_j . alpha so far
+    cuts = [[] for _ in range(n)]
+    for j, (a, _) in enumerate(rows):
+        hi = Fraction(a[-1], weights[-1])
+        for i in range(n - 2, -1, -1):
+            p, q = hi.numerator, hi.denominator
+            cuts[i].append((j, weights[i] * p - a[i] * q, q, p))
+            hi = max(hi, Fraction(a[i], weights[i]))
+    cols = [[a[i] for a, _ in rows] for i in range(n)]
     out = []
     alpha = [0] * n
 
-    def rec(i, remaining, deg):
-        if i == n:
-            if (remaining == 0 and deg[:exact] == target[:exact]
-                    and all((x - y) % d == 0 for x, y, d in
-                            zip(deg[exact:], target[exact:], moduli))):
+    def rec(i, left, gaps):
+        w, col = weights[i], cols[i]
+        if i == n - 1:
+            e, rest = divmod(left, w)
+            if rest == 0 and all(g <= e * x for g, x in zip(gaps, col)):
+                alpha[i] = e
                 out.append(tuple(alpha))
             return
-        step = degrees[i]
-        e = 0
-        while e * weights[i] <= remaining:
+        lo, hi = 0, left // w
+        for j, c, q, p in cuts[i]:
+            bound = p * left - q * gaps[j]
+            if c > 0:
+                hi = min(hi, bound // c)
+            elif c < 0:
+                lo = max(lo, -(bound // -c))
+            elif bound < 0:
+                return
+        for e in range(lo, hi + 1):
             alpha[i] = e
-            rec(i + 1, remaining - e * weights[i], deg)
-            deg = tuple(map(add, deg, step))
-            e += 1
-        alpha[i] = 0
+            rec(i + 1, left - e * w, [g - e * x for g, x in zip(gaps, col)])
 
-    rec(0, total, (0,) * len(target))
+    rec(0, total, [b for _, b in rows])
     return out
 
 
 def check_t0(J, grading, atlas, D_strict):
     """For every variable v and every other monomial of the same fine
     degree, the contraction of every ideal generator must stay in the
-    ideal.  The monomials come from one recursion over those of v's
-    D-weight that carries their fine degree (free part, torsion residues)."""
+    ideal.  The monomials come from `_monomials_of_weight` with v's D-weight
+    and the free part of v's fine degree as equalities; their torsion
+    residues are compared modulo `grading.torsion` at the leaf."""
     ids = J.variables
     weights = _variable_weights(atlas, ids, D_strict)
-    degrees = [free + tors for free, tors in (grading.deg_H[v] for v in ids)]
+    free, tors = zip(*(grading.deg_H[v] for v in ids))
+    free, tors = list(zip(*free)), list(zip(*tors))
     witnesses = []
     for i, v in enumerate(ids):
         unit = tuple(1 if l == i else 0 for l in range(len(ids)))
-        for alpha in _monomials_of_weight(weights, weights[i], degrees,
-                                          degrees[i], grading.torsion):
-            if alpha == unit:
+        for alpha in _monomials_of_weight(weights, weights[i],
+                                          [(a, a[i]) for a in free]):
+            if alpha == unit or any((vec_dot(a, alpha) - a[i]) % d for a, d
+                                    in zip(tors, grading.torsion)):
                 continue
             for gen in J.generators:
                 if gen[i] == 0:
@@ -191,23 +212,23 @@ def exchangeable_pairs(atlas):
 
 def check_t0_star(J, univ, semigroup, D_strict):
     """Every ideal-non-trivial derivation whose degree lies in the
-    semigroup must act on a generator coming from an exchangeable pair."""
+    semigroup must act on a generator coming from an exchangeable pair.
+    Only monomials whose degree alpha - e_v lies in the generators' cone
+    (rows: the lineality and the rays of its dual) reach `contains`."""
     atlas = univ.base_atlas
     ids = J.variables
     index = {v: i for i, v in enumerate(ids)}
     weights = _variable_weights(atlas, ids, D_strict)
     pairs = exchangeable_pairs(atlas)
-    mutable = [v.id for v in atlas.mutable_variables]
+    cone = dual_cone(semigroup.generators, len(ids))
     witnesses = []
-    for v in mutable:
+    for v in [x.id for x in atlas.mutable_variables]:
         i = index[v]
-        unit = [0] * len(ids)
-        unit[i] = 1
-        for alpha in _monomials_of_weight(weights, weights[i]):
-            target = tuple(a - u for a, u in zip(alpha, unit))
-            if not any(target):
-                continue
-            if not semigroup.contains(target):
+        for alpha in _monomials_of_weight(
+                weights, weights[i], [(l, l[i]) for l in cone.lineality],
+                [(r, r[i]) for r in cone.rays]):
+            target = tuple(a - (x == i) for x, a in enumerate(alpha))
+            if not any(target) or not semigroup.contains(target):
                 continue
             nontrivial = None
             exchangeable = False
@@ -215,11 +236,10 @@ def check_t0_star(J, univ, semigroup, D_strict):
                 l = index[w]
                 pair_mon = tuple((1 if x == i else 0) + (1 if x == l else 0)
                                  for x in range(len(ids)))
-                if not J.contains_monomial(pair_mon):
-                    continue
                 moved = tuple(a + (1 if x == l else 0)
                               for x, a in enumerate(alpha))
-                if J.contains_monomial(moved):
+                if (not J.contains_monomial(pair_mon)
+                        or J.contains_monomial(moved)):
                     continue
                 nontrivial = w
                 if frozenset({v, w}) in pairs:

@@ -1,6 +1,10 @@
 """End-to-end command line checks with frozen text output."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -157,8 +161,8 @@ def test_check_success_exit_code(capsys):
 @pytest.mark.parametrize("name, prop", [
     (name, prop) for name in ("a2", "a3_bad", "gr26_pullback")
     for prop in ("t1", "t0", "t0star")]
-    + [("d4", "t1")]
-    + [(name, prop) for name in AUGMENTED for prop in ("t1", "t0")])
+    + [(name, prop) for name in ["d4"] + sorted(AUGMENTED)
+       for prop in ("t1", "t0", "t0star")])
 def test_check_json_golden(capsys, tmp_path, name, prop):
     if name in AUGMENTED:
         seed_file = tmp_path / (name + ".json")
@@ -170,6 +174,24 @@ def test_check_json_golden(capsys, tmp_path, name, prop):
     expected = (GOLDEN / "check" / ("%s-%s.json" % (name, prop))).read_text()
     assert out == expected
     assert code == (0 if json.loads(expected)["holds"] else 1)
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_check_t0star_d4_fits_in_1gib():
+    """Without the cone prune, T0* on d4 walks 874,167 monomials and the
+    semigroup search on their degrees grows past 4 GB."""
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "clusterdeform.cli", "check", "--property",
+         "t0star", "--json", str(_DATA / "d4.json")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        preexec_fn=_cap_address_space)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN / "check" / "d4-t0star.json").read_text()
 
 
 def test_univ_text(capsys):

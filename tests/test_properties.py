@@ -3,6 +3,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.cli import Pipeline
@@ -69,18 +70,53 @@ def test_strong_derivation_condition_a2(a2_atlas, a2_ideal, a2_univ):
     assert report.holds
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_monomial_kernel_matches_filtered_enumeration(data):
+    """The pruned kernel returns exactly the monomials of the weight that
+    meet every row, in the order of the unpruned enumeration.  Each
+    right-hand side sits near a.alpha of one monomial of the weight, so
+    rows are often met."""
+    weights = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    total = data.draw(st.integers(0, 12))
+    every = [alpha for alpha in product(*[range(total // w + 1)
+                                          for w in weights])
+             if vec_dot(alpha, weights) == total]
+    assert _monomials_of_weight(weights, total) == every
+    anchor = data.draw(st.sampled_from(every)) if every else weights
+
+    def rows(most):
+        out = []
+        for _ in range(data.draw(st.integers(0, most))):
+            a = data.draw(st.lists(st.integers(-3, 3), min_size=len(weights),
+                                   max_size=len(weights)))
+            out.append((a, vec_dot(a, anchor) + data.draw(st.integers(-2, 2))))
+        return out
+
+    equalities, inequalities = rows(2), rows(3)
+    expected = [alpha for alpha in every
+                if all(vec_dot(a, alpha) == b for a, b in equalities)
+                and all(vec_dot(a, alpha) >= b for a, b in inequalities)]
+    assert _monomials_of_weight(weights, total, equalities,
+                                inequalities) == expected
+
+
 # d4 leaves out its variables of D-weight 7 and 11: filtering their 822,029
 # monomials one by one takes minutes.  Weight 6 keeps three variables whose
 # fine-degree match differs with and without the torsion reduction.
 @pytest.mark.parametrize("name, max_weight", [
     ("aug_b3", None), ("aug_c3", None), ("d4", 6)])
 def test_fine_degree_enumeration_matches_filter(name, max_weight):
+    """The free part of the fine degree as equalities of the kernel, then
+    the torsion residues, as in check_t0, select exactly the monomials
+    that degree_of_monomial puts in the variable's fine degree."""
     seed = augmented_seed(name) if name.startswith("aug_") else data_seed(name)
     pipe = Pipeline(seed, max_seeds=100000)
     grading = m_grading(seed.matrix, pipe.atlas)
     ids = pipe.ideal.variables
     weights = _variable_weights(pipe.atlas, ids, pipe.strict_grading)
-    degrees = [free + tors for free, tors in (grading.deg_H[v] for v in ids)]
+    free, tors = zip(*(grading.deg_H[v] for v in ids))
+    free, tors = list(zip(*free)), list(zip(*tors))
     kept = dropped = 0
     for i, weight in enumerate(weights):
         if max_weight is not None and weight > max_weight:
@@ -90,8 +126,11 @@ def test_fine_degree_enumeration_matches_filter(name, max_weight):
         every = _monomials_of_weight(weights, weight)
         expected = [alpha for alpha in every
                     if grading.degree_of_monomial(alpha, ids) == deg_v]
-        assert _monomials_of_weight(weights, weight, degrees, degrees[i],
-                                    grading.torsion) == expected
+        found = [alpha for alpha in _monomials_of_weight(
+                     weights, weight, [(a, a[i]) for a in free])
+                 if not any((vec_dot(a, alpha) - a[i]) % d
+                            for a, d in zip(tors, grading.torsion))]
+        assert found == expected
         kept += len(expected)
         dropped += len(every) - len(expected)
     assert kept > 0 and dropped > 0
@@ -178,3 +217,76 @@ def test_semigroup_membership_by_enumeration_gr26():
     assert len(members) > 50 and len(targets) > len(members)
     for t in sorted(targets):
         assert sg.contains(t) == (t in members)
+
+
+def _t0_star_unpruned(J, univ, semigroup, D_strict):
+    """check_t0_star without the cone prune: every monomial of the
+    variable's D-weight, then semigroup membership of its degree."""
+    atlas = univ.base_atlas
+    ids = J.variables
+    index = {v: i for i, v in enumerate(ids)}
+    weights = _variable_weights(atlas, ids, D_strict)
+    pairs = exchangeable_pairs(atlas)
+    witnesses = []
+    for v in [x.id for x in atlas.mutable_variables]:
+        i = index[v]
+        for alpha in _monomials_of_weight(weights, weights[i]):
+            target = tuple(a - (1 if x == i else 0)
+                           for x, a in enumerate(alpha))
+            if not any(target) or not semigroup.contains(target):
+                continue
+            nontrivial = None
+            exchangeable = False
+            for w in ids:
+                l = index[w]
+                pair_mon = tuple((1 if x == i else 0) + (1 if x == l else 0)
+                                 for x in range(len(ids)))
+                moved = tuple(a + (1 if x == l else 0)
+                              for x, a in enumerate(alpha))
+                if not J.contains_monomial(pair_mon) or \
+                        J.contains_monomial(moved):
+                    continue
+                nontrivial = w
+                if frozenset({v, w}) in pairs:
+                    exchangeable = True
+                    break
+            if nontrivial is not None and not exchangeable:
+                witnesses.append({"v": v, "alpha": alpha,
+                                  "blocking": nontrivial})
+    return witnesses
+
+
+def _chain_semigroup(dim):
+    """The semigroup of e_k - e_{k+1}: its cone is not that of any bundled
+    seed, and some degrees alpha - e_v of a2 lie in it."""
+    gens = [tuple((x == k) - (x == k + 1) for x in range(dim))
+            for k in range(dim - 1)]
+    return SemigroupData(gens, [dim - x for x in range(dim)])
+
+
+@pytest.mark.parametrize("name, chain, unpruned, calls", [
+    ("a2", False, 35, 0), ("a3_bad", False, 157, 0),
+    ("gr26_pullback", False, 747, 0), ("a2", True, 35, 10)])
+def test_t0_star_matches_unpruned_loop(name, chain, unpruned, calls,
+                                       monkeypatch):
+    """Same witnesses as the unpruned loop; semigroup membership is asked
+    only for degrees in the cone of the generators.  For the bundled
+    seeds' own semigroups no degree but 0 lies in that cone."""
+    pipe = Pipeline(data_seed(name), max_seeds=100000)
+    univ, J, D = pipe.universal, pipe.ideal, pipe.strict_grading
+    sg = semigroup_data(univ)
+    if chain:
+        sg = _chain_semigroup(len(sg.generators[0]))
+    asked = []
+    contains = SemigroupData.contains
+
+    def counted(self, target):
+        asked.append(target)
+        return contains(self, target)
+
+    monkeypatch.setattr(SemigroupData, "contains", counted)
+    expected = _t0_star_unpruned(J, univ, sg, D)
+    assert len(asked) == unpruned
+    asked.clear()
+    assert check_t0_star(J, univ, sg, D).witnesses == expected
+    assert len(asked) == calls
