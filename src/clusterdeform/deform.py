@@ -12,12 +12,15 @@ As these leads are t-free, a division step on a term of t-degree d adds
 only terms of t-degree >= d, so the t-degree <= k part of an S-pair's
 division is the division truncated at order k.  The lift divides each
 S-pair once per state of the generators and reads every order from that.
+A generator's t-degree-0 part is its lead alone, so the t-free parts of
+m_i*g_i and m_l*g_l cancel and every quotient term has t-degree >= 1: at
+order k only the cofactors m_i and m_l multiply a correction.
 Corrections at each order live in the standard-monomial complement of the
 order-zero ideal, so each obstruction system is a small sparse rational
 linear system.
 """
 
-from fractions import Fraction
+from operator import add
 
 from .gradings import t_degrees
 from .groebner import groebner_cone
@@ -32,7 +35,7 @@ class DeformError(Exception):
 class DeformationFamily:
     __slots__ = ("univ", "z_vars", "t_vars", "t_deg", "weights", "lam",
                  "generators", "sr_leads", "exchange_flags", "order",
-                 "_jgens")
+                 "_jgens", "_prune")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -96,6 +99,14 @@ def first_order(univ, J, weight=None):
             e[index[v]] = gen[i]
         jgens.append(tuple(e))
     jgens.sort()
+    # the t-degrees, their nonzero entries, and `_candidates`' gain, slope
+    degs = [tdeg_map[t] for t in t_vars]
+    gain = [[0] * nz]
+    for d in reversed(degs):
+        gain.append([max(g, -y) for g, y in zip(gain[-1], d)])
+    gain.reverse()
+    slope = [[y + z for y, z in zip(d, g)] for d, g in zip(degs, gain[1:])]
+    support = [[(x, y) for x, y in enumerate(d) if y] for d in degs]
 
     sr_leads = [zgen + (0,) * nt for zgen in jgens]
     generators = [{lead: 1} for lead in sr_leads]
@@ -120,7 +131,8 @@ def first_order(univ, J, weight=None):
         univ=univ, z_vars=z_vars, t_vars=t_vars, t_deg=tdeg_map,
         weights=list(weight), lam=[lam[t] for t in t_vars],
         generators=[Poly(nv, g) for g in generators], sr_leads=sr_leads,
-        exchange_flags=exchange_flags, order=1, _jgens=jgens)
+        exchange_flags=exchange_flags, order=1, _jgens=jgens,
+        _prune=(degs, support, gain, slope))
 
 
 def _spairs(family):
@@ -153,14 +165,9 @@ def _candidates(family, j, k):
     nz, nt = family.nz, len(family.t_vars)
     target = family.sr_leads[j][:nz]
     budget = vec_dot(family.weights, target)
-    degs = [family.t_deg[t] for t in family.t_vars]
-    gain = [[0] * nz]
-    for d in reversed(degs):
-        gain.append([max(g, -y) for g, y in zip(gain[-1], d)])
-    gain.reverse()
     # gamma - b * d + (left - b) * gain[i + 1] >= 0 reads a - b * c >= 0
     # with a = gamma + left * gain[i + 1] and c = d + gain[i + 1]
-    slope = [[y + z for y, z in zip(d, g)] for d, g in zip(degs, gain[1:])]
+    degs, support, gain, slope = family._prune
     out = []
     beta = [0] * nt
 
@@ -182,11 +189,14 @@ def _candidates(family, j, k):
                 lo = max(lo, -(a // -c))
             elif a < 0:
                 return
-        d = degs[i]
+        if lo > hi:
+            return
+        child = [x - lo * y for x, y in zip(gamma, degs[i])]  # then in place
         for b in range(lo, hi + 1):
             beta[i] = b
-            rec(i + 1, left - b, spent + b * lam,
-                [x - b * y for x, y in zip(gamma, d)])
+            rec(i + 1, left - b, spent + b * lam, child)
+            for x, y in support[i]:
+                child[x] -= y
         beta[i] = 0
 
     rec(0, k, 0, target)
@@ -209,25 +219,26 @@ def _exchange_minimal(rows, rhs, n):
     A, pivots = rref([row[::-1] + [b] for row, b in zip(rows, rhs)], n)
     if any(row[n] != 0 for row in A[len(pivots):]):
         return None
-    solution = [Fraction(0)] * n
+    solution = [0] * n
     for row, col in zip(A, pivots):
-        solution[n - 1 - col] = row[n]
+        v = row[n]
+        solution[n - 1 - col] = v.numerator if v.denominator == 1 else v
     return solution
 
 
 def lift(family, max_order=16):
     """Correct the family order by order, k = 2 .. max_order.
 
-    Every S-pair is divided by the generators once at the start and again
-    only after a round that changed them; round k reads the t-degree <= k
-    terms of the last reductions.  The loop stops early once a round makes
-    no progress and k has reached `_max_possible_order`, past which the
-    weight budget admits no correction monomial.  That bound exceeds the
-    default max_order on most seeds (G2 18, B3 45, D4 513), so the stopping
-    rule that decides is Buchberger's criterion on the last reductions: the
-    generators are a Groebner basis for `MonomialOrder(weights)`, hence a
-    flat family, exactly when every S-pair reduces to zero.  The reported
-    order is the last round run."""
+    All S-pairs are divided by the generators in one `divide` call at the
+    start and again only after a round that changed them; round k reads
+    the t-degree <= k terms of the last reductions.  The loop stops early
+    once a round makes no progress and k has reached `_max_possible_order`,
+    past which the weight budget admits no correction monomial.  That
+    bound exceeds the default max_order on most seeds (G2 18, B3 45, D4
+    513), so the stopping rule that decides is Buchberger's criterion on
+    the last reductions: the generators are a Groebner basis for
+    `MonomialOrder(weights)`, hence a flat family, exactly when every
+    S-pair reduces to zero.  The reported order is the last round run."""
     budget = _max_possible_order(family)
     spairs = _spairs(family)
     reductions = _pair_reductions(family, spairs)
@@ -248,24 +259,26 @@ def lift(family, max_order=16):
 
 
 def _pair_reductions(family, spairs):
-    """Each S-pair divided by the generators: (i, l, mi, ml, remainder,
-    quotients).  Every remainder term has a z-part outside the order-zero
-    ideal."""
+    """Each S-pair m_i*g_i - m_l*g_l divided by the generators, all in one
+    call: (i, l, mi, ml, remainder, quotients).  Every remainder term has
+    a z-part outside the order-zero ideal."""
     gens = family.generators
-    divisors = list(zip(family.sr_leads, gens))
-    order = MonomialOrder(family.weights)
-    out = []
+    dividends = []
     for i, l, mi, ml in spairs:
-        s = gens[i].scale_monomial(mi) + gens[l].scale_monomial(ml, -1)
-        q, r = divide(s, divisors, order)
-        out.append((i, l, mi, ml, r, q))
-    return out
+        s = {tuple(map(add, e, mi)): c for e, c in gens[i].terms.items()}
+        for e, c in gens[l].terms.items():
+            e = tuple(map(add, e, ml))
+            s[e] = s.get(e, 0) - c
+        dividends.append(Poly(family.nv, s))
+    divided = divide(dividends, list(zip(family.sr_leads, gens)),
+                     MonomialOrder(family.weights))
+    return [pair + (r, q) for pair, (q, r) in zip(spairs, divided)]
 
 
 def _lift_round(family, k, reductions):
     """Correct at order k from the t-degree <= k part of the reductions;
     False if that part is zero."""
-    nz, nv = family.nz, family.nv
+    nv = family.nv
     low = [[(e, c) for e, c in r.terms.items() if family.tdeg(e) <= k]
            for _, _, _, _, r, _ in reductions]
     if not any(low):
@@ -288,33 +301,22 @@ def _lift_round(family, k, reductions):
     def eq(pair_id, mono):
         key = (pair_id, mono)
         if key not in equations:
-            equations[key] = [[Fraction(0)] * len(unknowns), Fraction(0)]
+            equations[key] = [[0] * len(unknowns), 0]
         return equations[key]
 
-    for pair_id, (i, l, mi, ml, _, q) in enumerate(reductions):
+    for pair_id, (i, l, mi, ml, _, _) in enumerate(reductions):
         for e, c in low[pair_id]:
             if family.tdeg(e) != k:
                 raise DeformError("residual obstruction below order %d" % k)
             eq(pair_id, e)[1] -= c
-        # net degree-zero multiplier of each generator's correction
-        mult = {i: Poly.monomial(nv, mi), l: Poly.monomial(nv, ml, -1)}
-        for j, qj in enumerate(q):
-            if not qj.terms:
-                continue
-            terms = {e: -c for e, c in qj.terms.items() if not any(e[nz:])}
-            if terms:
-                mult[j] = Poly(nv, terms) + mult.get(j, Poly(nv))
-        # by rank, so the unknowns, and the equations, come in index order
-        for j in sorted(mult, key=rank.__getitem__):
-            mj = mult[j]
-            if mj.is_zero():
-                continue
+        # by rank; only the cofactors multiply a correction (see top)
+        mult = ((i, mi, 1), (l, ml, -1))
+        for j, m, c in sorted(mult, key=lambda u: rank[u[0]]):
             for uidx, corr in columns.get(j, ()):
-                for e, c in mj.terms.items():
-                    tot = tuple(a + b for a, b in zip(e, corr))
-                    if family.in_order_zero(tot):
-                        continue
-                    eq(pair_id, tot)[0][uidx] += c
+                tot = tuple(map(add, m, corr))
+                if family.in_order_zero(tot):
+                    continue
+                eq(pair_id, tot)[0][uidx] += c
 
     rows = [row for row, _ in equations.values()]
     rhs = [b for _, b in equations.values()]

@@ -239,7 +239,8 @@ def rref(rows, ncols):
 
     The pivot of each column is the first nonzero row at or below the
     current one.  Returns (rows, pivot columns): the first len(pivots) rows
-    are the pivot rows, the rest are zero in the first ncols columns.
+    are the pivot rows, the rest are zero in the first ncols columns.  A
+    row is updated in place, over the pivot row's nonzero columns only.
     """
     mat = [[Fraction(x) for x in r] for r in rows]
     pivots = []
@@ -250,11 +251,13 @@ def rref(rows, ncols):
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
         inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        mat[r] = prow = [x * inv for x in mat[r]]
+        support = [(c, x) for c, x in enumerate(prow) if x]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if f and i != r:
+                for c, x in support:
+                    row[c] -= f * x
         pivots.append(col)
         r += 1
     return mat, pivots

@@ -7,6 +7,8 @@ mutable cluster variables).
 """
 
 from fractions import Fraction
+from functools import cache
+from operator import add, sub
 
 
 def _add_exp(e1, e2):
@@ -279,50 +281,63 @@ def grlex_order(nvars):
     return MonomialOrder((0,) * nvars)
 
 
-def divide(f, divisors, order):
-    """Multivariate division of f by (leading exponent, Poly) pairs.
+def divide(dividends, divisors, order):
+    """Multivariate division of each Poly f in `dividends` by the (lead
+    exponent, Poly) pairs `divisors`: one (quotients, remainder) per f, with
+    f = sum(q_i * g_i) + remainder and no remainder term divisible by a lead.
+    Terms go in decreasing order, each to the first divisor in list order
+    whose lead divides it; exponents must be nonnegative.  The leads'
+    supports, coefficients and tails are prepared once per call, and the
+    memos of order keys and first dividing leads serve every dividend."""
+    table = [([(i, x) for i, x in enumerate(le) if x], le, g.terms[le],
+              [(x, c) for x, c in g.terms.items() if x != le])
+             for le, g in divisors]
 
-    Returns (quotients, remainder) with f = sum(q_i * g_i) + remainder, where
-    no remainder term is divisible by a divisor's leading exponent.  Terms
-    are processed in decreasing order and divisors are tried in list
-    order.  All exponents must be nonnegative.
-    """
-    work = dict(f.terms)
-    quotients = [{} for _ in divisors]
-    remainder = {}
-    while work:
-        e = max(work, key=order.key)
-        c = work.pop(e)
-        for (le, g), q in zip(divisors, quotients):
-            if all(a <= b for a, b in zip(le, e)):
-                break
-        else:
-            remainder[e] = c
-            continue
-        m = _sub_exp(e, le)
-        factor = Fraction(c) / Fraction(g.terms[le])
-        if factor.denominator == 1:
-            factor = int(factor)
-        q[m] = factor
-        for x, cx in g.terms.items():
-            if x == le:
-                continue
-            x = _add_exp(x, m)
-            s = work.get(x, 0) - factor * cx
-            if s == 0:
-                work.pop(x, None)
+    @cache
+    def first_divisor(e):
+        for j, (support, _, _, _) in enumerate(table):
+            for i, x in support:
+                if e[i] < x:
+                    break
             else:
-                work[x] = s
-    zero = Poly(f.nvars)  # a value, so every empty quotient can share it
-    return ([Poly(f.nvars, q) if q else zero for q in quotients],
-            Poly(f.nvars, remainder))
+                return j
+        return None
+
+    key = cache(order.key)
+    out = []
+    for f in dividends:
+        zero = Poly(f.nvars)  # every empty quotient shares this value
+        work = dict(f.terms)
+        quotients = [{} for _ in table]
+        remainder = {}
+        while work:
+            e = max(work, key=key)
+            c = work.pop(e)
+            j = first_divisor(e)
+            if j is None:
+                remainder[e] = c
+                continue
+            _, le, lc, tail = table[j]
+            m = tuple(map(sub, e, le))
+            if lc != 1:
+                c = Fraction(c) / lc
+                c = c.numerator if c.denominator == 1 else c
+            quotients[j][m] = c
+            for x, cx in tail:
+                x = tuple(map(add, x, m))
+                s = work.pop(x, 0) - c * cx
+                if s:
+                    work[x] = s
+        out.append(([Poly(f.nvars, q) if q else zero for q in quotients],
+                    Poly(f.nvars, remainder)))
+    return out
 
 
 def normal_form(f, basis, order):
     """Remainder of multivariate division of f by the list `basis`: no term
     of the result is divisible by any leading term of `basis`."""
     leads = [(order.leading_exponent(g), g) for g in basis if not g.is_zero()]
-    return divide(f, leads, order)[1]
+    return divide([f], leads, order)[0][1]
 
 
 def s_polynomial(f, g, order):
@@ -382,7 +397,7 @@ def exact_divide(f, g):
     fs = f.scale_monomial([-s for s in shift_f])
     gs = g.scale_monomial([-s for s in shift_g])
     order = grlex_order(n)
-    (q,), r = divide(fs, [(order.leading_exponent(gs), gs)], order)
+    [((q,), r)] = divide([fs], [(order.leading_exponent(gs), gs)], order)
     if not r.is_zero():
         raise ValueError("not divisible")
     return q.scale_monomial([a - b for a, b in zip(shift_f, shift_g)])

@@ -374,16 +374,16 @@ def test_uncut_reductions_hold_every_truncated_division(name, monkeypatch):
 
 @pytest.mark.parametrize("name, divisions", [("g2", 480), ("a3", 144)])
 def test_lift_divides_once_per_state(name, divisions, monkeypatch):
-    """One division per S-pair at the start and after each round that
-    changed the generators; a division per round made g2 1280 and a3
-    396."""
+    """One batch division of every S-pair at the start and after each
+    round that changed the generators; a division per round made g2 1280
+    and a3 396."""
     fam = first_order_family(name)
     calls = []
     changed = []
 
-    def counted(*args):
-        calls.append(args)
-        return divide(*args)
+    def counted(dividends, *args):
+        calls.append(len(dividends))
+        return divide(dividends, *args)
 
     def recorded(*args):
         changed.append(lift_round(*args))
@@ -394,7 +394,46 @@ def test_lift_divides_once_per_state(name, divisions, monkeypatch):
     monkeypatch.setattr(deform, "_lift_round", recorded)
     lift(fam)
     assert len(changed) == fam.order - 1
-    assert len(calls) == len(_spairs(fam)) * (sum(changed) + 1) == divisions
+    assert len(calls) == sum(changed) + 1
+    assert calls == [len(_spairs(fam))] * len(calls)
+    assert sum(calls) == divisions
+
+
+RANK3 = {"B3": [(1, -1), (1, -2)], "C3": [(1, -1), (2, -1)]}
+
+
+@pytest.mark.parametrize("name", ["a2", "b2", "c2", "g2", "gr26_pullback",
+                                  "B3", "C3", "d4"])
+def test_spair_quotients_have_no_t_free_term(name, monkeypatch):
+    """At every state the lift divides, each generator's t-free part is its
+    lead with coefficient 1, so every quotient term has t-degree >= 1 and
+    only the two cofactors of an S-pair multiply a correction at order
+    k."""
+    seed = path_seed(RANK3[name]) if name in RANK3 else data_seed(name)
+    pipe = Pipeline(seed, 100000)
+    fam = first_order(pipe.universal, pipe.ideal,
+                      weight=pipe.cone.interior_weight)
+    states = []
+
+    def recorded(family, spairs):
+        out = pair_reductions(family, spairs)
+        states.append((list(family.generators), out))
+        return out
+
+    pair_reductions = deform._pair_reductions
+    monkeypatch.setattr(deform, "_pair_reductions", recorded)
+    lift(fam)
+    assert len(states) > 1
+    terms = 0
+    for gens, reductions in states:
+        for g, lead in zip(gens, fam.sr_leads):
+            assert {e: c for e, c in g.terms.items()
+                    if fam.tdeg(e) == 0} == {lead: 1}
+        for _, _, _, _, _, q in reductions:
+            for qj in q:
+                assert all(fam.tdeg(e) >= 1 for e in qj.terms)
+                terms += len(qj.terms)
+    assert terms > 0
 
 
 def test_solve_affine():

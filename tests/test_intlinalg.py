@@ -1,12 +1,14 @@
 """Integer lattice linear algebra: normal forms, kernels, solving."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterdeform.intlinalg import (hermite_normal_form, identity_matrix,
                                      invert_unimodular, kernel_basis,
                                      lattice_coordinates, mat_mul, mat_vec,
-                                     primitive, rank, row_lattice_basis,
+                                     primitive, rank, row_lattice_basis, rref,
                                      smith_normal_form, transpose)
 
 
@@ -112,3 +114,46 @@ def test_primitive():
     assert primitive([4, -6, 2]) == [2, -3, 1]
     assert primitive([0, 0]) == [0, 0]
     assert primitive([3]) == [1]
+
+
+def dense_rref(rows, ncols):
+    """Gauss-Jordan over Q that updates every entry of every row; the
+    pivot of each column is the first nonzero row at or below the current
+    one."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = 1 / mat[r][col]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    return mat, pivots
+
+
+@st.composite
+def sparse_systems(draw):
+    """Rows that are mostly zero, some entries fractional, and a pivot
+    range ncols that may leave augmented columns on the right."""
+    width = draw(st.integers(1, 7))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, Fraction(1, 2)])
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                         max_size=7))
+    return rows, draw(st.integers(0, width))
+
+
+@given(sparse_systems())
+@settings(max_examples=300, deadline=None)
+def test_rref_matches_dense_gauss_jordan(system):
+    rows, ncols = system
+    before = [list(r) for r in rows]
+    assert rref(rows, ncols) == dense_rref(rows, ncols)
+    assert rows == before

@@ -50,7 +50,7 @@ def test_divide_quotients_and_remainder(f0, h, basis):
     order = MonomialOrder((3, 1, 2))
     divisors = [(order.leading_exponent(g), g) for g in basis
                 if not g.is_zero()]
-    quotients, r = divide(f, divisors, order)
+    [(quotients, r)] = divide([f], divisors, order)
     assert len(quotients) == len(divisors)
     rest = f - r
     for q, (_, g) in zip(quotients, divisors):
@@ -59,6 +59,72 @@ def test_divide_quotients_and_remainder(f0, h, basis):
     for e in r.terms:
         assert not any(all(a <= b for a, b in zip(le, e))
                        for le, _ in divisors)
+
+
+def divide_one(f, divisors, order):
+    """The one-dividend division loop that the batch replaced: each term
+    scans every lead, coordinate by coordinate."""
+    work = dict(f.terms)
+    quotients = [{} for _ in divisors]
+    remainder = {}
+    while work:
+        e = max(work, key=order.key)
+        c = work.pop(e)
+        for (le, g), q in zip(divisors, quotients):
+            if all(a <= b for a, b in zip(le, e)):
+                break
+        else:
+            remainder[e] = c
+            continue
+        m = tuple(a - b for a, b in zip(e, le))
+        factor = Fraction(c) / Fraction(g.terms[le])
+        q[m] = factor
+        for x, cx in g.terms.items():
+            if x == le:
+                continue
+            x = tuple(a + b for a, b in zip(x, m))
+            s = work.get(x, 0) - factor * cx
+            if s == 0:
+                work.pop(x, None)
+            else:
+                work[x] = s
+    return ([Poly(f.nvars, q) for q in quotients],
+            Poly(f.nvars, remainder))
+
+
+EXPONENTS = st.tuples(*[st.integers(0, 3)] * NVARS)
+NONZERO = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def division_batches(draw):
+    """Two divisor lists with lead coefficients in -3..3 and several
+    dividends over a small pool of exponents, so that dividends, and the
+    two divisor lists, meet the same exponents."""
+    order = MonomialOrder((3, 1, 2))
+    pool = draw(st.lists(EXPONENTS, min_size=1, max_size=6, unique=True))
+    terms = st.dictionaries(st.sampled_from(pool), NONZERO, max_size=5)
+    dividends = [Poly(NVARS, d)
+                 for d in draw(st.lists(terms, min_size=2, max_size=4))]
+    lists = []
+    for _ in range(2):
+        gs = [Poly(NVARS, d) for d in draw(st.lists(
+            st.dictionaries(EXPONENTS, NONZERO, min_size=1, max_size=3),
+            min_size=1, max_size=3))]
+        lists.append([(order.leading_exponent(g), g) for g in gs])
+    return order, dividends, lists
+
+
+@given(division_batches())
+@settings(max_examples=150, deadline=None)
+def test_batch_divide_matches_one_dividend_loop(batch):
+    """Every quotient and remainder of the batch call, with its divisor
+    table and memos, equals that of the one-dividend loop, for each of two
+    divisor lists in turn."""
+    order, dividends, lists = batch
+    for divisors in lists:
+        assert divide(dividends, divisors, order) \
+            == [divide_one(f, divisors, order) for f in dividends]
 
 
 def test_exact_divide_rejects_nondivisor():
