@@ -18,6 +18,7 @@ by separation is the one the search gave.
 
 from functools import cached_property
 
+from .intlinalg import invert_unimodular, vec_dot
 from .polynomials import Poly, exact_divide
 from .seeds import ExtendedExchangeMatrix, e_column, mutate_entries
 
@@ -87,6 +88,7 @@ class Atlas:
         self.seeds = []
         self.seed_graph = {}
         self.exchange_pairs = {}
+        self._inverses = {}
 
     @property
     def frozen_ids(self):
@@ -122,6 +124,36 @@ class Atlas:
         if variable_id not in self.variables:
             raise KeyError("unknown variable id %r" % (variable_id,))
         return self.variables[variable_id]
+
+    def cluster_monomial(self, g):
+        """The cluster monomial with g-vector g as sorted (id, exponent)
+        pairs, or None if g lies in no cone or needs a negative frozen
+        exponent.
+
+        A walk through the g-vector fan finds the cone: from the root seed
+        it mutates at a negative coordinate of g until none is left, reading
+        coordinates through the inverse of each seed's mutable g-matrix
+        block, computed once per seed.  In finite type the fan is the normal
+        fan of a simple polytope (Hohlweg-Pilaud-Stella 2018), where such a
+        mutation is a simplex pivot that strictly raises the objective g, so
+        the walk enters each seed at most once."""
+        n, s = self.n, 0
+        for _ in self.seeds:
+            if s not in self._inverses:
+                self._inverses[s] = invert_unimodular(
+                    [row[:n] for row in self.seeds[s].g_matrix[:n]])
+            c = [vec_dot(h, g) for h in self._inverses[s]]
+            if min(c) >= 0:
+                break
+            s = self.seed_graph[(s, c.index(min(c)))]
+        else:
+            return None
+        G = self.seeds[s].g_matrix
+        c += [g[r] - vec_dot(G[r], c) for r in range(n, self.m)]
+        if min(c) < 0:
+            return None
+        return tuple(sorted((v, x) for v, x in zip(self.seeds[s].ids, c)
+                            if x))
 
     def exchange_partners(self, variable_id):
         out = []

@@ -65,8 +65,8 @@ class Pipeline:
         return find_strictly_positive(self.atlas)
 
     def lifted_family(self, max_order):
-        """The flat family, lifted from the first-order perturbation at the
-        cone's interior weight.  Lifting mutates it, so it is not kept."""
+        """The flat family at the cone's interior weight (`deform.lift`).
+        Lifting mutates the family, so it is not kept."""
         family = first_order(self.universal, self.ideal,
                              weight=self.cone.interior_weight)
         return lift(family, max_order=max_order)
@@ -374,7 +374,8 @@ def build_parser():
     common.add_argument("--max-seeds", type=int, default=100000,
                         help="enumeration budget (default 100000)")
     common.add_argument("--max-order", type=int, default=16,
-                        help="lifting order budget (default 16)")
+                        help="cap on the lifted family's t-degree "
+                             "(default 16)")
 
     parser = argparse.ArgumentParser(
         prog="cluster-deform",

@@ -132,9 +132,9 @@ def _monomials_of_weight(weights, total, equalities=(), inequalities=()):
 
     An equality is the pair of rows (a, b), (-a, -b).  The weight `left`
     still to place after index i adds at most left * max(a_k / w_k, k > i)
-    to a . alpha; as in `deform._candidates`, that bound is linear in the
-    exponent at i, so the exponents worth trying form an interval.  The
-    last exponent is fixed by the weight."""
+    to a . alpha.  With left shrinking as the exponent at i grows, that
+    bound is linear in the exponent, so the exponents worth trying form an
+    interval.  The last exponent is fixed by the weight."""
     n = len(weights)
     rows = list(inequalities) + [row for a, b in equalities
                                  for row in ((a, b), ([-x for x in a], -b))]

@@ -1,22 +1,27 @@
-"""Order-by-order lifting of the squarefree ideal over the coefficient ring."""
+"""The flat family over the coefficient ring: the closed-form construction
+against the order-by-order lift kept in `tests/lift_oracle.py`."""
 
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterdeform import deform
-from clusterdeform.atlas import enumerate_atlas
+from clusterdeform.atlas import Atlas, enumerate_atlas
 from clusterdeform.cli import Pipeline, family_lines
 from clusterdeform.deform import (DeformError, first_order, lift,
                                   verify_family)
-from clusterdeform.deform import _candidates, _exchange_minimal, _spairs
-from clusterdeform.intlinalg import rref, vec_dot
-from clusterdeform.polynomials import MonomialOrder, Poly, buchberger
+from clusterdeform.deform import _pair_reductions, _spairs
+from clusterdeform.intlinalg import invert_unimodular, rref, vec_dot
+from clusterdeform.polynomials import (MonomialOrder, Poly, buchberger,
+                                       monomial_str)
 from clusterdeform.simplicial import cluster_complex, sr_ideal
 from clusterdeform.universal import build_universal
+from tests import lift_oracle
 from tests.conftest import data_seed, path_seed
+from tests.lift_oracle import _candidates, _exchange_minimal, in_order_zero
 
 
 A2_FAMILY_LINES = [
@@ -193,7 +198,7 @@ def test_lifted_tails_are_reduced():
     for g, lead in zip(fam.generators, fam.sr_leads):
         for e in g.terms:
             if e[:fam.nz] != tuple(lead[:fam.nz]):
-                assert not fam.in_order_zero(e)
+                assert not in_order_zero(fam, e)
 
 
 def test_first_order_rejects_isolated():
@@ -219,6 +224,156 @@ def test_lift_order_budget():
     fam = first_order(build_universal(seed), J)
     with pytest.raises(DeformError, match="order budget exceeded"):
         lift(fam, max_order=2)
+
+
+def vanishes_at_t_equal_one(family):
+    """The vanishing check with t = 1: each generator's z-part vanishes on
+    the Laurent expansions of the cluster variables."""
+    atlas = family.univ.base_atlas
+    images = [atlas.laurent_expansion(v) for v in family.z_vars]
+    return all(g.project(range(family.nz)).compose(images).is_zero()
+               for g in family.generators)
+
+
+def test_vanishing_check_keeps_t():
+    """One t-exponent raised in one tail term goes unseen at t = 1 but
+    breaks vanishing in A^univ."""
+    fam = lifted_family("a2")
+    terms = dict(fam.generators[0].terms)
+    e = next(e for e in terms if fam.tdeg(e))
+    raised = e[:-1] + (e[-1] + 1,)
+    assert raised not in terms
+    terms[raised] = terms.pop(e)
+    fam.generators[0] = Poly(fam.nv, terms)
+    assert vanishes_at_t_equal_one(fam)
+    report = verify_family(fam)
+    assert report["fiber_at_zero"] and not report["laurent_vanishing"]
+
+
+def divide_by_every_t(images, u, univ):
+    """An image divided by every t: the peel of the first generator, which
+    holds variable u, meets a t-exponent -1."""
+    nx = images[u].nvars - univ.p
+    images[u] = images[u].scale_monomial((0,) * nx + (-1,) * univ.p)
+
+
+def double_every_image(images, u, univ):
+    """Every cluster monomial's pointed term gets coefficient 2^degree."""
+    images[:] = [img * 2 for img in images]
+
+
+@pytest.mark.parametrize("alter, message", [
+    (divide_by_every_t, "negative t-exponent"),
+    (double_every_image, "does not lead with .* coefficient 1")])
+def test_bad_images_name_the_generator(alter, message, monkeypatch):
+    fam = first_order_family("a2")
+    lead = fam.sr_leads[0]
+    images = deform.universal_images
+
+    def altered(univ):
+        out = images(univ)
+        alter(out, lead.index(1), univ)
+        return out
+
+    monkeypatch.setattr(deform, "universal_images", altered)
+    name = monomial_str(fam.z_vars, lead[:fam.nz])
+    with pytest.raises(DeformError, match="generator %s: .*%s"
+                       % (re.escape(name), message)):
+        lift(fam)
+
+
+def test_exponent_outside_the_fan_names_the_generator(monkeypatch):
+    monkeypatch.setattr(Atlas, "cluster_monomial", lambda atlas, g: None)
+    fam = first_order_family("a2")
+    name = monomial_str(fam.z_vars, fam.sr_leads[0][:fam.nz])
+    with pytest.raises(DeformError, match="generator %s: exponent .* lies "
+                       "in no cone" % re.escape(name)):
+        lift(fam)
+
+
+def test_dropped_tail_term_is_not_flat(monkeypatch):
+    """A generator short of one tail term still leads with its SR
+    monomial; the S-pair check rejects the family."""
+    expansion = deform._expansion
+
+    def dropped(family, lead, *args):
+        g = expansion(family, lead, *args)
+        if lead != family.sr_leads[0]:
+            return g
+        tail = max(e for e in g.terms if e != lead)
+        return Poly(family.nv, {e: c for e, c in g.terms.items()
+                                if e != tail})
+
+    monkeypatch.setattr(deform, "_expansion", dropped)
+    with pytest.raises(DeformError, match="not flat"):
+        lift(first_order_family("a2"))
+
+
+def scanned_cluster_monomial(atlas, inverses, g):
+    """The cluster monomial with g-vector g, read off every seed whose cone
+    holds g through its inverse mutable g-matrix block; all of them must
+    agree."""
+    n = atlas.n
+    found = set()
+    for state, H in zip(atlas.seeds, inverses):
+        c = [vec_dot(h, g) for h in H]
+        if min(c) < 0:
+            continue
+        c += [g[r] - vec_dot(state.g_matrix[r][:n], c)
+              for r in range(n, atlas.m)]
+        found.add(None if min(c) < 0 else
+                  tuple(sorted((v, x) for v, x in zip(state.ids, c) if x)))
+    assert len(found) == 1, found
+    return found.pop()
+
+
+@pytest.mark.parametrize("name", ["d4", "gr26_pullback"])
+def test_fan_index_matches_linear_scan(name, monkeypatch):
+    """Every cone lookup the family makes, answered by the walk through the
+    g-vector fan and by trying every seed."""
+    answers = {}
+    locate = Atlas.cluster_monomial
+
+    def recorded(atlas, g):
+        answers[g] = locate(atlas, g)
+        return answers[g]
+
+    monkeypatch.setattr(Atlas, "cluster_monomial", recorded)
+    pipe = pipeline(name)
+    pipe.lifted_family(16)
+    assert len(answers) >= 30
+    atlas = pipe.atlas
+    inverses = [invert_unimodular([row[:atlas.n]
+                                   for row in state.g_matrix[:atlas.n]])
+                for state in atlas.seeds]
+    for g, mono in answers.items():
+        assert mono == scanned_cluster_monomial(atlas, inverses, g), g
+
+
+ORACLE_SEEDS = ["a2", "b2", "c2", "g2", "a3", "a3_bad", "gr26_pullback",
+                "B3", "C3", "d4"]
+
+
+@pytest.mark.parametrize("name", ORACLE_SEEDS)
+def test_family_equals_order_by_order_oracle(name):
+    """The closed-form family is the order-by-order lift's, generator by
+    generator, at the order the lift reports."""
+    expected = lift_oracle.lift(first_order_family(name))
+    fam = lift(first_order_family(name))
+    assert fam.generators == expected.generators
+    assert fam.order == expected.order
+
+
+@pytest.mark.parametrize("coeffs", [[(1, -1), (1, -1), (1, -2)],
+                                    [(1, -1), (1, -1), (2, -1)]],
+                         ids=["B4", "C4"])
+def test_rank4_path_families_are_flat(coeffs):
+    """B4 and C4, past the order-by-order lift's reach: every verify flag
+    holds at max_order 64 and every S-pair reduces to zero."""
+    fam = Pipeline(path_seed(coeffs), 100000).lifted_family(64)
+    assert all(verify_family(fam).values())
+    reductions = _pair_reductions(fam, _spairs(fam))
+    assert reductions and all(r.is_zero() for *_, r, _ in reductions)
 
 
 def compositions(k, n):
@@ -250,14 +405,22 @@ def reference_candidates(fam, k):
         for beta, cost, shift in moves:
             gamma = tuple(x - y for x, y in zip(target, shift))
             if (cost <= budget and min(gamma) >= 0
-                    and not fam.in_order_zero(gamma + (0,) * nt)):
+                    and not in_order_zero(fam, gamma)):
                 found.append((beta, gamma))
         out.append(found)
     return out
 
 
+RANK3 = {"B3": [(1, -1), (1, -2)], "C3": [(1, -1), (2, -1)]}
+
+
+def pipeline(name):
+    seed = path_seed(RANK3[name]) if name in RANK3 else data_seed(name)
+    return Pipeline(seed, 100000)
+
+
 def first_order_family(name):
-    pipe = Pipeline(data_seed(name), 100000)
+    pipe = pipeline(name)
     return first_order(pipe.universal, pipe.ideal,
                        weight=pipe.cone.interior_weight)
 
@@ -356,7 +519,7 @@ def test_uncut_reductions_hold_every_truncated_division(name, monkeypatch):
 
     pair_reductions = deform._pair_reductions
     monkeypatch.setattr(deform, "_pair_reductions", recorded)
-    lift(fam)
+    lift_oracle.lift(fam)
     assert len(states) > 1
     order = MonomialOrder(fam.weights)
     for gens, reductions in states:
@@ -389,30 +552,24 @@ def test_lift_divides_once_per_state(name, divisions, monkeypatch):
         changed.append(lift_round(*args))
         return changed[-1]
 
-    divide, lift_round = deform.divide, deform._lift_round
+    divide, lift_round = deform.divide, lift_oracle._lift_round
     monkeypatch.setattr(deform, "divide", counted)
-    monkeypatch.setattr(deform, "_lift_round", recorded)
-    lift(fam)
+    monkeypatch.setattr(lift_oracle, "_lift_round", recorded)
+    lift_oracle.lift(fam)
     assert len(changed) == fam.order - 1
     assert len(calls) == sum(changed) + 1
     assert calls == [len(_spairs(fam))] * len(calls)
     assert sum(calls) == divisions
 
 
-RANK3 = {"B3": [(1, -1), (1, -2)], "C3": [(1, -1), (2, -1)]}
-
-
 @pytest.mark.parametrize("name", ["a2", "b2", "c2", "g2", "gr26_pullback",
                                   "B3", "C3", "d4"])
 def test_spair_quotients_have_no_t_free_term(name, monkeypatch):
-    """At every state the lift divides, each generator's t-free part is its
-    lead with coefficient 1, so every quotient term has t-degree >= 1 and
-    only the two cofactors of an S-pair multiply a correction at order
+    """At every state the oracle divides, each generator's t-free part is
+    its lead with coefficient 1, so every quotient term has t-degree >= 1
+    and only the two cofactors of an S-pair multiply a correction at order
     k."""
-    seed = path_seed(RANK3[name]) if name in RANK3 else data_seed(name)
-    pipe = Pipeline(seed, 100000)
-    fam = first_order(pipe.universal, pipe.ideal,
-                      weight=pipe.cone.interior_weight)
+    fam = first_order_family(name)
     states = []
 
     def recorded(family, spairs):
@@ -422,7 +579,7 @@ def test_spair_quotients_have_no_t_free_term(name, monkeypatch):
 
     pair_reductions = deform._pair_reductions
     monkeypatch.setattr(deform, "_pair_reductions", recorded)
-    lift(fam)
+    lift_oracle.lift(fam)
     assert len(states) > 1
     terms = 0
     for gens, reductions in states:
@@ -449,21 +606,23 @@ def test_exchange_minimal():
 
 
 def _greedy_exchange_minimal(rows, rhs, n):
-    """The solver the lift used before: the affine solution space as a
-    particular point plus a nullspace basis, then greedy zeroing of the
-    entries in index order inside it."""
+    """The solver the oracle's lift used before: the affine solution space
+    as a particular point plus a nullspace basis, then greedy zeroing of
+    the entries in index order inside it."""
     A, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)], n)
     if any(row[n] != 0 for row in A[len(pivots):]):
         return None
+    # Fractions built here, so the divisions below stay exact whatever
+    # number type rref returns
     p = [Fraction(0)] * n
     for row, col in zip(A, pivots):
-        p[col] = row[n]
+        p[col] = Fraction(row[n])
     N = []
     for fc in (c for c in range(n) if c not in pivots):
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
         for row, col in zip(A, pivots):
-            vec[col] = -row[fc]
+            vec[col] = -Fraction(row[fc])
         N.append(vec)
     for idx in range(n):
         if p[idx] == 0 and all(b[idx] == 0 for b in N):
