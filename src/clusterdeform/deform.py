@@ -29,8 +29,8 @@ class DeformError(Exception):
 
 
 class DeformationFamily:
-    __slots__ = ("univ", "z_vars", "t_vars", "t_deg", "weights", "lam",
-                 "generators", "sr_leads", "exchange_flags", "order")
+    __slots__ = ("univ", "z_vars", "t_vars", "weights", "lam",
+                 "generators", "sr_leads", "order")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -83,10 +83,6 @@ def first_order(univ, J, weight=None):
     generators = [{lead: 1} for lead in sr_leads]
     lead_index = {l: i for i, l in enumerate(sr_leads)}
 
-    pairs = {_exponent(index, nv, dict.fromkeys(ep.pair, 1))
-             for ep in univ.base_atlas.exchange_pairs.values()}
-    exchange_flags = [l in pairs for l in sr_leads]
-
     for t in t_vars:
         rel_idx, side_idx = univ.owners[t][0]
         rel = univ.univ_relations[rel_idx]
@@ -99,10 +95,9 @@ def first_order(univ, J, weight=None):
         generators[lead_index[b]][corr] = -1
 
     return DeformationFamily(
-        univ=univ, z_vars=z_vars, t_vars=t_vars, t_deg=tdeg_map,
-        weights=list(weight), lam=lam,
-        generators=[Poly(nv, g) for g in generators], sr_leads=sr_leads,
-        exchange_flags=exchange_flags, order=1)
+        univ=univ, z_vars=z_vars, t_vars=t_vars, weights=list(weight),
+        lam=lam, generators=[Poly(nv, g) for g in generators],
+        sr_leads=sr_leads, order=1)
 
 
 def _spairs(family):
@@ -186,7 +181,7 @@ def _expansion(family, lead, images, pointed, phi, known, max_order):
     z-exponent, p(M) and image."""
     atlas = family.univ.base_atlas
     m, nz = atlas.m, family.nz
-    work = dict(Poly.monomial(nz, lead[:nz]).compose(images).terms)
+    work = dict(_image(images, lead[:nz]).terms)
     heap = [(phi(e), e) for e in work]
     heapify(heap)
     terms = {lead: 1}
@@ -206,8 +201,7 @@ def _expansion(family, lead, images, pointed, phi, known, max_order):
                 z[family.z_vars.index(v)] = x
             p = [sum(x * q[t] for x, q in zip(z, pointed) if x)
                  for t in range(len(e) - m)]
-            known[e[:m]] = (tuple(z), p,
-                            Poly.monomial(nz, z).compose(images))
+            known[e[:m]] = (tuple(z), p, _image(images, z))
         z, p, image = known[e[:m]]
         gamma = tuple(map(sub, e[m:], p))
         if min(gamma) < 0:
@@ -231,6 +225,16 @@ def _expansion(family, lead, images, pointed, phi, known, max_order):
                               "with x^g * t^p(M) and coefficient 1"
                               % (_name(family, lead), _name(family, z)))
     return Poly(family.nv, terms)
+
+
+def _image(images, z):
+    """The product of images[i]^z[i], by repeated products: `Poly.__pow__`
+    squares once more than it needs."""
+    out = Poly.one(images[0].nvars)
+    for img, k in zip(images, z):
+        for _ in range(k):
+            out = out * img
+    return out
 
 
 def _pair_reductions(family, spairs):
@@ -260,9 +264,19 @@ def verify_family(family):
         for g, lead in zip(family.generators, family.sr_leads))
 
     images = universal_images(univ)
-    nx = images[0].nvars
-    images += [Poly.variable(nx, i) for i in range(nx - univ.p, nx)]
-    report["laurent_vanishing"] = all(g.compose(images).is_zero()
+    nx, nz = images[0].nvars, family.nz
+
+    def image(g):
+        """g under the images; the t's stay, each z-part is composed once."""
+        parts = {}
+        for e, c in g.terms.items():
+            parts.setdefault(e[:nz], {})[(0,) * (nx - univ.p) + e[nz:]] = c
+        out = Poly.zero(nx)
+        for z, ts in parts.items():
+            out = out + _image(images, z) * Poly(nx, ts)
+        return out
+
+    report["laurent_vanishing"] = all(image(g).is_zero()
                                       for g in family.generators)
 
     index = {v: i for i, v in enumerate(family.z_vars + family.t_vars)}

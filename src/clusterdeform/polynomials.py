@@ -222,30 +222,21 @@ class Poly:
         """Substitute images[i] (a Poly) for variable i.
 
         Negative exponents are only supported when the corresponding image is
-        a single term (a unit in the Laurent ring).  Such an image acts as a
-        shift, so the terms are grouped by their exponents on the other
-        variables, whose images are multiplied out once per group.
+        a single term (a unit in the Laurent ring).
         """
         nvars = images[0].nvars if images else 0
-        single = [len(img.terms) == 1 for img in images]
-        groups = {}
-        for e, c in self.terms.items():
-            key = tuple(0 if s else k for s, k in zip(single, e))
-            groups.setdefault(key, []).append((e, c))
         result = Poly.zero(nvars)
-        for key, members in groups.items():
-            if min(key, default=0) < 0:
-                raise ValueError("negative power of a non-monomial")
-            base = Poly.one(nvars)
-            for img, k in zip(images, key):
-                for _ in range(k):
-                    base = base * img
-            for e, c in members:
-                shift = Poly(nvars, {(0,) * nvars: c})
-                for img, s, k in zip(images, single, e):
-                    if s and k:
-                        shift = shift * img ** k
-                result = result + base * shift
+        cache = {}
+        for e, c in self.terms.items():
+            term = Poly(nvars, {(0,) * nvars: c})
+            for i, k in enumerate(e):
+                if k == 0:
+                    continue
+                key = (i, k)
+                if key not in cache:
+                    cache[key] = images[i] ** k
+                term = term * cache[key]
+            result = result + term
         return result
 
     def to_string(self, names):
@@ -297,38 +288,27 @@ def divide(dividends, divisors, order):
     Terms go in decreasing order, each to the first divisor in list order
     whose lead divides it; exponents must be nonnegative.  The leads'
     supports, coefficients and tails are prepared once per call, and the
-    memos of order keys and first dividing leads serve every dividend.
-    A term is tried only against the leads whose first variable it holds,
-    and a quotient is built only for the divisors a dividend uses."""
+    memos of order keys and first dividing leads serve every dividend."""
     table = [([(i, x) for i, x in enumerate(le) if x], le, g.terms[le],
               [(x, c) for x, c in g.terms.items() if x != le])
              for le, g in divisors]
-    by_first = {}
-    for j, (support, _, _, _) in enumerate(table):
-        by_first.setdefault(support[0][0] if support else None, []).append(j)
 
     @cache
     def first_divisor(e):
-        best = None
-        for v, js in by_first.items():
-            if v is None or e[v]:
-                for j in js:
-                    if best is not None and j > best:
-                        break
-                    for i, x in table[j][0]:
-                        if e[i] < x:
-                            break
-                    else:
-                        best = j
-                        break
-        return best
+        for j, (support, _, _, _) in enumerate(table):
+            for i, x in support:
+                if e[i] < x:
+                    break
+            else:
+                return j
+        return None
 
     key = cache(order.key)
     out = []
     for f in dividends:
         zero = Poly(f.nvars)  # every empty quotient shares this value
         work = dict(f.terms)
-        quotients = {}
+        quotients = [{} for _ in table]
         remainder = {}
         while work:
             e = max(work, key=key)
@@ -342,16 +322,14 @@ def divide(dividends, divisors, order):
             if lc != 1:
                 c = Fraction(c) / lc
                 c = c.numerator if c.denominator == 1 else c
-            quotients.setdefault(j, {})[m] = c
+            quotients[j][m] = c
             for x, cx in tail:
                 x = tuple(map(add, x, m))
                 s = work.pop(x, 0) - c * cx
                 if s:
                     work[x] = s
-        q = [zero] * len(table)
-        for j, terms in quotients.items():
-            q[j] = Poly(f.nvars, terms)
-        out.append((q, Poly(f.nvars, remainder)))
+        out.append(([Poly(f.nvars, q) if q else zero for q in quotients],
+                    Poly(f.nvars, remainder)))
     return out
 
 

@@ -17,7 +17,9 @@ system is a small sparse rational linear system.
 from operator import add
 
 from clusterdeform import deform
-from clusterdeform.deform import DeformError, _max_possible_order, _spairs
+from clusterdeform.deform import (DeformError, _exponent,
+                                  _max_possible_order, _spairs)
+from clusterdeform.gradings import t_degrees
 from clusterdeform.intlinalg import rref, vec_dot
 from clusterdeform.polynomials import Poly
 
@@ -29,11 +31,25 @@ def in_order_zero(family, e):
                for lead in family.sr_leads)
 
 
+def exchange_flags(family):
+    """Whether each SR lead is an exchange monomial z_x z_x'."""
+    index = {v: i for i, v in enumerate(family.z_vars + family.t_vars)}
+    pairs = {_exponent(index, family.nv, dict.fromkeys(ep.pair, 1))
+             for ep in family.univ.base_atlas.exchange_pairs.values()}
+    return [l in pairs for l in family.sr_leads]
+
+
+def t_degree_list(family):
+    """deg_T of each t-variable, in `family.t_vars` order."""
+    degs = t_degrees(family.univ)
+    return [degs[t] for t in family.t_vars]
+
+
 def prune_tables(family):
     """The t-degrees, their nonzero entries, and `_candidates`' gain and
     slope."""
     nz = family.nz
-    degs = [family.t_deg[t] for t in family.t_vars]
+    degs = t_degree_list(family)
     gain = [[0] * nz]
     for d in reversed(degs):
         gain.append([max(g, -y) for g, y in zip(gain[-1], d)])
@@ -150,9 +166,9 @@ def _lift_round(family, k, reductions):
     if not any(low):
         return False
 
+    flags = exchange_flags(family)
     gen_order = sorted(range(len(family.generators)),
-                       key=lambda j: (not family.exchange_flags[j],
-                                      family.sr_leads[j]))
+                       key=lambda j: (not flags[j], family.sr_leads[j]))
     unknowns = [(j, beta, gamma) for j in gen_order
                 for beta, gamma in _candidates(family, j, k)]
     if not unknowns:

@@ -115,7 +115,7 @@ def _corrections(fam):
     """Per perturbed generator: list of (z exponents, t exponents)."""
     out = []
     for g, lead, exch in zip(fam.generators, fam.sr_leads,
-                             fam.exchange_flags):
+                             lift_oracle.exchange_flags(fam)):
         extra = [(e[:fam.nz], e[fam.nz:]) for e in g.terms
                  if e[:fam.nz] != tuple(lead[:fam.nz])]
         out.append((exch, tuple(lead[:fam.nz]), extra))
@@ -393,7 +393,7 @@ def reference_candidates(fam, k):
     lexicographic order, kept when it fits the weight budget of j and
     leaves a standard z-part >= 0."""
     nz, nt = fam.nz, len(fam.t_vars)
-    degs = [fam.t_deg[t] for t in fam.t_vars]
+    degs = lift_oracle.t_degree_list(fam)
     moves = [(beta, vec_dot(fam.lam, beta),
               [sum(b * d[x] for b, d in zip(beta, degs)) for x in range(nz)])
              for beta in compositions(k, nt)]

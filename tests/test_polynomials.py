@@ -167,37 +167,6 @@ def test_specialize_and_compose():
     assert g == y * y + 2 * x
 
 
-def substituted(f, images):
-    """Substitution term by term, each variable's image raised to its
-    exponent on its own."""
-    out = Poly.zero(images[0].nvars)
-    for e, c in f.terms.items():
-        term = Poly.one(images[0].nvars) * c
-        for img, k in zip(images, e):
-            term = term * img ** k
-        out = out + term
-    return out
-
-
-@given(poly_strategy(min_exp=-2), poly_strategy(),
-       st.lists(st.tuples(st.tuples(*[st.integers(-2, 2)] * NVARS),
-                          st.sampled_from([1, -1, 2])),
-                min_size=NVARS, max_size=NVARS))
-@settings(max_examples=60, deadline=None)
-def test_compose_groups_single_term_images(f, g, units):
-    """Variable 0 maps to a polynomial, the others to single terms: the
-    grouped substitution agrees with the term-by-term one, and a negative
-    power of a polynomial image is refused."""
-    images = [g] + [Poly.monomial(NVARS, e, c) for e, c in units[1:]]
-    if len(g.terms) != 1 and min((e[0] for e in f.terms), default=0) < 0:
-        try:
-            f.compose(images)
-        except ValueError:
-            return
-        raise AssertionError("negative power of a polynomial accepted")
-    assert f.compose(images) == substituted(f, images)
-
-
 @given(poly_strategy(), poly_strategy())
 @settings(max_examples=40, deadline=None)
 def test_order_key_is_multiplicative(f, g):
