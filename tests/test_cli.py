@@ -13,7 +13,7 @@ import pytest
 from clusterdeform import atlas, cli, universal
 from clusterdeform.cli import Pipeline, main
 from clusterdeform.seeds import load_seed, seed_to_dict
-from tests.conftest import AUGMENTED, augmented_seed
+from tests.conftest import AUGMENTED, augmented_seed, path_seed
 
 _DATA = resources.files("clusterdeform.data")
 A2 = str(_DATA / "a2.json")
@@ -212,6 +212,30 @@ def test_univ_golden(capsys, name):
     code, out = run(capsys, "univ", str(_DATA / (name + ".json")))
     assert code == 0
     assert out == (GOLDEN / "univ" / (name + ".txt")).read_text()
+
+
+def _cone_seed_file(tmp_path, name):
+    """A bundled seed, or a5: the path quiver A5 without frozen rows."""
+    if name != "a5":
+        return str(_DATA / (name + ".json"))
+    seed_file = tmp_path / "a5.json"
+    seed_file.write_text(json.dumps(seed_to_dict(path_seed([(1, -1)] * 4))))
+    return str(seed_file)
+
+
+@pytest.mark.parametrize("name", ["a1f", "a2", "a3", "a3_bad", "b2", "c2",
+                                  "d4", "g2", "gr26_pullback", "a5"])
+def test_cone_json_golden(capsys, tmp_path, name):
+    code, out = run(capsys, "cone", _cone_seed_file(tmp_path, name), "--json")
+    assert code == 0
+    assert out == (GOLDEN / "cone" / (name + ".json")).read_text()
+
+
+def test_grading_find_positive_json_golden_d4(capsys):
+    code, out = run(capsys, "grading", str(_DATA / "d4.json"),
+                    "--find-positive", "--json")
+    assert code == 0
+    assert out == (GOLDEN / "grading" / "d4-find-positive.json").read_text()
 
 
 def test_grading_text(capsys):
