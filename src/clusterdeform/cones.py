@@ -1,17 +1,15 @@
 """Rational polyhedral cones in small dimension via double description.
 
 A cone is stored in V-form: a lattice basis of its lineality space (in
-Hermite normal form) plus primitive extreme rays.  Rays are canonicalized by
-reducing the coordinates in the lineality pivot columns to zero over Q and
-rescaling to a primitive integer vector, so two descriptions of the same
-cone compare equal.
+Hermite normal form) plus primitive extreme rays.  A ray is canonicalized
+by fraction-free reduction against the HNF rows until its pivot columns
+are zero, then made primitive, so two descriptions of the same cone compare
+equal.  `dual_cone` carries each ray's tight set along as a bitmask, and
+tests a pair for adjacency only if its common tight set has the size that
+a 2-face needs.
 """
 
-from fractions import Fraction
-from math import lcm
-
-from .intlinalg import (identity_matrix, primitive, row_lattice_basis, rref,
-                        vec_dot)
+from .intlinalg import identity_matrix, primitive, row_lattice_basis, vec_dot
 
 
 class Cone:
@@ -20,7 +18,7 @@ class Cone:
     def __init__(self, ambient_dim, lineality, rays, inequalities=None):
         self.ambient_dim = ambient_dim
         self.lineality = [list(r) for r in row_lattice_basis(lineality)]
-        self.rays = sorted(_canonical_rays(rays, self.lineality, ambient_dim))
+        self.rays = sorted(_canonical_rays(rays, self.lineality))
         self.inequalities = [list(a) for a in inequalities] if inequalities is not None else None
 
     def __eq__(self, other):
@@ -43,20 +41,21 @@ class Cone:
         return all(vec_dot(a, v) >= 0 for a in self.inequalities)
 
 
-def _canonical_rays(rays, lineality, dim):
-    reduced, pivots = rref(lineality, dim)
+def _canonical_rays(rays, hnf):
+    """Rays reduced modulo the lineality with HNF basis `hnf`: each step
+    v <- p * v - v[c] * h zeroes the pivot column c of row h, scaling v by
+    its pivot p > 0; rows are taken in pivot order, so later steps keep
+    earlier pivot columns zero.  Rays inside the lineality are dropped."""
+    pivots = [(h, next(c for c, x in enumerate(h) if x)) for h in hnf]
     out = set()
-    for ray in rays:
-        v = [Fraction(x) for x in ray]
-        for row, col in zip(reduced, pivots):
-            if v[col] != 0:
-                f = v[col]
-                v = [a - f * b for a, b in zip(v, row)]
-        if all(x == 0 for x in v):
-            continue  # ray inside the lineality span: not a ray
-        mult = lcm(*[x.denominator for x in v]) if v else 1
-        iv = [int(x * mult) for x in v]
-        out.add(tuple(primitive(iv)))
+    for v in rays:
+        for h, c in pivots:
+            f = v[c]
+            if f:
+                p = h[c]
+                v = [p * x - f * y for x, y in zip(v, h)]
+        if any(v):
+            out.add(tuple(primitive(v)))
     return [list(t) for t in out]
 
 
@@ -66,62 +65,52 @@ def dual_cone(generators, dim):
     An empty generator list yields the full space.
     """
     lineality = identity_matrix(dim)
-    rays = []
-    processed = []
+    rays = {}  # primitive ray -> tight set over the processed constraints
+    bit = 1
     for a in generators:
-        a = list(a)
-        if all(x == 0 for x in a):
+        if not any(a):
             continue
-        vals = [vec_dot(a, v) for v in lineality]
-        if any(vals):
-            # the constraint cuts the lineality space: one basis vector
-            # becomes a ray, the rest are projected into the hyperplane
-            idx = next(i for i, x in enumerate(vals) if x != 0)
-            v0 = lineality[idx]
-            if vals[idx] < 0:
-                v0 = [-x for x in v0]
-            av0 = abs(vals[idx])
-            new_lin = []
-            for i, v in enumerate(lineality):
-                if i == idx:
-                    continue
-                new_lin.append(primitive([av0 * x - vals[i] * y for x, y in zip(v, v0)]))
-            rays = [primitive([av0 * x - vec_dot(a, r) * y for x, y in zip(r, v0)])
-                    for r in rays]
-            rays.append(primitive(v0))
-            lineality = new_lin
+        cuts = [vec_dot(a, v) for v in lineality]
+        vals = [vec_dot(a, r) for r in rays]
+        vecs, masks = list(rays), list(rays.values())
+        if any(cuts):
+            # the constraint cuts the lineality lattice.  Euclid's steps on
+            # its basis leave one vector v0 off the hyperplane, so the rest
+            # span the lattice's points on it.  v0 becomes a ray, and the
+            # rays are projected along v0 into the hyperplane.
+            while len(nz := [i for i, x in enumerate(cuts) if x]) > 1:
+                idx = min(nz, key=lambda i: abs(cuts[i]))
+                for i in nz:
+                    if i != idx:
+                        q = cuts[i] // cuts[idx]
+                        cuts[i] -= q * cuts[idx]
+                        lineality[i] = [x - q * y for x, y in
+                                        zip(lineality[i], lineality[idx])]
+            v0 = lineality.pop(nz[0])
+            av0 = cuts[nz[0]]
+            if av0 < 0:
+                v0, av0 = [-x for x in v0], -av0
+            rays = {tuple(primitive([av0 * x - c * y for x, y in zip(r, v0)])):
+                    mask | bit for r, mask, c in zip(vecs, masks, vals)}
+            rays[tuple(primitive(v0))] = bit - 1
         else:
-            vals = [vec_dot(a, r) for r in rays]
-            if any(v < 0 for v in vals):
-                # combinatorial adjacency test (Fukuda & Prodon 1996): p
-                # and m are adjacent iff no third ray is tight on every
-                # processed constraint on which both are tight.  Tight sets
-                # are bitmasks over `processed`.
-                masks = [sum(1 << i for i, c in enumerate(processed)
-                             if vec_dot(c, r) == 0) for r in rays]
-                pos = [i for i, v in enumerate(vals) if v > 0]
-                neg = [i for i, v in enumerate(vals) if v < 0]
-                new_rays = [rays[i] for i in pos]
-                new_rays += [r for r, v in zip(rays, vals) if v == 0]
-                for p in pos:
-                    for m in neg:
-                        common = masks[p] & masks[m]
-                        if not any(common & b == common
-                                   for i, b in enumerate(masks)
-                                   if i != p and i != m):
-                            new_rays.append(primitive(
-                                [vals[p] * x - vals[m] * y
-                                 for x, y in zip(rays[m], rays[p])]))
-                rays = new_rays
-        seen = set()
-        unique = []
-        for r in rays:
-            t = tuple(r)
-            if t not in seen:
-                seen.add(t)
-                unique.append(r)
-        rays = unique
-        processed.append(a)
+            # p and m are adjacent iff no third ray is tight on every
+            # constraint on which both are tight (Fukuda & Prodon 1996)
+            need = dim - len(lineality) - 2
+            pos = [i for i, v in enumerate(vals) if v > 0]
+            neg = [i for i, v in enumerate(vals) if v < 0]
+            rays = {r: mask | bit if v == 0 else mask
+                    for r, mask, v in zip(vecs, masks, vals) if v >= 0}
+            for p in pos:
+                for m in neg:
+                    common = masks[p] & masks[m]
+                    if common.bit_count() >= need and not any(
+                            common & b == common
+                            for i, b in enumerate(masks) if i != p and i != m):
+                        ray = [vals[p] * x - vals[m] * y
+                               for x, y in zip(vecs[m], vecs[p])]
+                        rays[tuple(primitive(ray))] = common | bit
+        bit <<= 1
 
     return Cone(dim, lineality, rays, inequalities=[list(g) for g in generators])
 

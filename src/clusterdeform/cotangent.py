@@ -93,13 +93,14 @@ def t1_degree_families(atlas, K):
                   key=lambda d: (tuple(sorted(d.pair)), tuple(sorted(d.omega))))
 
 
-def t1_witnesses(matrix, j, weights):
+def t1_witnesses(matrix, j, weights, snf=None):
     """All w in the integer column span of the matrix with w_j = 0 and the
     componentwise lower bounds that make the degree a - b effective.
 
     weights must be strictly positive with matrix^T weights = 0; they bound
-    the search box.  The Smith form of the matrix is computed once; each
-    candidate of weight 0 is then tested against its diagonal."""
+    the search box.  Each candidate of weight 0 is tested against the
+    diagonal of the matrix's Smith form `snf`, computed here unless the
+    caller, searching every j of one matrix, passes it in."""
     m, n = matrix.m, matrix.n
     entries = matrix.entries
     lower = []
@@ -112,7 +113,8 @@ def t1_witnesses(matrix, j, weights):
             lower.append(-max(0, entries[i][j]))
     if any(vec_dot(row, weights[:m]) != 0 for row in zip(*entries)):
         raise CotangentError("weights are not a grading for this matrix")
-    snf = smith_normal_form([list(r) for r in entries])
+    if snf is None:
+        snf = smith_normal_form([list(r) for r in entries])
     out = []
     w = [0] * m
     tail = [0] * (m + 1)
@@ -154,10 +156,11 @@ def t1_invariant(atlas, K, J, D_strict):
     for state in atlas.seeds:
         matrix = state.base_matrix(n, m)
         weights = seed_weights(atlas, state, D_strict)
+        snf = smith_normal_form([list(r) for r in matrix.entries])
         for k in range(n):
             pair = frozenset({state.ids[k], _partner_id(atlas, state, k)})
             b = {v: 1 for v in pair}
-            for w in t1_witnesses(matrix, k, weights):
+            for w in t1_witnesses(matrix, k, weights, snf):
                 a = {}
                 for i in range(m):
                     e = w[i] + max(0, matrix.entries[i][k])

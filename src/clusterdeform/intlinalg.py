@@ -5,6 +5,7 @@ allocation-happy; the lattices involved are small (dimension <= a few dozen).
 """
 
 from fractions import Fraction
+from operator import mul
 
 
 def identity_matrix(n):
@@ -18,15 +19,15 @@ def mat_mul(A, B):
     if not A or not B:
         return []
     bt = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in A]
+    return [[sum(map(mul, row, col)) for col in bt] for row in A]
 
 
 def mat_vec(A, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in A]
+    return [sum(map(mul, row, v)) for row in A]
 
 
 def vec_dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 class SnfResult:

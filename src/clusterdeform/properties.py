@@ -8,8 +8,8 @@ from .atlas import enumerate_atlas
 from .cones import dual_cone
 from .cotangent import seed_weights, t1_witnesses
 from .gradings import (add_frozen_for_positivity, find_strictly_positive,
-                       positive_combination, rank_flags, t_degrees)
-from .intlinalg import lattice_coordinates, vec_dot
+                       rank_flags, t_degrees)
+from .intlinalg import lattice_coordinates, smith_normal_form, vec_dot
 from .seeds import ExtendedExchangeMatrix, Seed, mutate_along
 
 
@@ -18,21 +18,28 @@ class PropertyError(Exception):
 
 
 class SemigroupData:
-    """The semigroup generated by the characteristic-map degrees, together
-    with a strictly positive functional used to bound membership search."""
+    """The semigroup generated by the characteristic-map degrees, the cone
+    of functionals nonnegative on it (`dual_cone` of the generators), and
+    the sum of that cone's rays, a functional that bounds membership
+    search.  The sum lies in the cone's interior, so it is positive on
+    every nonzero generator exactly when the semigroup cone is pointed."""
 
-    __slots__ = ("generators", "positive_functional", "_steps")
+    __slots__ = ("generators", "cone", "positive_functional", "_steps")
 
-    def __init__(self, generators, positive_functional):
+    def __init__(self, generators):
         self.generators = [tuple(g) for g in generators]
-        self.positive_functional = list(positive_functional)
+        dim = len(self.generators[0])
+        self.cone = dual_cone(self.generators, dim)
+        self.positive_functional = [sum(r[i] for r in self.cone.rays)
+                                    for i in range(dim)]
         self._steps = []  # (g, f . g) for each nonzero generator g
         for g in self.generators:
             if not any(g):
                 continue
             fg = vec_dot(self.positive_functional, g)
             if fg < 1:
-                raise PropertyError("functional not positive on generator %r"
+                raise PropertyError("functional not positive on generator "
+                                    "%r: semigroup cone is not pointed"
                                     % (g,))
             self._steps.append((g, fg))
 
@@ -65,18 +72,12 @@ class SemigroupData:
 
 
 def semigroup_data(univ):
-    """Generators are the negated coefficient degrees; the functional comes
-    from an exact feasibility computation."""
+    """Generators are the negated coefficient degrees."""
     degs = t_degrees(univ)
     gens = [tuple(-x for x in degs[t]) for t in univ.t_ids]
-    nonzero = [g for g in gens if any(g)]
-    if not nonzero:
+    if not any(any(g) for g in gens):
         raise PropertyError("all generators are zero")
-    f = positive_combination(nonzero, len(gens[0]))
-    if f is None:
-        raise PropertyError("no strictly positive functional: semigroup "
-                            "cone is not pointed")
-    return SemigroupData(gens, f)
+    return SemigroupData(gens)
 
 
 class PropertyReport:
@@ -105,9 +106,10 @@ def check_t1(atlas, D_strict=None):
     for state in atlas.seeds:
         matrix = state.base_matrix(n, m)
         weights = seed_weights(atlas, state, D_strict)
+        snf = smith_normal_form([list(r) for r in matrix.entries])
         for j in range(n):
             neg_col = [-matrix.entries[i][j] for i in range(m)]
-            for w in t1_witnesses(matrix, j, weights):
+            for w in t1_witnesses(matrix, j, weights, snf):
                 if any(w) and w != neg_col:
                     witnesses.append({"seed": state.index, "path": state.path,
                                       "j": j, "w": list(w)})
@@ -220,7 +222,7 @@ def check_t0_star(J, univ, semigroup, D_strict):
     index = {v: i for i, v in enumerate(ids)}
     weights = _variable_weights(atlas, ids, D_strict)
     pairs = exchangeable_pairs(atlas)
-    cone = dual_cone(semigroup.generators, len(ids))
+    cone = semigroup.cone
     witnesses = []
     for v in [x.id for x in atlas.mutable_variables]:
         i = index[v]

@@ -1,11 +1,15 @@
 """Polyhedral cones: double description, canonical form, double dualization."""
 
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from clusterdeform.cones import Cone, dual_cone
-from clusterdeform.intlinalg import kernel_basis, primitive, rank, vec_dot
+from clusterdeform.intlinalg import (identity_matrix, kernel_basis, primitive,
+                                    rank, row_lattice_basis, rref, vec_dot)
 
 
 def cone_generators(cone):
@@ -76,18 +80,44 @@ def test_dual_cone_satisfies_constraints(gens):
         assert all(vec_dot(g, l) == 0 for g in gens)
 
 
+def lineality_lattice(gens, dim):
+    """The integer kernel of the generators: the lattice points of the
+    lineality space of {w : <w, g> >= 0}."""
+    rows = [list(g) for g in gens if any(g)]
+    return kernel_basis(rows) if rows else identity_matrix(dim)
+
+
+def reduce_modulo(v, lineality, dim):
+    """The primitive integer multiple of the vector in v + span(lineality)
+    whose coordinates in the pivot columns of the lineality's RREF over Q
+    are zero."""
+    reduced, pivots = rref(lineality, dim)
+    v = [Fraction(x) for x in v]
+    for row, col in zip(reduced, pivots):
+        v = [a - v[col] * b for a, b in zip(v, row)]
+    mult = lcm(*[x.denominator for x in v])
+    return tuple(primitive([int(x * mult) for x in v]))
+
+
 def brute_force_rays(gens, dim):
-    """Extreme rays of a pointed cone {w : <w, g> >= 0}: the primitive
-    spanning vectors of the 1-dimensional kernels of (dim - 1)-subsets of
-    the constraints that satisfy every constraint."""
+    """Extreme rays of {w : <w, g> >= 0} modulo its lineality space L, the
+    integer kernel of the generators.  A ray spans, together with L, the
+    kernel of some subset of the constraints of rank dim - dim L - 1; each
+    such kernel gives the candidates +v and -v for any v in it outside L,
+    kept if they satisfy every constraint."""
+    lineality = lineality_lattice(gens, dim)
+    rank_needed = dim - len(lineality) - 1
     out = set()
-    for subset in combinations(gens, dim - 1):
-        basis = kernel_basis([list(g) for g in subset])
-        if len(basis) != 1:
+    if rank_needed < 0:
+        return []
+    for subset in combinations(gens, rank_needed):
+        basis = lineality_lattice(subset, dim)
+        if len(basis) != len(lineality) + 1:
             continue
-        for v in (basis[0], [-x for x in basis[0]]):
-            if all(vec_dot(g, v) >= 0 for g in gens):
-                out.add(tuple(primitive(v)))
+        v = next(b for b in basis if any(vec_dot(g, b) for g in gens))
+        for w in (v, [-x for x in v]):
+            if all(vec_dot(g, w) >= 0 for g in gens):
+                out.add(reduce_modulo(w, lineality, dim))
     return sorted(list(r) for r in out)
 
 
@@ -101,6 +131,50 @@ def test_dual_cone_matches_brute_force(case):
     assume(rank(gens) == dim)
     cone = dual_cone(gens, dim)
     assert cone.lineality == []
+    assert cone.rays == brute_force_rays(gens, dim)
+
+
+@st.composite
+def degenerate_generators(draw):
+    """Generator lists in dim 1-6 with zero, duplicated and opposite rows
+    mixed in, so that the dual cone may have lineality."""
+    dim = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    gens = draw(st.lists(row, max_size=6))
+    for kind, i in draw(st.lists(st.tuples(
+            st.sampled_from(["zero", "duplicate", "opposite"]),
+            st.integers(0, 5)), max_size=3)):
+        if kind == "zero":
+            gens.append([0] * dim)
+        elif gens:
+            g = gens[i % len(gens)]
+            gens.append(list(g) if kind == "duplicate" else [-x for x in g])
+    return dim, draw(st.permutations(gens))
+
+
+@given(degenerate_generators())
+@settings(max_examples=150, deadline=None)
+def test_dual_cone_with_lineality_matches_brute_force(case):
+    dim, gens = case
+    cone = dual_cone(gens, dim)
+    assert cone.lineality == row_lattice_basis(lineality_lattice(gens, dim))
+    assert cone.rays == brute_force_rays(gens, dim)
+
+
+@pytest.mark.parametrize("dim, gens", [
+    (4, [[-3, 1, -2, 0], [-2, -1, -2, -1], [-3, -2, 0, 3], [-2, 3, -3, 1],
+         [0, 0, 0, 0], [2, 1, 2, 1], [0, -3, 1, 2], [2, -2, 2, 1],
+         [-3, 0, -3, 1], [-6, 2, -4, 6], [-3, 2, 3, 0], [4, -4, 4, 2],
+         [-3, 1, -2, 3]]),
+    (6, [[0, -1, 0, 0, 0, 0], [0, -1, 0, 0, 2, 1], [1, -1, 1, 1, 1, 0],
+         [-1, 0, 0, 2, 0, 0], [1, 0, 0, 0, 0, 1], [0, -1, 0, -1, 1, 0],
+         [2, 0, -1, 1, 2, 0], [0, 0, 1, 2, -1, 0], [-1, 1, 0, 1, 0, -1]]),
+])
+def test_dual_cone_rays_tight_on_later_constraints(dim, gens):
+    """A ray kept by a constraint that cuts the cone and vanishes on the
+    ray must record that constraint in its tight set."""
+    cone = dual_cone(gens, dim)
+    assert cone.lineality == row_lattice_basis(lineality_lattice(gens, dim))
     assert cone.rays == brute_force_rays(gens, dim)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from clusterdeform import cotangent, intlinalg
+from clusterdeform import cotangent, intlinalg, properties
 from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.cotangent import (CotangentError, characteristic_image,
                                      obstruction_class, seed_weights,
@@ -10,6 +10,7 @@ from clusterdeform.cotangent import (CotangentError, characteristic_image,
                                      t1_witnesses)
 from clusterdeform.gradings import find_strictly_positive
 from clusterdeform.intlinalg import lattice_coordinates
+from clusterdeform.properties import check_t1
 from clusterdeform.simplicial import cluster_complex, sr_ideal
 from clusterdeform.universal import build_universal
 from tests.conftest import augmented_seed, data_seed, path_seed
@@ -157,6 +158,31 @@ def test_witnesses_compute_one_smith_form(monkeypatch, a3_bad_seed):
     monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
     assert len(t1_witnesses(matrix, 0, weights)) == 2
     assert len(calls) == 1
+
+
+def test_witness_searches_compute_one_smith_form_per_seed(monkeypatch):
+    """check_t1 and t1_invariant search every mutable index of a seed
+    against that seed's one Smith form, with unchanged results."""
+    atlas = enumerate_atlas(data_seed("a3_bad"))
+    D = find_strictly_positive(atlas)
+    K = cluster_complex(atlas)
+    J = sr_ideal(K, atlas.frozen_ids)
+    expected = (check_t1(atlas, D).witnesses, t1_invariant(atlas, K, J, D))
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return snf(A)
+
+    snf = intlinalg.smith_normal_form
+    for module in (cotangent, properties, intlinalg):
+        monkeypatch.setattr(module, "smith_normal_form", counted)
+    assert check_t1(atlas, D).witnesses == expected[0]
+    assert len(calls) == len(atlas.seeds)
+    calls.clear()
+    assert [d.degree_key() for d in t1_invariant(atlas, K, J, D)] == \
+        [d.degree_key() for d in expected[1]]
+    assert len(calls) == len(atlas.seeds)
 
 
 def test_witnesses_require_grading(a2_atlas):

@@ -5,8 +5,10 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clusterdeform import cones, properties
 from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.cli import Pipeline
+from clusterdeform.cones import dual_cone
 from clusterdeform.gradings import find_strictly_positive, m_grading
 from clusterdeform.intlinalg import vec_dot
 from clusterdeform.properties import (PropertyError, SemigroupData,
@@ -181,13 +183,34 @@ def test_semigroup_membership_against_brute_force(a2_univ):
 
 def test_semigroup_rejects_bad_functional():
     with pytest.raises(PropertyError):
-        SemigroupData([(1, 0), (-1, 0)], [1, 1])
+        SemigroupData([(1, 0), (-1, 0)])
 
 
 def test_semigroup_functional_positive(a2_univ):
     sg = semigroup_data(a2_univ)
     for g in sg.generators:
         assert vec_dot(sg.positive_functional, g) >= 1
+
+
+def test_t0_star_builds_the_semigroup_cone_once(monkeypatch):
+    """semigroup_data computes the generators' cone once; its rays sum to
+    the functional, and check_t0_star prunes by the same cone."""
+    pipe = Pipeline(data_seed("gr26_pullback"), max_seeds=100000)
+    univ, J, D = pipe.universal, pipe.ideal, pipe.strict_grading
+    calls = []
+
+    def counted(gens, dim):
+        calls.append(dim)
+        return dual_cone(gens, dim)
+
+    monkeypatch.setattr(properties, "dual_cone", counted)
+    monkeypatch.setattr(cones, "dual_cone", counted)
+    sg = semigroup_data(univ)
+    report = check_t0_star(J, univ, sg, D)
+    assert len(calls) == 1
+    assert sg.cone == dual_cone(sg.generators, len(sg.generators[0]))
+    assert sg.positive_functional == [sum(col) for col in zip(*sg.cone.rays)]
+    assert report.holds
 
 
 def test_semigroup_membership_by_enumeration_gr26():
@@ -261,7 +284,7 @@ def _chain_semigroup(dim):
     seed, and some degrees alpha - e_v of a2 lie in it."""
     gens = [tuple((x == k) - (x == k + 1) for x in range(dim))
             for k in range(dim - 1)]
-    return SemigroupData(gens, [dim - x for x in range(dim)])
+    return SemigroupData(gens)
 
 
 @pytest.mark.parametrize("name, chain, unpruned, calls", [
