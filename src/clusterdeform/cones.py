@@ -62,7 +62,9 @@ def _canonical_rays(rays, hnf):
 def dual_cone(generators, dim):
     """The cone {w : <w, g> >= 0 for all g}, by double description.
 
-    An empty generator list yields the full space.
+    An empty generator list yields the full space.  The lineality basis
+    spans every integer point of the lineality space, the integer kernel
+    of the generators.
     """
     lineality = identity_matrix(dim)
     rays = {}  # primitive ray -> tight set over the processed constraints
