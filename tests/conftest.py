@@ -35,14 +35,22 @@ def tree_seed(n, edges):
                 ["z%d" % (i + 1) for i in range(n)])
 
 
-# Path seeds of B3 and C3, to be augmented with frozen rows.
-AUGMENTED = {"aug_b3": [(1, -1), (1, -2)], "aug_c3": [(1, -1), (2, -1)]}
+# Seeds without frozen rows, to be augmented with frozen rows.
+AUGMENTED = {
+    "aug_b3": lambda: path_seed([(1, -1), (1, -2)]),
+    "aug_c3": lambda: path_seed([(1, -1), (2, -1)]),
+    "aug_a4": lambda: path_seed([(1, -1)] * 3),
+    "aug_b4": lambda: path_seed([(1, -1), (1, -1), (1, -2)]),
+    "aug_c4": lambda: path_seed([(1, -1), (1, -1), (2, -1)]),
+    "aug_d4": lambda: tree_seed(4, [(0, 1), (0, 2), (0, 3)]),
+    "aug_f4": lambda: path_seed([(1, -1), (1, -2), (1, -1)]),
+}
 
 
 def augmented_seed(name):
-    """The path seed of AUGMENTED[name] with the n frozen rows and the
-    balancing row of add_frozen_for_positivity."""
-    return add_frozen_for_positivity(path_seed(AUGMENTED[name]))
+    """The seed AUGMENTED[name] with the n frozen rows and the balancing
+    row of add_frozen_for_positivity."""
+    return add_frozen_for_positivity(AUGMENTED[name]())
 
 
 @pytest.fixture(scope="session")

@@ -158,11 +158,11 @@ def test_check_success_exit_code(capsys):
         assert code == 0
 
 
+# aug_f4 leaves out t0, which takes 6-7 s.
 @pytest.mark.parametrize("name, prop", [
-    (name, prop) for name in ("a2", "a3_bad", "gr26_pullback")
-    for prop in ("t1", "t0", "t0star")]
-    + [(name, prop) for name in ["d4"] + sorted(AUGMENTED)
-       for prop in ("t1", "t0", "t0star")])
+    (name, prop) for name in ["a2", "a3_bad", "gr26_pullback", "d4"]
+    + sorted(AUGMENTED) for prop in ("t1", "t0", "t0star")
+    if (name, prop) != ("aug_f4", "t0")])
 def test_check_json_golden(capsys, tmp_path, name, prop):
     if name in AUGMENTED:
         seed_file = tmp_path / (name + ".json")
