@@ -74,9 +74,6 @@ class SeedState:
     def base_matrix(self, n, m):
         return ExtendedExchangeMatrix([list(r) for r in self.matrix[:m]], n=n)
 
-    def g_vector_at(self, i):
-        return tuple(row[i] for row in self.g_matrix)
-
 
 class Atlas:
     def __init__(self, initial_seed):

@@ -1,8 +1,13 @@
 """Graded first-order deformation degrees of the cluster complex: family
 enumeration, the invariant pinned degrees, the characteristic image, and
-the obstructedness lookup."""
+the obstructedness lookup.
 
-from .intlinalg import smith_normal_form, vec_dot
+The T1 witness search is a call to `intlinalg.nonnegative_solutions`, the
+bounded search that the T0 and T0* checkers in `properties` use too;
+`t1_witness_walk` runs it over every seed and mutable index for both
+`t1_invariant` and `properties.check_t1`."""
+
+from .intlinalg import nonnegative_solutions, smith_normal_form, vec_dot
 from .seeds import classify_finite_type
 
 
@@ -93,57 +98,57 @@ def t1_degree_families(atlas, K):
                   key=lambda d: (tuple(sorted(d.pair)), tuple(sorted(d.omega))))
 
 
-def t1_witnesses(matrix, j, weights, snf=None):
+def t1_witnesses(matrix, j, weights, snf):
     """All w in the integer column span of the matrix with w_j = 0 and the
     componentwise lower bounds that make the degree a - b effective.
 
     weights must be strictly positive with matrix^T weights = 0; they bound
-    the search box.  Each candidate of weight 0 is tested against the
-    diagonal of the matrix's Smith form `snf`, computed here unless the
-    caller, searching every j of one matrix, passes it in."""
+    the search box.  Shifted by its lower bounds and without index j, w is
+    a solution of `nonnegative_solutions` of weight -weights . lower.  The
+    rows of the left transform of the matrix's Smith form `snf` with
+    diagonal entry 0 are its equalities; those with d > 1 are tested
+    modulo d at the leaf."""
     m, n = matrix.m, matrix.n
     entries = matrix.entries
-    lower = []
-    for i in range(m):
-        if i == j:
-            lower.append(0)
-        elif i < n and entries[i][j] != 0:
-            lower.append(1 - max(0, entries[i][j]))
-        else:
-            lower.append(-max(0, entries[i][j]))
+    # 1 - max(0, b_ij) on the mutable neighbors of j, -max(0, b_ij)
+    # elsewhere; b_jj = 0 gives lower_j = 0
+    lower = [(i < n and row[j] != 0) - max(0, row[j])
+             for i, row in enumerate(entries)]
     if any(vec_dot(row, weights[:m]) != 0 for row in zip(*entries)):
         raise CotangentError("weights are not a grading for this matrix")
-    if snf is None:
-        snf = smith_normal_form([list(r) for r in entries])
+    diag = list(snf.diag) + [0] * (m - len(snf.diag))
+    equalities = [(row[:j] + row[j + 1:], -vec_dot(row, lower))
+                  for row, d in zip(snf.left, diag) if d == 0]
+    torsion = [(row, d) for row, d in zip(snf.left, diag) if d > 1]
     out = []
-    w = [0] * m
-    tail = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        tail[i] = tail[i + 1] + weights[i] * lower[i]
-
-    def rec(i, acc):
-        if i == m:
-            if acc == 0 and snf.diagonal_solution(w) is not None:
-                out.append(list(w))
-            return
-        if i == j:
-            w[i] = 0
-            rec(i + 1, acc)
-            return
-        v = lower[i]
-        while acc + weights[i] * v + tail[i + 1] <= 0:
-            w[i] = v
-            rec(i + 1, acc + weights[i] * v)
-            v += 1
-
-    rec(0, 0)
+    for u in nonnegative_solutions(weights[:j] + weights[j + 1:m],
+                                   -vec_dot(weights, lower), equalities):
+        w = [a + x for a, x in zip(lower, u[:j] + (0,) + u[j:])]
+        if not any(vec_dot(row, w) % d for row, d in torsion):
+            out.append(w)
     return out
 
 
-def seed_weights(atlas, state, D):
-    """Transport a strictly positive grading of the initial seed to the
-    given seed: the degree of each cluster position is g . D."""
-    return [vec_dot(state.g_vector_at(i), D) for i in range(atlas.m)]
+def variable_weights(atlas, ids, D):
+    """Degrees g . D of the given variables, each of which must be >= 1: a
+    strictly positive grading D of the initial seed, read at any seed."""
+    weights = [vec_dot(atlas.variables[v].g_vector, D) for v in ids]
+    if any(x < 1 for x in weights):
+        raise CotangentError("grading not strictly positive on all variables")
+    return weights
+
+
+def t1_witness_walk(atlas, D):
+    """(seed, base matrix, j, w) for every seed, every mutable index j and
+    every witness w of `t1_witnesses`, against one Smith form per seed."""
+    n, m = atlas.n, atlas.m
+    for state in atlas.seeds:
+        matrix = state.base_matrix(n, m)
+        weights = variable_weights(atlas, state.ids, D)
+        snf = smith_normal_form([list(r) for r in matrix.entries])
+        for j in range(n):
+            for w in t1_witnesses(matrix, j, weights, snf):
+                yield state, matrix, j, w
 
 
 def t1_invariant(atlas, K, J, D_strict):
@@ -151,25 +156,19 @@ def t1_invariant(atlas, K, J, D_strict):
     the column span meeting the bounds yields a = w + max(0, B_k)."""
     if D_strict is None:
         raise CotangentError("no strictly positive grading")
-    n, m = atlas.n, atlas.m
     found = {}
-    for state in atlas.seeds:
-        matrix = state.base_matrix(n, m)
-        weights = seed_weights(atlas, state, D_strict)
-        snf = smith_normal_form([list(r) for r in matrix.entries])
-        for k in range(n):
-            pair = frozenset({state.ids[k], _partner_id(atlas, state, k)})
-            b = {v: 1 for v in pair}
-            for w in t1_witnesses(matrix, k, weights, snf):
-                a = {}
-                for i in range(m):
-                    e = w[i] + max(0, matrix.entries[i][k])
-                    if e:
-                        a[state.ids[i]] = e
-                omega = {state.ids[i] for i in range(n) if a.get(state.ids[i])}
-                deg = T1Degree(state.index, k, pair, omega, a, b,
-                               family=False, witness_w=list(w))
-                found.setdefault(deg.degree_key(), deg)
+    for state, matrix, k, w in t1_witness_walk(atlas, D_strict):
+        pair = frozenset({state.ids[k], _partner_id(atlas, state, k)})
+        b = {v: 1 for v in pair}
+        a = {}
+        for i, row in enumerate(matrix.entries):
+            e = w[i] + max(0, row[k])
+            if e:
+                a[state.ids[i]] = e
+        omega = {state.ids[i] for i in range(atlas.n) if a.get(state.ids[i])}
+        deg = T1Degree(state.index, k, pair, omega, a, b,
+                       family=False, witness_w=w)
+        found.setdefault(deg.degree_key(), deg)
     return sorted(found.values(), key=lambda d: d.degree_key())
 
 
@@ -193,7 +192,7 @@ def characteristic_image(univ):
 
 def obstruction_class(matrix):
     """Unobstructed exactly when the mutable block is skew-symmetric."""
-    info = classify_finite_type(matrix)
+    info = classify_finite_type(matrix, mutation_search=True)
     if not info["finite"]:
         raise CotangentError("not of finite cluster type")
     n = matrix.n

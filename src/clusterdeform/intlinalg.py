@@ -1,4 +1,6 @@
-"""Exact integer-lattice linear algebra: Smith and Hermite normal forms.
+"""Exact integer-lattice linear algebra: Smith and Hermite normal forms, and
+`nonnegative_solutions`, the one bounded search for nonnegative integer
+points that the T1, T0 and T0* checkers share.
 
 Matrices are lists of row lists of Python ints.  Everything here is pure and
 allocation-happy; the lattices involved are small (dimension <= a few dozen).
@@ -295,6 +297,62 @@ def determinant(rows):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[-1][-1]
+
+
+def nonnegative_solutions(weights, total, equalities=(), inequalities=()):
+    """All alpha >= 0 with sum alpha_i * weights_i = total, a . alpha = b
+    for each row (a, b) of equalities and a . alpha >= b for each row of
+    inequalities, in lexicographic order.  The weights must be positive;
+    with none, the answer is [()] when total is 0 and every row holds.
+
+    An equality is the pair of rows (a, b), (-a, -b).  The weight `left`
+    still to place after index i adds at most left * max(a_k / w_k, k > i)
+    to a . alpha.  With left shrinking as the exponent at i grows, that
+    bound is linear in the exponent, so the exponents worth trying form an
+    interval.  The last exponent is fixed by the weight."""
+    n = len(weights)
+    rows = list(inequalities) + [row for a, b in equalities
+                                 for row in ((a, b), ([-x for x in a], -b))]
+    if total < 0 or not n:
+        return [()] if total == 0 and all(b <= 0 for _, b in rows) else []
+    # cuts[i]: (j, c, q, p) reads e * c <= p * left - q * gap_j for
+    # alpha_i = e, where gap_j = b_j - a_j . alpha so far and p / q is the
+    # largest a_k / w_k, k > i, kept unreduced: scaling p and q scales c
+    # and the bound alike, so the floors do not change
+    cuts = [[] for _ in range(n)]
+    for j, (a, _) in enumerate(rows):
+        p, q = a[-1], weights[-1]
+        for i in range(n - 2, -1, -1):
+            cuts[i].append((j, weights[i] * p - a[i] * q, q, p))
+            if a[i] * q > p * weights[i]:
+                p, q = a[i], weights[i]
+    cols = [[a[i] for a, _ in rows] for i in range(n)]
+    out = []
+    alpha = [0] * n
+
+    def rec(i, left, gaps):
+        w, col = weights[i], cols[i]
+        if i == n - 1:
+            e, rest = divmod(left, w)
+            if rest == 0 and all(g <= e * x for g, x in zip(gaps, col)):
+                alpha[i] = e
+                out.append(tuple(alpha))
+            return
+        lo, hi = 0, left // w
+        for j, c, q, p in cuts[i]:
+            bound = p * left - q * gaps[j]
+            if c > 0:
+                hi = min(hi, bound // c)
+            elif c < 0:
+                lo = max(lo, -(bound // -c))
+            elif bound < 0:
+                return
+        for e in range(lo, hi + 1):
+            alpha[i] = e
+            rec(i + 1, left - e * w, [g - e * x for g, x in zip(gaps, col)])
+
+    rec(0, total, [b for _, b in rows])
+    return out
 
 
 def primitive(v):

@@ -194,6 +194,29 @@ def test_check_t0star_d4_fits_in_1gib():
     assert result.stdout == (GOLDEN / "check" / "d4-t0star.json").read_text()
 
 
+@pytest.mark.parametrize("prop", ["t1", "t0star"])
+def test_traced_check_spans_the_shared_kernel(tmp_path, prop):
+    """perfbench/traced_cli.py hooks SemigroupData.contains by name and
+    wraps every public function; a traced check names the T1 witness
+    search and the lattice-point kernel it shares with T0*.  It runs in a
+    child, so the rebinding stays out of this process."""
+    root = Path(__file__).resolve().parents[1]
+    spans_file = tmp_path / "spans.json"
+    result = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "traced_cli.py"),
+         str(spans_file), "case", "--", "check", "--property", prop,
+         "--json", A2],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN / "check" / ("a2-%s.json" % prop)
+                             ).read_text()
+    names = {span[0] for span in json.loads(spans_file.read_text())}
+    assert "intlinalg.nonnegative_solutions" in names
+    if prop == "t1":
+        assert "cotangent.t1_witnesses" in names
+
+
 def test_univ_text(capsys):
     code, out = run(capsys, "univ", A1F)
     assert code == 0

@@ -2,14 +2,15 @@
 
 import pytest
 
-from clusterdeform import cotangent, intlinalg, properties
+from clusterdeform import cotangent, intlinalg
 from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.cotangent import (CotangentError, characteristic_image,
-                                     obstruction_class, seed_weights,
-                                     t1_degree_families, t1_invariant,
-                                     t1_witnesses)
+                                     obstruction_class, t1_degree_families,
+                                     t1_invariant, t1_witnesses,
+                                     variable_weights)
 from clusterdeform.gradings import find_strictly_positive
-from clusterdeform.intlinalg import lattice_coordinates
+from clusterdeform.intlinalg import lattice_coordinates, smith_normal_form
+from clusterdeform.seeds import ExtendedExchangeMatrix
 from clusterdeform.properties import check_t1
 from clusterdeform.simplicial import cluster_complex, sr_ideal
 from clusterdeform.universal import build_universal
@@ -62,8 +63,8 @@ def test_witnesses_a3_counterexample(a3_bad_seed):
     D = find_strictly_positive(atlas)
     root = atlas.seeds[0]
     matrix = root.base_matrix(atlas.n, atlas.m)
-    weights = seed_weights(atlas, root, D)
-    ws = t1_witnesses(matrix, 0, weights)
+    weights = variable_weights(atlas, root.ids, D)
+    ws = t1_witnesses(matrix, 0, weights, _snf(matrix))
     assert ws == [[0, 0, 0, 0, -1, 1], [0, 0, 0, 0, 0, 0]]
 
 
@@ -71,11 +72,15 @@ def test_witnesses_a2_trivial(a2_atlas):
     D = find_strictly_positive(a2_atlas)
     for state in a2_atlas.seeds:
         matrix = state.base_matrix(a2_atlas.n, a2_atlas.m)
-        weights = seed_weights(a2_atlas, state, D)
+        weights = variable_weights(a2_atlas, state.ids, D)
         for j in range(a2_atlas.n):
             neg_col = [-matrix.entries[i][j] for i in range(a2_atlas.m)]
-            for w in t1_witnesses(matrix, j, weights):
+            for w in t1_witnesses(matrix, j, weights, _snf(matrix)):
                 assert w == [0] * a2_atlas.m or w == neg_col
+
+
+def _snf(matrix):
+    return smith_normal_form([list(r) for r in matrix.entries])
 
 
 def witnesses_by_lattice_coordinates(matrix, j, weights):
@@ -122,7 +127,10 @@ def witnesses_by_lattice_coordinates(matrix, j, weights):
     return out, rejected[0]
 
 
-@pytest.mark.parametrize("name", ["a2", "a3_bad", "gr26_pullback", "aug_b3"])
+# On d4 and aug_c4 the Smith form has zero rows, whose equalities prune
+# the search.
+@pytest.mark.parametrize("name", ["a2", "a3_bad", "gr26_pullback", "aug_b3",
+                                  "d4", "aug_c4"])
 def test_witnesses_match_per_candidate_solve(name):
     seed = augmented_seed(name) if name.startswith("aug_") else data_seed(name)
     atlas = enumerate_atlas(seed)
@@ -130,9 +138,9 @@ def test_witnesses_match_per_candidate_solve(name):
     found = rejected = 0
     for state in atlas.seeds:
         matrix = state.base_matrix(atlas.n, atlas.m)
-        weights = seed_weights(atlas, state, D)
+        weights = variable_weights(atlas, state.ids, D)
         for j in range(atlas.n):
-            ws = t1_witnesses(matrix, j, weights)
+            ws = t1_witnesses(matrix, j, weights, _snf(matrix))
             expected, dropped = witnesses_by_lattice_coordinates(
                 matrix, j, weights)
             assert ws == expected
@@ -143,21 +151,18 @@ def test_witnesses_match_per_candidate_solve(name):
 
 
 def test_witnesses_compute_one_smith_form(monkeypatch, a3_bad_seed):
+    """t1_witnesses reads the caller's Smith form and computes none."""
     atlas = enumerate_atlas(a3_bad_seed)
     state = atlas.seeds[0]
     matrix = state.base_matrix(atlas.n, atlas.m)
-    weights = seed_weights(atlas, state, find_strictly_positive(atlas))
+    weights = variable_weights(atlas, state.ids,
+                               find_strictly_positive(atlas))
+    snf = _snf(matrix)
     calls = []
-
-    def counted(A):
-        calls.append(A)
-        return snf(A)
-
-    snf = intlinalg.smith_normal_form
-    monkeypatch.setattr(cotangent, "smith_normal_form", counted)
-    monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
-    assert len(t1_witnesses(matrix, 0, weights)) == 2
-    assert len(calls) == 1
+    monkeypatch.setattr(cotangent, "smith_normal_form", calls.append)
+    monkeypatch.setattr(intlinalg, "smith_normal_form", calls.append)
+    assert len(t1_witnesses(matrix, 0, weights, snf)) == 2
+    assert calls == []
 
 
 def test_witness_searches_compute_one_smith_form_per_seed(monkeypatch):
@@ -175,7 +180,7 @@ def test_witness_searches_compute_one_smith_form_per_seed(monkeypatch):
         return snf(A)
 
     snf = intlinalg.smith_normal_form
-    for module in (cotangent, properties, intlinalg):
+    for module in (cotangent, intlinalg):
         monkeypatch.setattr(module, "smith_normal_form", counted)
     assert check_t1(atlas, D).witnesses == expected[0]
     assert len(calls) == len(atlas.seeds)
@@ -188,13 +193,13 @@ def test_witness_searches_compute_one_smith_form_per_seed(monkeypatch):
 def test_witnesses_require_grading(a2_atlas):
     matrix = a2_atlas.seeds[0].base_matrix(a2_atlas.n, a2_atlas.m)
     with pytest.raises(CotangentError):
-        t1_witnesses(matrix, 0, [1, 2, 3, 4, 5])
+        t1_witnesses(matrix, 0, [1, 2, 3, 4, 5], _snf(matrix))
 
 
 def test_seed_weights_positive(a2_atlas):
     D = find_strictly_positive(a2_atlas)
     for state in a2_atlas.seeds:
-        assert all(w >= 1 for w in seed_weights(a2_atlas, state, D))
+        assert all(w >= 1 for w in variable_weights(a2_atlas, state.ids, D))
 
 
 def test_obstruction_class():
@@ -204,7 +209,16 @@ def test_obstruction_class():
     for name in ("g2", "b2", "c2"):
         report = obstruction_class(data_seed(name).matrix)
         assert not report["unobstructed"]
+    # the Markov quiver is of infinite type
     with pytest.raises(CotangentError):
-        from clusterdeform.seeds import ExtendedExchangeMatrix
         obstruction_class(ExtendedExchangeMatrix(
             [[0, 2, -2], [-2, 0, 2], [2, -2, 0]], n=3))
+
+
+def test_obstruction_class_oriented_three_cycle():
+    """The Cartan test rejects the oriented 3-cycle as given, but one
+    mutation turns it into the path A3."""
+    report = obstruction_class(ExtendedExchangeMatrix(
+        [[0, 1, -1], [-1, 0, 1], [1, -1, 0]], n=3))
+    assert report == {"unobstructed": True,
+                      "reason": "all components simply laced: A3"}

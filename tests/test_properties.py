@@ -9,11 +9,11 @@ from clusterdeform import cones, properties
 from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.cli import Pipeline
 from clusterdeform.cones import dual_cone
+from clusterdeform.cotangent import variable_weights
 from clusterdeform.gradings import find_strictly_positive, m_grading
-from clusterdeform.intlinalg import vec_dot
-from clusterdeform.properties import (PropertyError, SemigroupData,
-                                      _monomials_of_weight, _variable_weights,
-                                      check_t0, check_t0_star, check_t1,
+from clusterdeform.intlinalg import nonnegative_solutions, vec_dot
+from clusterdeform.properties import (PropertyError, SemigroupData, check_t0,
+                                      check_t0_star, check_t1,
                                       exchangeable_pairs, repair_t1,
                                       semigroup_data)
 from clusterdeform.universal import build_universal
@@ -78,13 +78,14 @@ def test_monomial_kernel_matches_filtered_enumeration(data):
     """The pruned kernel returns exactly the monomials of the weight that
     meet every row, in the order of the unpruned enumeration.  Each
     right-hand side sits near a.alpha of one monomial of the weight, so
-    rows are often met."""
-    weights = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
-    total = data.draw(st.integers(0, 12))
+    rows are often met.  No weights, or a total of 0 or below, leave at
+    most the empty or the zero monomial."""
+    weights = data.draw(st.lists(st.integers(1, 4), min_size=0, max_size=4))
+    total = data.draw(st.integers(-3, 12))
     every = [alpha for alpha in product(*[range(total // w + 1)
                                           for w in weights])
              if vec_dot(alpha, weights) == total]
-    assert _monomials_of_weight(weights, total) == every
+    assert nonnegative_solutions(weights, total) == every
     anchor = data.draw(st.sampled_from(every)) if every else weights
 
     def rows(most):
@@ -99,8 +100,8 @@ def test_monomial_kernel_matches_filtered_enumeration(data):
     expected = [alpha for alpha in every
                 if all(vec_dot(a, alpha) == b for a, b in equalities)
                 and all(vec_dot(a, alpha) >= b for a, b in inequalities)]
-    assert _monomials_of_weight(weights, total, equalities,
-                                inequalities) == expected
+    assert nonnegative_solutions(weights, total, equalities,
+                                 inequalities) == expected
 
 
 # d4 leaves out its variables of D-weight 7 and 11: filtering their 822,029
@@ -116,7 +117,7 @@ def test_fine_degree_enumeration_matches_filter(name, max_weight):
     pipe = Pipeline(seed, max_seeds=100000)
     grading = m_grading(seed.matrix, pipe.atlas)
     ids = pipe.ideal.variables
-    weights = _variable_weights(pipe.atlas, ids, pipe.strict_grading)
+    weights = variable_weights(pipe.atlas, ids, pipe.strict_grading)
     free, tors = zip(*(grading.deg_H[v] for v in ids))
     free, tors = list(zip(*free)), list(zip(*tors))
     kept = dropped = 0
@@ -125,10 +126,10 @@ def test_fine_degree_enumeration_matches_filter(name, max_weight):
             continue
         unit = tuple(1 if l == i else 0 for l in range(len(ids)))
         deg_v = grading.degree_of_monomial(unit, ids)
-        every = _monomials_of_weight(weights, weight)
+        every = nonnegative_solutions(weights, weight)
         expected = [alpha for alpha in every
                     if grading.degree_of_monomial(alpha, ids) == deg_v]
-        found = [alpha for alpha in _monomials_of_weight(
+        found = [alpha for alpha in nonnegative_solutions(
                      weights, weight, [(a, a[i]) for a in free])
                  if not any((vec_dot(a, alpha) - a[i]) % d
                             for a, d in zip(tors, grading.torsion))]
@@ -184,6 +185,13 @@ def test_semigroup_membership_against_brute_force(a2_univ):
 def test_semigroup_rejects_bad_functional():
     with pytest.raises(PropertyError):
         SemigroupData([(1, 0), (-1, 0)])
+
+
+def test_semigroup_without_nonzero_generator():
+    """The kernel gets no weights: only the zero degree is a member."""
+    sg = SemigroupData([(0, 0)])
+    assert sg.contains((0, 0))
+    assert not sg.contains((1, 0))
 
 
 def test_semigroup_functional_positive(a2_univ):
@@ -248,12 +256,12 @@ def _t0_star_unpruned(J, univ, semigroup, D_strict):
     atlas = univ.base_atlas
     ids = J.variables
     index = {v: i for i, v in enumerate(ids)}
-    weights = _variable_weights(atlas, ids, D_strict)
+    weights = variable_weights(atlas, ids, D_strict)
     pairs = exchangeable_pairs(atlas)
     witnesses = []
     for v in [x.id for x in atlas.mutable_variables]:
         i = index[v]
-        for alpha in _monomials_of_weight(weights, weights[i]):
+        for alpha in nonnegative_solutions(weights, weights[i]):
             target = tuple(a - (1 if x == i else 0)
                            for x, a in enumerate(alpha))
             if not any(target) or not semigroup.contains(target):
