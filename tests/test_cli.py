@@ -158,7 +158,7 @@ def test_check_success_exit_code(capsys):
         assert code == 0
 
 
-# aug_f4 leaves out t0, which takes 6-7 s.
+# aug_f4 leaves out t0, which alone takes several seconds.
 @pytest.mark.parametrize("name, prop", [
     (name, prop) for name in ["a2", "a3_bad", "gr26_pullback", "d4"]
     + sorted(AUGMENTED) for prop in ("t1", "t0", "t0star")

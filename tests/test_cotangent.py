@@ -10,8 +10,8 @@ from clusterdeform.cotangent import (CotangentError, characteristic_image,
                                      variable_weights)
 from clusterdeform.gradings import find_strictly_positive
 from clusterdeform.intlinalg import lattice_coordinates, smith_normal_form
-from clusterdeform.seeds import ExtendedExchangeMatrix
 from clusterdeform.properties import check_t1
+from clusterdeform.seeds import ExtendedExchangeMatrix
 from clusterdeform.simplicial import cluster_complex, sr_ideal
 from clusterdeform.universal import build_universal
 from tests.conftest import augmented_seed, data_seed, path_seed
@@ -73,9 +73,10 @@ def test_witnesses_a2_trivial(a2_atlas):
     for state in a2_atlas.seeds:
         matrix = state.base_matrix(a2_atlas.n, a2_atlas.m)
         weights = variable_weights(a2_atlas, state.ids, D)
+        snf = _snf(matrix)
         for j in range(a2_atlas.n):
             neg_col = [-matrix.entries[i][j] for i in range(a2_atlas.m)]
-            for w in t1_witnesses(matrix, j, weights, _snf(matrix)):
+            for w in t1_witnesses(matrix, j, weights, snf):
                 assert w == [0] * a2_atlas.m or w == neg_col
 
 
@@ -139,8 +140,9 @@ def test_witnesses_match_per_candidate_solve(name):
     for state in atlas.seeds:
         matrix = state.base_matrix(atlas.n, atlas.m)
         weights = variable_weights(atlas, state.ids, D)
+        snf = _snf(matrix)
         for j in range(atlas.n):
-            ws = t1_witnesses(matrix, j, weights, _snf(matrix))
+            ws = t1_witnesses(matrix, j, weights, snf)
             expected, dropped = witnesses_by_lattice_coordinates(
                 matrix, j, weights)
             assert ws == expected
