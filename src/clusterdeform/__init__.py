@@ -4,7 +4,7 @@ Mutation and enumeration of finite-type seed patterns, cluster complexes
 and their Stanley-Reisner ideals, universal coefficients, graded
 deformation-degree bookkeeping, decision procedures for the lattice and
 derivation conditions, the weight cone of the squarefree degeneration, and
-order-by-order lifting to a flat family over the coefficient parameters.
+the flat family over the coefficient parameters, in closed form.
 """
 
 from .seeds import (ExtendedExchangeMatrix, Seed, mutate, classify_finite_type,
@@ -21,7 +21,7 @@ from .cotangent import (t1_degree_families, t1_invariant, t1_witnesses,
 from .properties import (check_t0, check_t0_star, check_t1, repair_t1,
                          semigroup_data)
 from .groebner import groebner_cone, interior_weight, cone_certificates
-from .deform import first_order, lift, verify_family
+from .deform import lift, verify_family
 
 __version__ = "0.1.0"
 
@@ -38,5 +38,5 @@ __all__ = [
     "characteristic_image", "obstruction_class",
     "check_t0", "check_t0_star", "check_t1", "repair_t1", "semigroup_data",
     "groebner_cone", "interior_weight", "cone_certificates",
-    "first_order", "lift", "verify_family",
+    "lift", "verify_family",
 ]

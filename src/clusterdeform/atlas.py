@@ -114,9 +114,6 @@ class Atlas:
         return self.principal[self._get(variable_id).id].project(
             range(self.m, self.m + self.n))
 
-    def g_vector(self, variable_id):
-        return self._get(variable_id).g_vector
-
     def _get(self, variable_id):
         if variable_id not in self.variables:
             raise KeyError("unknown variable id %r" % (variable_id,))
@@ -136,10 +133,7 @@ class Atlas:
         the walk enters each seed at most once."""
         n, s = self.n, 0
         for _ in self.seeds:
-            if s not in self._inverses:
-                self._inverses[s] = invert_unimodular(
-                    [row[:n] for row in self.seeds[s].g_matrix[:n]])
-            c = [vec_dot(h, g) for h in self._inverses[s]]
+            c = [vec_dot(h, g) for h in self._inverse(s)]
             if min(c) >= 0:
                 break
             s = self.seed_graph[(s, c.index(min(c)))]
@@ -152,13 +146,39 @@ class Atlas:
         return tuple(sorted((v, x) for v, x in zip(self.seeds[s].ids, c)
                             if x))
 
-    def exchange_partners(self, variable_id):
-        out = []
-        for pair in self.exchange_pairs:
-            if variable_id in pair:
-                (other,) = pair - {variable_id}
-                out.append(other)
-        return out
+    def _inverse(self, s):
+        """The inverse of seed s's mutable g-matrix block, computed once."""
+        if s not in self._inverses:
+            self._inverses[s] = invert_unimodular(
+                [row[:self.n] for row in self.seeds[s].g_matrix[:self.n]])
+        return self._inverses[s]
+
+    def fan_defect(self):
+        """None if the seeds' cones form a complete simplicial fan by the
+        pseudomanifold criterion (De Loera, Rambau and Santos,
+        "Triangulations", 2010, ch. 4), else its first failure.  (a) Each
+        cone is unimodular; (b) each edge (s, k) -> j has its back edge, and
+        (c) j's new variable has a negative k-th coordinate in s's basis, so
+        the two cones lie on opposite sides of their wall: then the number
+        of cones holding a point off the walls is constant, and (d) no cone
+        but the root's holding (1, ..., 1) makes it 1."""
+        n = self.n
+        for s, state in enumerate(self.seeds):
+            try:
+                H = self._inverse(s)
+            except ValueError:
+                return "the cone of seed %d is not unimodular" % s
+            if s and min(map(sum, H)) >= 0:
+                return "the cone of seed %d holds (1, ..., 1)" % s
+            for k in range(n):
+                j = self.seed_graph.get((s, k))
+                edge = "edge (%d, %d) -> %s" % (s, k, j)
+                if s not in (self.seed_graph.get((j, i)) for i in range(n)):
+                    return "%s has no back edge" % edge
+                (new,) = set(self.seeds[j].ids[:n]) - set(state.ids)
+                if vec_dot(H[k], self.variables[new].g_vector) >= 0:
+                    return "%s: the cones lie on one side of their wall" % edge
+        return None
 
 
 def _variable_name(g):

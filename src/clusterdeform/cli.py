@@ -13,7 +13,7 @@ from functools import cached_property
 from .atlas import AtlasError, enumerate_atlas
 from .cotangent import (CotangentError, obstruction_class,
                         t1_degree_families, t1_invariant)
-from .deform import DeformError, first_order, lift, verify_family
+from .deform import DeformError, lift, verify_family
 from .gradings import (add_frozen_for_positivity, find_positive_grading,
                        find_strictly_positive, m_grading, rank_flags,
                        t_degrees)
@@ -65,11 +65,9 @@ class Pipeline:
         return find_strictly_positive(self.atlas)
 
     def lifted_family(self, max_order):
-        """The flat family at the cone's interior weight (`deform.lift`).
-        Lifting mutates the family, so it is not kept."""
-        family = first_order(self.universal, self.ideal,
-                             weight=self.cone.interior_weight)
-        return lift(family, max_order=max_order)
+        """The flat family at the cone's interior weight (`deform.lift`)."""
+        return lift(self.universal, self.ideal, self.cone.interior_weight,
+                    max_order=max_order)
 
 
 def _laurent_parts(poly):

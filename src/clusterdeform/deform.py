@@ -1,11 +1,11 @@
 """The flat family over the coefficient parameters, in closed form and
-certified by Buchberger's criterion.  All arithmetic is exact.
+certified by its construction.  All arithmetic is exact.
 
 The family is A^univ, the cluster algebra with universal coefficients:
 each generator is its Stanley-Reisner (SR) monomial minus the monomial's
 expansion in cluster monomials over Z[t], unique because in finite type
-the cluster monomials form a basis.  Its tails are standard monomials, so
-once every S-pair reduces to zero it is the reduced Groebner basis.
+the cluster monomials form a basis.  Its tails are standard monomials, and
+two certificates make it the reduced Groebner basis (see `lift`).
 
 Generators are `Poly`s over the variables z first, t after, ordered by
 `MonomialOrder(weights)`: the weights cover the z-variables only, and ties
@@ -18,9 +18,8 @@ from heapq import heapify, heappop, heappush
 from operator import add, sub
 
 from .gradings import t_degrees
-from .groebner import groebner_cone
 from .intlinalg import vec_dot
-from .polynomials import MonomialOrder, Poly, divide, monomial_str
+from .polynomials import MonomialOrder, Poly, monomial_str
 from .universal import universal_images
 
 
@@ -58,21 +57,17 @@ def _exponent(index, nv, *monomials):
     return tuple(e)
 
 
-def first_order(univ, J, weight=None):
-    """Perturb each exchangeable-pair generator by its owned coefficients;
-    all other generators start unperturbed."""
+def _family(univ, J, weight):
+    """The unlifted family, each generator its SR monomial alone, after
+    the input checks that `lift` and `verify_family` rely on."""
     if univ.has_isolated_vertex:
         raise DeformError("isolated vertex: no canonical first-order data")
-    z_vars = list(univ.variable_order)
-    t_vars = list(univ.t_ids)
-    nv = len(z_vars) + len(t_vars)
-    index = {v: i for i, v in enumerate(z_vars + t_vars)}
-
-    tdeg_map = t_degrees(univ)
-    if weight is None:
-        weight = groebner_cone(univ).interior_weight
     if any(x < 0 for x in weight):
         raise DeformError("weight vector has negative entries")
+    z_vars, t_vars = list(univ.variable_order), list(univ.t_ids)
+    index = {v: i for i, v in enumerate(z_vars + t_vars)}
+    nv = len(index)
+    tdeg_map = t_degrees(univ)
     lam = [vec_dot(weight, tdeg_map[t]) for t in t_vars]
     for t, x in zip(t_vars, lam):
         if x < 1:
@@ -80,39 +75,16 @@ def first_order(univ, J, weight=None):
 
     sr_leads = sorted(_exponent(index, nv, dict(zip(J.variables, gen)))
                       for gen in J.generators)
-    generators = [{lead: 1} for lead in sr_leads]
-    lead_index = {l: i for i, l in enumerate(sr_leads)}
-
-    for t in t_vars:
-        rel_idx, side_idx = univ.owners[t][0]
-        rel = univ.univ_relations[rel_idx]
+    leads = set(sr_leads)
+    for rel in univ.univ_relations:
         b = _exponent(index, nv, dict.fromkeys(rel["pair"], 1))
-        if b not in lead_index:
+        if b not in leads:
             raise DeformError("exchange monomial %r is not an ideal "
                               "generator" % (b,))
-        _, z_part = rel["sides"][side_idx]
-        corr = _exponent(index, nv, z_part, {t: 1})
-        generators[lead_index[b]][corr] = -1
-
     return DeformationFamily(
         univ=univ, z_vars=z_vars, t_vars=t_vars, weights=list(weight),
-        lam=lam, generators=[Poly(nv, g) for g in generators],
-        sr_leads=sr_leads, order=1)
-
-
-def _spairs(family):
-    """(i, l, cofactor_i, cofactor_l) exponents of every S-pair of leads
-    that are not coprime, read off the bit masks of the squarefree leads'
-    supports."""
-    masks = [sum(1 << j for j, x in enumerate(a) if x)
-             for a in family.sr_leads]
-
-    def monomial(mask):
-        return tuple((mask >> j) & 1 for j in range(family.nv))
-
-    return [(i, l, monomial(masks[l] & ~a), monomial(a & ~masks[l]))
-            for i, a in enumerate(masks) for l in range(i + 1, len(masks))
-            if a & masks[l]]
+        lam=lam, generators=[Poly.monomial(nv, lead) for lead in sr_leads],
+        sr_leads=sr_leads, order=0)
 
 
 def _max_possible_order(family):
@@ -121,15 +93,34 @@ def _max_possible_order(family):
                for l in family.sr_leads) // min_lam
 
 
-def lift(family, max_order=16):
-    """Replace each generator by its SR monomial minus the monomial's
-    expansion in A^univ (`_expansion`), then certify the family: each SR
-    monomial must lead its generator and every S-pair must reduce to zero.
-    A term of t-degree above max_order raises "order budget exceeded".  The
-    order is min(max_order, the first k >= max(2, `_max_possible_order`)
-    at which no generator has a term of t-degree k)."""
-    univ = family.univ
-    m = univ.base_atlas.m
+def lift(univ, J, weight, max_order=16):
+    """The flat family of A^univ over Z[t] with fibre the SR ring of J at
+    t = 0, J the SR ideal of the cluster complex of `univ.base_atlas`, and
+    the z-variables weighted by `weight`.  Each generator is its SR
+    monomial, which must lead it, minus the monomial's expansion in A^univ
+    (`_expansion`); a term of t-degree above max_order raises "order
+    budget exceeded".  The order is min(max_order, the first k >= max(2,
+    `_max_possible_order`) at which no generator has a term of t-degree k).
+
+    Lemma: the generators G are a Groebner basis of the kernel of
+    z -> images, with quotient free over Z[t] on the standard monomials,
+    if (1) each image has a unique term of least phi (see `_expansion`),
+    of coefficient 1 and x-exponent its variable's g-vector (the
+    pointed-term certificate), and (2) the g-vector fan is complete and
+    simplicial, of unimodular cones (the fan certificate,
+    `Atlas.fan_defect`).  Proof: `_expansion` stops only when nothing is
+    left of z^lead's image, so G lies in the kernel.  A standard monomial
+    is t^gamma * M, M a cluster monomial; as phi is additive, (1) makes
+    x^g(M) * t^(gamma + p(M)) the unique least-phi term of its image, with
+    coefficient 1.  By (2), frozen g-vectors being unit vectors, g is
+    injective on cluster monomials, so these terms are distinct, and in a
+    nonzero combination of images the least-phi ones cannot all cancel:
+    the images are linearly independent.  Dividing a kernel element by G
+    leaves a combination of standard monomials in the kernel, hence 0, so
+    the kernel is (G) and G is a Groebner basis of it."""
+    family = _family(univ, J, weight)
+    atlas = univ.base_atlas
+    m = atlas.m
     images = universal_images(univ)
     unit = [m + i for i, row in enumerate(univ.u_rows)
             if sorted(row) == [0] * (len(row) - 1) + [1]]
@@ -140,21 +131,24 @@ def lift(family, max_order=16):
     # the t-exponent of each variable's pointed term, the least in phi
     pointed = [min(img.terms, key=phi)[m:] for img in images]
     known = {}
-    for j, lead in enumerate(family.sr_leads):
-        family.generators[j] = _expansion(family, lead, images, pointed, phi,
-                                          known, max_order)
+    family.generators = [_expansion(family, lead, images, pointed, phi,
+                                    known, max_order)
+                         for lead in family.sr_leads]
 
     key = MonomialOrder(family.weights).key
     for g, lead in zip(family.generators, family.sr_leads):
         if max(g.terms, key=key) != lead:
             raise DeformError("generator %s: its SR monomial is not its "
                               "leading term" % _name(family, lead))
-    for i, l, _, _, r, _ in _pair_reductions(family, _spairs(family)):
-        if not r.is_zero():
-            raise DeformError("not flat: the S-pair of %s and %s does not "
-                              "reduce to zero" % (
-                                  _name(family, family.sr_leads[i]),
-                                  _name(family, family.sr_leads[l])))
+    for v, img in zip(family.z_vars, images):
+        least = min(map(phi, img.terms))
+        low = [(e[:m], c) for e, c in img.terms.items() if phi(e) == least]
+        if low != [(atlas.variables[v].g_vector, 1)]:
+            raise DeformError("pointed-term certificate: the image of %s has "
+                              "no unique least-phi term x^g(%s)" % (v, v))
+    defect = atlas.fan_defect()
+    if defect:
+        raise DeformError("fan certificate: %s" % defect)
 
     degrees = {family.tdeg(e) for g in family.generators for e in g.terms}
     k = max(2, _max_possible_order(family))
@@ -171,14 +165,13 @@ def _name(family, e):
 def _expansion(family, lead, images, pointed, phi, known, max_order):
     """z^lead minus its expansion sum c * t^gamma * M in cluster monomials.
 
-    Let phi sum the exponents of the t's whose coefficient row is a unit
-    vector: they carry the y-degree of the F-polynomial, so the image of a
-    cluster monomial M with g-vector g is x^g * t^p(M) plus terms of larger
-    phi.  Hence the term c * x^g * t^beta of least phi left in the image of
-    z^lead names exactly one M and gamma = beta - p(M), and subtracting
-    c * t^gamma times the image of M cancels it and adds only terms of
-    larger phi.  `known` keeps, by g and across calls, each M's
-    z-exponent, p(M) and image."""
+    phi sums the exponents of the t's whose coefficient row is a unit
+    vector, the y-degree of the F-polynomial, so the image of a cluster
+    monomial M with g-vector g is x^g * t^p(M) plus terms of larger phi
+    (the lemma in `lift`).  The term c * x^g * t^beta of least phi left in
+    the image of z^lead names M and gamma = beta - p(M), and subtracting
+    c * t^gamma times the image of M cancels it.  `known` keeps, by g and
+    across calls, each M's z-exponent, p(M) and image."""
     atlas = family.univ.base_atlas
     m, nz = atlas.m, family.nz
     work = dict(_image(images, lead[:nz]).terms)
@@ -235,22 +228,6 @@ def _image(images, z):
         for _ in range(k):
             out = out * img
     return out
-
-
-def _pair_reductions(family, spairs):
-    """Each S-pair m_i*g_i - m_l*g_l divided by the generators, all in one
-    call: (i, l, mi, ml, remainder, quotients)."""
-    gens = family.generators
-    dividends = []
-    for i, l, mi, ml in spairs:
-        s = {tuple(map(add, e, mi)): c for e, c in gens[i].terms.items()}
-        for e, c in gens[l].terms.items():
-            e = tuple(map(add, e, ml))
-            s[e] = s.get(e, 0) - c
-        dividends.append(Poly(family.nv, s))
-    divided = divide(dividends, list(zip(family.sr_leads, gens)),
-                     MonomialOrder(family.weights))
-    return [pair + (r, q) for pair, (q, r) in zip(spairs, divided)]
 
 
 def verify_family(family):

@@ -1,7 +1,8 @@
 """The order-by-order lift of the squarefree monomial ideal, kept as an
-independent oracle for the closed-form `deform.lift`.
+independent oracle for the closed-form `deform.lift`, with the S-pair
+check that `deform.lift` replaced by its construction certificates.
 
-It starts from `deform.first_order` and corrects the family order by order
+It starts from `first_order` and corrects the family order by order
 with exchange-minimal tie-breaking.  As the leads are t-free, a division
 step on a term of t-degree d adds only terms of t-degree >= d, so the
 t-degree <= k part of an S-pair's division is the division truncated at
@@ -16,12 +17,61 @@ system is a small sparse rational linear system.
 
 from operator import add
 
-from clusterdeform import deform
-from clusterdeform.deform import (DeformError, _exponent,
-                                  _max_possible_order, _spairs)
+from clusterdeform.deform import (DeformError, _exponent, _family,
+                                  _max_possible_order)
 from clusterdeform.gradings import t_degrees
 from clusterdeform.intlinalg import rref, vec_dot
-from clusterdeform.polynomials import Poly
+from clusterdeform.polynomials import MonomialOrder, Poly, divide
+
+
+def first_order(univ, J, weight):
+    """Perturb each exchangeable-pair generator by its owned coefficients;
+    all other generators start unperturbed."""
+    family = _family(univ, J, weight)
+    index = {v: i for i, v in enumerate(family.z_vars + family.t_vars)}
+    lead_index = {l: i for i, l in enumerate(family.sr_leads)}
+    generators = [dict(g.terms) for g in family.generators]
+    for t in family.t_vars:
+        rel_idx, side_idx = univ.owners[t][0]
+        rel = univ.univ_relations[rel_idx]
+        b = _exponent(index, family.nv, dict.fromkeys(rel["pair"], 1))
+        _, z_part = rel["sides"][side_idx]
+        corr = _exponent(index, family.nv, z_part, {t: 1})
+        generators[lead_index[b]][corr] = -1
+    family.generators = [Poly(family.nv, g) for g in generators]
+    family.order = 1
+    return family
+
+
+def _spairs(family):
+    """(i, l, cofactor_i, cofactor_l) exponents of every S-pair of leads
+    that are not coprime, read off the bit masks of the squarefree leads'
+    supports."""
+    masks = [sum(1 << j for j, x in enumerate(a) if x)
+             for a in family.sr_leads]
+
+    def monomial(mask):
+        return tuple((mask >> j) & 1 for j in range(family.nv))
+
+    return [(i, l, monomial(masks[l] & ~a), monomial(a & ~masks[l]))
+            for i, a in enumerate(masks) for l in range(i + 1, len(masks))
+            if a & masks[l]]
+
+
+def _pair_reductions(family, spairs):
+    """Each S-pair m_i*g_i - m_l*g_l divided by the generators, all in one
+    call: (i, l, mi, ml, remainder, quotients)."""
+    gens = family.generators
+    dividends = []
+    for i, l, mi, ml in spairs:
+        s = {tuple(map(add, e, mi)): c for e, c in gens[i].terms.items()}
+        for e, c in gens[l].terms.items():
+            e = tuple(map(add, e, ml))
+            s[e] = s.get(e, 0) - c
+        dividends.append(Poly(family.nv, s))
+    divided = divide(dividends, list(zip(family.sr_leads, gens)),
+                     MonomialOrder(family.weights))
+    return [pair + (r, q) for pair, (q, r) in zip(spairs, divided)]
 
 
 def in_order_zero(family, e):
@@ -140,13 +190,13 @@ def lift(family, max_order=16):
     reductions.  The reported order is the last round run."""
     budget = _max_possible_order(family)
     spairs = _spairs(family)
-    reductions = deform._pair_reductions(family, spairs)
+    reductions = _pair_reductions(family, spairs)
     exhausted = True
     for k in range(2, max_order + 1):
         progressed = _lift_round(family, k, reductions)
         family.order = k
         if progressed:
-            reductions = deform._pair_reductions(family, spairs)
+            reductions = _pair_reductions(family, spairs)
         elif k >= budget:
             exhausted = False
             break

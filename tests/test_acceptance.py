@@ -15,7 +15,7 @@ from clusterdeform.atlas import enumerate_atlas, separation_check
 from clusterdeform.cones import Cone, dual_cone
 from clusterdeform.cotangent import (characteristic_image, obstruction_class,
                                      t1_invariant)
-from clusterdeform.deform import first_order, lift, verify_family
+from clusterdeform.deform import lift, verify_family
 from clusterdeform.cli import Pipeline, family_lines
 from clusterdeform.gradings import (find_strictly_positive, m_grading,
                                     t_degrees)
@@ -29,6 +29,7 @@ from clusterdeform.simplicial import (cluster_complex, minimal_nonfaces,
 from clusterdeform.universal import build_universal
 
 from tests.conftest import data_seed, path_seed
+from tests.lift_oracle import first_order
 from tests.test_atlas import A2_GVECTORS, A2_LAURENT
 from tests.test_cones import double_dual_is_identity
 from tests.test_deform import A2_FAMILY_LINES, G2_FAMILY_LINES, _corrections
@@ -105,7 +106,7 @@ def test_criterion_1_rank2_single_edge_pipeline():
     assert check_t0_star(J, univ, semigroup_data(univ), D).holds
 
     # the lifted family, sign-normalized to leading coefficient +1
-    fam = lift(first_order(univ, J))
+    fam = lift(univ, J, gc.interior_weight)
     assert family_lines(fam) == A2_FAMILY_LINES
     assert all(verify_family(fam).values())
 
@@ -124,7 +125,7 @@ def test_criterion_2_rank2_triple_edge_pipeline():
     assert len(K.facets) == 8 and all(len(f) == 2 for f in K.facets)
     assert len(J.generators) == 20
 
-    fam = lift(first_order(univ, J))
+    fam = lift(univ, J, groebner_cone(univ).interior_weight)
     assert family_lines(fam) == G2_FAMILY_LINES
     # cubic corrections carry the coefficient -3; nothing else appears
     coeffs = {c for g in fam.generators for c in g.terms.values()}
@@ -151,7 +152,8 @@ def test_criterion_3_rank2_double_edge_pair():
         assert check["pseudomanifold"] and check["euler_ok"]
         assert len(K.facets) == 6 and all(len(f) == 2 for f in K.facets)
 
-        fo = first_order(univ, J)
+        weight = groebner_cone(univ).interior_weight
+        fo = first_order(univ, J, weight)
         recs = _corrections(fo)
         perturbed = [r for r in recs if r[2]]
         assert len(recs) == 9 and len(perturbed) == 6
@@ -165,7 +167,7 @@ def test_criterion_3_rank2_double_edge_pair():
                       for z, _ in extra) == [1, 1, 1, 2, 2, 2]
         squared[name] = sq
 
-        fam = lift(fo)
+        fam = lift(univ, J, weight)
         assert all(verify_family(fam).values())
 
     # the two orientations square complementary alternating triples

@@ -55,7 +55,8 @@ def test_a2_exchange_relation(a2_atlas):
 
 
 def test_exchange_partners(a2_atlas):
-    partners = a2_atlas.exchange_partners("x13")
+    partners = [v for pair in a2_atlas.exchange_pairs if "x13" in pair
+                for v in pair - {"x13"}]
     assert sorted(partners) == ["x(-1,0,0,2,0)", "x(-1,1,0,1,0)"]
 
 

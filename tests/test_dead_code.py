@@ -1,0 +1,135 @@
+"""Every function and method defined in `src/clusterdeform` is referenced
+somewhere in `src/clusterdeform` outside its own body, or is named in
+TEST_ONLY.  The re-exports in `__init__.py` do not count as references,
+and neither do references from inside a TEST_ONLY function.
+
+The scan is by name.  A method is reached only as an attribute, and an
+attribute that is also a data attribute (a `__slots__` entry or an
+assigned attribute) reaches a method only where it is called:
+`var.g_vector` reads a `ClusterVariable` slot and says nothing of a method
+`Atlas.g_vector`.  A property is read, never called, so every attribute
+load of its name counts."""
+
+import ast
+import pathlib
+from collections import Counter
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "clusterdeform"
+
+# Reached only from the tests, as oracles or checks kept for them.  Move
+# one into the tests that use it, or give it a caller in src, and take it
+# off this list.
+TEST_ONLY = {
+    # polynomials
+    "buchberger", "s_polynomial", "normal_form", "leading_term", "_pair_key",
+    "_sub_exp", "specialize", "constant_term", "compose",
+    # atlas
+    "separation_check", "tropical_g_vector", "f_polynomial",
+    # simplicial
+    "link", "sphere_check", "is_face", "is_pure", "dimension",
+    # cotangent, gradings, intlinalg, seeds
+    "characteristic_image", "degree_vector", "degree_of_monomial", "mat_mul",
+    "e_matrix",
+}
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+
+
+def _walk(node, skip):
+    """ast.walk that does not enter a function named in skip."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not (isinstance(child, ast.FunctionDef) and child.name in skip):
+            yield from _walk(child, skip)
+
+
+def _data_attributes(trees):
+    names = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Store):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                          for t in node.targets)):
+                names.update(e.value for e in ast.walk(node.value)
+                             if isinstance(e, ast.Constant))
+    return names
+
+
+def _references(node, data, skip):
+    """Counters of the names loaded under node, keyed by how they can be
+    reached: "name" for bare names, "attr" for every attribute load,
+    "method" for the attribute loads that can reach a method."""
+    nodes = list(_walk(node, skip))
+    called = {id(n.func) for n in nodes if isinstance(n, ast.Call)}
+    out = {"name": Counter(), "attr": Counter(), "method": Counter()}
+    for n in nodes:
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out["name"][n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out["attr"][n.attr] += 1
+            out["method"][n.attr] += n.attr not in data or id(n) in called
+    return out
+
+
+def _uses(refs, fn, is_method):
+    if not is_method:
+        return refs["name"][fn.name] + refs["method"][fn.name]
+    if any(isinstance(d, ast.Name) and d.id in ("property", "cached_property")
+           for d in fn.decorator_list):
+        return refs["attr"][fn.name]
+    return refs["method"][fn.name]
+
+
+def unreferenced(trees, test_only=()):
+    """(file, name) of each function or method that nothing outside its
+    own body and the test_only functions references."""
+    data = _data_attributes(trees)
+    refs = {"name": Counter(), "attr": Counter(), "method": Counter()}
+    for tree in trees.values():
+        for key, count in _references(tree, data, test_only).items():
+            refs[key].update(count)
+    dead = []
+    for name, tree in trees.items():
+        for parent in ast.walk(tree):
+            is_method = isinstance(parent, ast.ClassDef)
+            for fn in ast.iter_child_nodes(parent):
+                if (not isinstance(fn, ast.FunctionDef)
+                        or fn.name.startswith("__") and fn.name.endswith("__")):
+                    continue
+                own = _references(fn, data, test_only)
+                if _uses(refs, fn, is_method) <= _uses(own, fn, is_method):
+                    dead.append((name, fn.name))
+    return dead
+
+
+def test_every_src_function_has_a_src_caller():
+    dead = {n for _, n in unreferenced(_trees(), TEST_ONLY)}
+    assert sorted(dead - TEST_ONLY) == []
+    assert sorted(TEST_ONLY - dead) == [], \
+        "take the names with a src caller off TEST_ONLY"
+
+
+def test_scan_sees_an_uncalled_method_behind_a_slot():
+    """A method named like a data attribute is dead until it is called:
+    the `Atlas.g_vector` that once had no caller."""
+    tree = ast.parse(
+        "class V:\n"
+        "    __slots__ = ('g',)\n"
+        "    def __init__(self, g):\n"
+        "        self.g = g\n"
+        "class A:\n"
+        "    def g(self, v):\n"
+        "        return v.g\n"
+        "def use(v):\n"
+        "    return v.g\n")
+    assert unreferenced({"m.py": tree}) == [("m.py", "use"), ("m.py", "g")]
+    tree.body.append(ast.parse("def call(a):\n    return a.g(1)\n").body[0])
+    assert unreferenced({"m.py": tree}) == [("m.py", "use"), ("m.py", "call")]
+    assert unreferenced({"m.py": tree}, {"call"}) == [
+        ("m.py", "use"), ("m.py", "call"), ("m.py", "g")]

@@ -1,6 +1,7 @@
 """The flat family over the coefficient ring: the closed-form construction
 against the order-by-order lift kept in `tests/lift_oracle.py`."""
 
+import copy
 import hashlib
 import re
 from fractions import Fraction
@@ -11,9 +12,7 @@ from hypothesis import given, settings, strategies as st
 from clusterdeform import deform
 from clusterdeform.atlas import Atlas, enumerate_atlas
 from clusterdeform.cli import Pipeline, family_lines
-from clusterdeform.deform import (DeformError, first_order, lift,
-                                  verify_family)
-from clusterdeform.deform import _pair_reductions, _spairs
+from clusterdeform.deform import DeformError, lift, verify_family
 from clusterdeform.intlinalg import invert_unimodular, rref, vec_dot
 from clusterdeform.polynomials import (MonomialOrder, Poly, buchberger,
                                        monomial_str)
@@ -21,7 +20,9 @@ from clusterdeform.simplicial import cluster_complex, sr_ideal
 from clusterdeform.universal import build_universal
 from tests import lift_oracle
 from tests.conftest import data_seed, path_seed
-from tests.lift_oracle import _candidates, _exchange_minimal, in_order_zero
+from tests.lift_oracle import (_candidates, _exchange_minimal,
+                               _pair_reductions, _spairs, first_order,
+                               in_order_zero)
 
 
 A2_FAMILY_LINES = [
@@ -79,12 +80,7 @@ G2_FAMILY_LINES = [
 
 
 def lifted_family(name):
-    seed = data_seed(name)
-    atlas = enumerate_atlas(seed)
-    K = cluster_complex(atlas)
-    J = sr_ideal(K, atlas.frozen_ids)
-    univ = build_universal(seed)
-    return lift(first_order(univ, J))
+    return pipeline(name).lifted_family(16)
 
 
 def test_a2_family_golden():
@@ -124,12 +120,7 @@ def _corrections(fam):
 
 @pytest.mark.parametrize("name", ["b2", "c2"])
 def test_rank2_double_edge_first_order_shape(name):
-    seed = data_seed(name)
-    atlas = enumerate_atlas(seed)
-    K = cluster_complex(atlas)
-    J = sr_ideal(K, atlas.frozen_ids)
-    univ = build_universal(seed)
-    fam = first_order(univ, J)
+    fam = first_order_family(name)
     recs = _corrections(fam)
     assert len(recs) == 9
     perturbed = [r for r in recs if r[2]]
@@ -146,12 +137,7 @@ def test_rank2_double_edge_first_order_shape(name):
 
 @pytest.mark.parametrize("name", ["b2", "c2"])
 def test_rank2_double_edge_squared_triple(name):
-    seed = data_seed(name)
-    atlas = enumerate_atlas(seed)
-    K = cluster_complex(atlas)
-    J = sr_ideal(K, atlas.frozen_ids)
-    univ = build_universal(seed)
-    fam = first_order(univ, J)
+    fam = first_order_family(name)
     squared = set()
     for _, _, extra in _corrections(fam):
         for z, _ in extra:
@@ -172,11 +158,7 @@ def test_rank2_double_edge_opposite_patterns():
     the square."""
     sq = {}
     for name in ("b2", "c2"):
-        seed = data_seed(name)
-        atlas = enumerate_atlas(seed)
-        K = cluster_complex(atlas)
-        J = sr_ideal(K, atlas.frozen_ids)
-        fam = first_order(build_universal(seed), J)
+        fam = first_order_family(name)
         squared = set()
         for _, _, extra in _corrections(fam):
             for z, _ in extra:
@@ -201,29 +183,24 @@ def test_lifted_tails_are_reduced():
                 assert not in_order_zero(fam, e)
 
 
-def test_first_order_rejects_isolated():
+def test_lift_rejects_isolated():
     univ = build_universal(path_seed([]))
     K = cluster_complex(enumerate_atlas(path_seed([])))
     J = sr_ideal(K, [])
-    with pytest.raises(DeformError):
-        first_order(univ, J)
+    with pytest.raises(DeformError, match="isolated vertex"):
+        lift(univ, J, [1] * 2)
 
 
-def test_first_order_rejects_bad_weight(a2_univ, a2_ideal):
-    with pytest.raises(DeformError):
-        first_order(a2_univ, a2_ideal, weight=[-1] * 8)
-    with pytest.raises(DeformError):
-        first_order(a2_univ, a2_ideal, weight=[0] * 8)
+def test_lift_rejects_bad_weight(a2_univ, a2_ideal):
+    with pytest.raises(DeformError, match="negative entries"):
+        lift(a2_univ, a2_ideal, [-1] * 8)
+    with pytest.raises(DeformError, match="not positive"):
+        lift(a2_univ, a2_ideal, [0] * 8)
 
 
 def test_lift_order_budget():
-    seed = data_seed("g2")
-    atlas = enumerate_atlas(seed)
-    K = cluster_complex(atlas)
-    J = sr_ideal(K, atlas.frozen_ids)
-    fam = first_order(build_universal(seed), J)
     with pytest.raises(DeformError, match="order budget exceeded"):
-        lift(fam, max_order=2)
+        pipeline("g2").lifted_family(2)
 
 
 def vanishes_at_t_equal_one(family):
@@ -279,7 +256,7 @@ def test_bad_images_name_the_generator(alter, message, monkeypatch):
     name = monomial_str(fam.z_vars, lead[:fam.nz])
     with pytest.raises(DeformError, match="generator %s: .*%s"
                        % (re.escape(name), message)):
-        lift(fam)
+        lifted_family("a2")
 
 
 def test_exponent_outside_the_fan_names_the_generator(monkeypatch):
@@ -288,12 +265,14 @@ def test_exponent_outside_the_fan_names_the_generator(monkeypatch):
     name = monomial_str(fam.z_vars, fam.sr_leads[0][:fam.nz])
     with pytest.raises(DeformError, match="generator %s: exponent .* lies "
                        "in no cone" % re.escape(name)):
-        lift(fam)
+        lifted_family("a2")
 
 
 def test_dropped_tail_term_is_not_flat(monkeypatch):
     """A generator short of one tail term still leads with its SR
-    monomial; the S-pair check rejects the family."""
+    monomial, and the construction certificates cannot see the patched
+    expansion: `lift` returns the family.  --verify and the oracle's
+    S-pair check reject it."""
     expansion = deform._expansion
 
     def dropped(family, lead, *args):
@@ -305,8 +284,50 @@ def test_dropped_tail_term_is_not_flat(monkeypatch):
                                 if e != tail})
 
     monkeypatch.setattr(deform, "_expansion", dropped)
-    with pytest.raises(DeformError, match="not flat"):
-        lift(first_order_family("a2"))
+    fam = lifted_family("a2")
+    assert not verify_family(fam)["laurent_vanishing"]
+    reductions = _pair_reductions(fam, _spairs(fam))
+    assert any(not r.is_zero() for *_, r, _ in reductions)
+
+
+def test_pointed_term_certificate(monkeypatch):
+    """A frozen variable's image plus another's: the peel still ends, in
+    the frozen exponents, but the image has two terms of least phi."""
+    fam = first_order_family("a2")
+    frozen = [i for i, v in enumerate(fam.z_vars)
+              if fam.univ.base_atlas.variables[v].is_frozen]
+    images = deform.universal_images
+
+    def altered(univ):
+        out = images(univ)
+        out[frozen[0]] = out[frozen[0]] + out[frozen[1]]
+        return out
+
+    monkeypatch.setattr(deform, "universal_images", altered)
+    with pytest.raises(DeformError, match="pointed-term certificate: the "
+                       "image of %s " % re.escape(fam.z_vars[frozen[0]])):
+        lifted_family("a2")
+
+
+def test_fan_certificate_names_a_folded_wall():
+    """One g-vector reflected in one seed's g-matrix, on a copy of the
+    atlas: the new variable of an edge out of that seed lands on the same
+    side of their wall."""
+    pipe = pipeline("a2")
+    atlas = copy.deepcopy(pipe.atlas)
+    assert pipe.atlas.fan_defect() is None
+    s, k = len(atlas.seeds) - 1, 0
+    state = atlas.seeds[s]
+    state.g_matrix = tuple(row[:k] + (-row[k],) + row[k + 1:]
+                           for row in state.g_matrix)
+    j = atlas.seed_graph[(s, k)]
+    assert atlas.fan_defect() == ("edge (%d, %d) -> %d: the cones lie on one "
+                                  "side of their wall" % (s, k, j))
+    univ = copy.copy(pipe.universal)
+    univ.base_atlas = atlas
+    with pytest.raises(DeformError, match=r"fan certificate: edge \(%d, %d\)"
+                       % (s, k)):
+        lift(univ, pipe.ideal, pipe.cone.interior_weight)
 
 
 def scanned_cluster_monomial(atlas, inverses, g):
@@ -359,9 +380,18 @@ def test_family_equals_order_by_order_oracle(name):
     """The closed-form family is the order-by-order lift's, generator by
     generator, at the order the lift reports."""
     expected = lift_oracle.lift(first_order_family(name))
-    fam = lift(first_order_family(name))
+    fam = lifted_family(name)
     assert fam.generators == expected.generators
     assert fam.order == expected.order
+
+
+@pytest.mark.parametrize("name", ORACLE_SEEDS)
+def test_every_spair_reduces_to_zero(name):
+    """Buchberger's criterion, the check the construction certificates
+    replaced in `lift`, holds on the closed-form family."""
+    fam = lifted_family(name)
+    reductions = _pair_reductions(fam, _spairs(fam))
+    assert reductions and all(r.is_zero() for *_, r, _ in reductions)
 
 
 @pytest.mark.parametrize("coeffs", [[(1, -1), (1, -1), (1, -2)],
@@ -421,8 +451,7 @@ def pipeline(name):
 
 def first_order_family(name):
     pipe = pipeline(name)
-    return first_order(pipe.universal, pipe.ideal,
-                       weight=pipe.cone.interior_weight)
+    return first_order(pipe.universal, pipe.ideal, pipe.cone.interior_weight)
 
 
 @pytest.mark.parametrize("name", ["g2", "b2", "a3"])
@@ -517,8 +546,8 @@ def test_uncut_reductions_hold_every_truncated_division(name, monkeypatch):
         states.append((list(family.generators), out))
         return out
 
-    pair_reductions = deform._pair_reductions
-    monkeypatch.setattr(deform, "_pair_reductions", recorded)
+    pair_reductions = lift_oracle._pair_reductions
+    monkeypatch.setattr(lift_oracle, "_pair_reductions", recorded)
     lift_oracle.lift(fam)
     assert len(states) > 1
     order = MonomialOrder(fam.weights)
@@ -552,8 +581,8 @@ def test_lift_divides_once_per_state(name, divisions, monkeypatch):
         changed.append(lift_round(*args))
         return changed[-1]
 
-    divide, lift_round = deform.divide, lift_oracle._lift_round
-    monkeypatch.setattr(deform, "divide", counted)
+    divide, lift_round = lift_oracle.divide, lift_oracle._lift_round
+    monkeypatch.setattr(lift_oracle, "divide", counted)
     monkeypatch.setattr(lift_oracle, "_lift_round", recorded)
     lift_oracle.lift(fam)
     assert len(changed) == fam.order - 1
@@ -577,8 +606,8 @@ def test_spair_quotients_have_no_t_free_term(name, monkeypatch):
         states.append((list(family.generators), out))
         return out
 
-    pair_reductions = deform._pair_reductions
-    monkeypatch.setattr(deform, "_pair_reductions", recorded)
+    pair_reductions = lift_oracle._pair_reductions
+    monkeypatch.setattr(lift_oracle, "_pair_reductions", recorded)
     lift_oracle.lift(fam)
     assert len(states) > 1
     terms = 0
