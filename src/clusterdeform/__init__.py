@@ -9,7 +9,7 @@ the flat family over the coefficient parameters, in closed form.
 
 from .seeds import (ExtendedExchangeMatrix, Seed, mutate, classify_finite_type,
                     load_seed, seed_from_dict, seed_to_dict)
-from .atlas import enumerate_atlas, separation_check, tropical_g_vector
+from .atlas import enumerate_atlas
 from .simplicial import (SimplicialComplex, MonomialIdeal, cluster_complex,
                          sr_ideal, minimal_nonfaces, link, join, sphere_check)
 from .gradings import (m_grading, rank_flags, find_positive_grading,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ExtendedExchangeMatrix", "Seed", "mutate", "classify_finite_type",
     "load_seed", "seed_from_dict", "seed_to_dict",
-    "enumerate_atlas", "separation_check", "tropical_g_vector",
+    "enumerate_atlas",
     "SimplicialComplex", "MonomialIdeal", "cluster_complex", "sr_ideal",
     "minimal_nonfaces", "link", "join", "sphere_check",
     "m_grading", "rank_flags", "find_positive_grading",

@@ -5,8 +5,13 @@ The search is integer-only.  Each seed carries its extended exchange matrix
 with the c-vector rows of principal coefficients under it, and its g-matrix.
 Mutation at k requires the k-th c-vector to be sign-coherent with sign eps
 and changes only column k of the g-matrix, to -g_k + sum over i != k of
-max(0, -eps*b_ik) g_i.  Seeds are identified by the multiset of their mutable
-g-vectors, which also name the variables.
+max(0, -eps*b_ik) g_i.  Variables are named by their g-vectors, so each
+edge computes only that sum over the variables' g-vectors, and a seed is
+identified by the set of its mutable variable ids.  The mutated matrix and
+g-matrix are built only for a new seed, the exchange monomials only for a
+new pair, and a back edge is the position of the new variable in the seed
+found.  The first n coordinates of the g-vectors also give the universal
+coefficients, by tropical duality (see `universal`).
 
 The Laurent layer, `Atlas.principal`, is computed on first read: each
 variable's principal-coefficient expansion in the ring
@@ -20,7 +25,7 @@ from functools import cached_property
 
 from .intlinalg import invert_unimodular, vec_dot
 from .polynomials import Poly, exact_divide
-from .seeds import ExtendedExchangeMatrix, e_column, mutate_entries
+from .seeds import ExtendedExchangeMatrix, mutate_entries
 
 
 class AtlasError(Exception):
@@ -147,10 +152,33 @@ class Atlas:
                             if x))
 
     def _inverse(self, s):
-        """The inverse of seed s's mutable g-matrix block, computed once."""
+        """The inverse of seed s's mutable g-matrix block, computed once.
+
+        The block of a seed differs from its BFS parent's in column k alone,
+        k the last index of its path.  If H inverts the parent's block and
+        u = H g_k, the block is unimodular iff u_k = +-1, and its inverse is
+        H with row k scaled by u_k and u_i u_k times it taken from row i.
+        A block that differs elsewhere is inverted by `invert_unimodular`."""
         if s not in self._inverses:
-            self._inverses[s] = invert_unimodular(
-                [row[:self.n] for row in self.seeds[s].g_matrix[:self.n]])
+            n, G = self.n, self.seeds[s].g_matrix[:self.n]
+            H = None
+            if s:
+                k = self.seeds[s].path[-1]
+                p = self.seed_graph[(s, k)]
+                if all(r[:k] == q[:k] and r[k + 1:n] == q[k + 1:n]
+                       for r, q in zip(G, self.seeds[p].g_matrix)):
+                    H = self._inverse(p)
+            if H is None:
+                self._inverses[s] = invert_unimodular([r[:n] for r in G])
+            else:
+                g = [r[k] for r in G]
+                u = [vec_dot(h, g) for h in H]
+                if u[k] not in (1, -1):
+                    raise ValueError("matrix is not unimodular")
+                hk = [u[k] * x for x in H[k]]
+                self._inverses[s] = [
+                    hk if i == k else [x - u[i] * y for x, y in zip(h, hk)]
+                    for i, h in enumerate(H)]
         return self._inverses[s]
 
     def fan_defect(self):
@@ -197,107 +225,84 @@ def _extract_g(principal, m, n):
 
 
 def enumerate_atlas(seed, max_seeds=100000):
-    """BFS over labeled seeds, deduplicated by the multiset of mutable
-    g-vectors; collects all cluster variables and exchange relations."""
+    """BFS over labeled seeds, deduplicated by the set of mutable variable
+    ids; collects all cluster variables and exchange relations.
+
+    Every edge (s, k) checks the sign-coherence of the k-th c-vector and
+    computes the new g-vector sparsely from the variables' g-vectors, which
+    names the new variable.  The mutated matrix, the new g-matrix and the
+    exchange monomials are built only for a new seed or a new pair."""
     n, m = seed.matrix.n, seed.matrix.m
     atlas = Atlas(seed)
+    variables, seeds, graph = atlas.variables, atlas.seeds, atlas.seed_graph
 
     for i in range(m):
         g = tuple(1 if j == i else 0 for j in range(m))
         var = ClusterVariable(seed.var_ids[i], g, is_frozen=i >= n)
-        atlas.variables[var.id] = var
+        variables[var.id] = var
         atlas.id_by_g[g] = var.id
 
     bp0 = tuple(tuple(seed.matrix.entries[i]) for i in range(m)) + \
         tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
     g0 = tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
     root = SeedState(0, bp0, tuple(seed.var_ids), g0, ())
-    atlas.seeds.append(root)
-    cluster_index = {_cluster_key(atlas, root, n): 0}
+    seeds.append(root)
+    cluster_index = {frozenset(root.ids[:n]): 0}
 
     frontier = [root]
     while frontier:
         next_frontier = []
         for state in frontier:
+            s, rows, ids = state.index, state.matrix, state.ids
             for k in range(n):
-                if (state.index, k) in atlas.seed_graph:
+                if (s, k) in graph:
                     continue
-                new_state, pair_info = _mutate_state(atlas, state, k, n, m)
-                key = _cluster_key(atlas, new_state, n)
-                if key in cluster_index:
-                    j = cluster_index[key]
-                    atlas.seed_graph[(state.index, k)] = j
-                    existing = atlas.seeds[j]
-                    back = _find_back_index(atlas, existing, state, n)
-                    if back is not None:
-                        atlas.seed_graph[(j, back)] = state.index
+                c_col = [rows[m + i][k] for i in range(n)]
+                eps = 1 if max(c_col) > 0 else -1
+                if eps == 1 and min(c_col) < 0:
+                    raise AtlasError("c-vector sign-coherence violated")
+                g_new = [-x for x in variables[ids[k]].g_vector]
+                for v, row in zip(ids, rows):
+                    b = -eps * row[k]
+                    if b > 0:
+                        g_new = [x + b * y for x, y
+                                 in zip(g_new, variables[v].g_vector)]
+                g_new = tuple(g_new)
+                new_id = atlas.id_by_g.get(g_new)
+                if new_id is None:
+                    new_id = _variable_name(g_new)
+                    variables[new_id] = ClusterVariable(new_id, g_new, False)
+                    atlas.id_by_g[g_new] = new_id
+                new_ids = ids[:k] + (new_id,) + ids[k + 1:]
+                key = frozenset(new_ids[:n])
+                j = cluster_index.get(key)
+                if j is not None:
+                    graph[(s, k)] = j
+                    graph[(j, seeds[j].ids.index(new_id))] = s
                 else:
-                    if len(atlas.seeds) >= max_seeds:
-                        raise AtlasError("enumeration budget exceeded")
-                    new_state.index = len(atlas.seeds)
-                    atlas.seeds.append(new_state)
-                    cluster_index[key] = new_state.index
-                    atlas.seed_graph[(state.index, k)] = new_state.index
-                    atlas.seed_graph[(new_state.index, k)] = state.index
+                    if len(seeds) >= max_seeds:
+                        raise AtlasError(
+                            "exchange-graph search: more than %d seeds "
+                            "(--max-seeds %d)" % (len(seeds), max_seeds))
+                    j = cluster_index[key] = len(seeds)
+                    new_state = SeedState(
+                        j, mutate_entries(rows, k), new_ids,
+                        tuple(grow[:k] + (x,) + grow[k + 1:]
+                              for grow, x in zip(state.g_matrix, g_new)),
+                        state.path + (k,))
+                    seeds.append(new_state)
+                    graph[(s, k)] = j
+                    graph[(j, k)] = s
                     next_frontier.append(new_state)
-                pair_key, monomials = pair_info
+                pair_key = frozenset({ids[k], new_id})
                 if pair_key not in atlas.exchange_pairs:
+                    monomials = tuple(sorted(
+                        tuple(sorted(side.items()))
+                        for side in exchange_monomials(ids, rows[:m], k)))
                     atlas.exchange_pairs[pair_key] = ExchangePair(
-                        pair_key, monomials, state.index, k)
+                        pair_key, monomials, s, k)
         frontier = next_frontier
     return atlas
-
-
-def _cluster_key(atlas, state, n):
-    return tuple(sorted(atlas.variables[state.ids[i]].g_vector for i in range(n)))
-
-
-def _find_back_index(atlas, existing, origin, n):
-    """Position in `existing` whose mutation returns to `origin`'s cluster."""
-    origin_set = set(atlas.variables[origin.ids[i]].g_vector for i in range(n))
-    exist_set = set(atlas.variables[existing.ids[i]].g_vector for i in range(n))
-    diff = exist_set - origin_set
-    if len(diff) != 1:
-        return None
-    g = diff.pop()
-    for i in range(n):
-        if atlas.variables[existing.ids[i]].g_vector == g:
-            return i
-    return None
-
-
-def _mutate_state(atlas, state, k, n, m):
-    rows = state.matrix
-
-    # g-matrix recursion: eps = common sign of the k-th c-vector
-    c_col = [rows[m + i][k] for i in range(n)]
-    has_pos = any(x > 0 for x in c_col)
-    has_neg = any(x < 0 for x in c_col)
-    if has_pos and has_neg:
-        raise AtlasError("c-vector sign-coherence violated")
-    eps = 1 if has_pos else -1
-    col = e_column(rows[:m], k, eps)
-    g_new = tuple(sum(g * e for g, e in zip(grow, col))
-                  for grow in state.g_matrix)
-    new_g_matrix = tuple(grow[:k] + (x,) + grow[k + 1:]
-                         for grow, x in zip(state.g_matrix, g_new))
-
-    if g_new in atlas.id_by_g:
-        new_id = atlas.id_by_g[g_new]
-    else:
-        new_id = _variable_name(g_new)
-        atlas.variables[new_id] = ClusterVariable(new_id, g_new, False)
-        atlas.id_by_g[g_new] = new_id
-
-    pair_key = frozenset({state.ids[k], new_id})
-    monomials = tuple(sorted(tuple(sorted(side.items())) for side in
-                             exchange_monomials(state.ids, rows[:m], k)))
-
-    new_ids = list(state.ids)
-    new_ids[k] = new_id
-    new_state = SeedState(-1, mutate_entries(rows, k), tuple(new_ids),
-                          new_g_matrix, state.path + (k,))
-    return new_state, (pair_key, monomials)
 
 
 def _principal_expansions(atlas):
@@ -344,46 +349,3 @@ def exchange_monomials(ids, rows, k):
         elif b < 0:
             minus[v] = -b
     return plus, minus
-
-
-def separation_check(atlas):
-    """Verify x^g * F(y_hat) = principal expansion for every variable."""
-    n, m = atlas.n, atlas.m
-    nv = m + n
-    b0 = atlas.initial_seed.matrix.entries
-    yhat = []
-    for j in range(n):
-        e = [0] * nv
-        e[m + j] = 1
-        for i in range(m):
-            e[i] += b0[i][j]
-        yhat.append(Poly.monomial(nv, e))
-    for var in atlas.variables.values():
-        f = atlas.f_polynomial(var.id)
-        f_full = Poly(nv, {(0,) * m + e: c for e, c in f.terms.items()})
-        rhs = f_full.compose([Poly.one(nv)] * m + yhat) if n else Poly.one(nv)
-        rhs = rhs.scale_monomial(tuple(var.g_vector) + (0,) * n)
-        if rhs != atlas.principal[var.id]:
-            return False
-    return True
-
-
-def tropical_g_vector(atlas, variable_id):
-    """g-vector via the tropical evaluation of the F-polynomial (finite type)."""
-    f = atlas.f_polynomial(variable_id)
-    n, m = atlas.n, atlas.m
-    if f.is_zero() or f == Poly.one(n):
-        raise ValueError("F-polynomial is 1; tropical formula does not apply")
-    b0 = atlas.initial_seed.matrix.entries
-    num = []
-    den = []
-    for i in range(m):
-        vals_num = []
-        vals_den = []
-        for alpha in f.terms:
-            vals_num.append(sum(a * (-1 if j == i and j < n else 0)
-                                for j, a in enumerate(alpha)))
-            vals_den.append(sum(a * b0[i][j] for j, a in enumerate(alpha)))
-        num.append(min(vals_num))
-        den.append(min(vals_den))
-    return tuple(x - y for x, y in zip(num, den))

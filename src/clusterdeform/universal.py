@@ -1,17 +1,22 @@
 """Universal coefficients: the canonical frozen extension, its exchange
 relations, coefficient ownership, and the fiber-at-zero consistency check.
 
-The coefficient rows are the g-vectors of the transpose pattern (Reading
-2014).  Frozen rows mutate with the mutable block alone (Fomin-Zelevinsky,
-Cluster algebras IV), so each extended exchange relation is a column of
-the extended matrix at a base seed.
+The coefficient rows are the universal coefficients of Reading ("Universal
+geometric cluster algebras", Math. Z. 2014), the g-vectors of the
+transpose pattern B^T.  They are read off the base atlas by tropical
+duality (Nakanishi-Zelevinsky, "On tropical dualities in cluster
+algebras", Contemp. Math. 565, 2012): D^-1 G_t^T D C_t = I, so the
+variable with g-vector g at position i of a seed gives the row
+h_j = -d_j g_j / d_i, with d the skew-symmetrizer of B.  Frozen rows mutate
+with the mutable block alone (Fomin-Zelevinsky, Cluster algebras IV), so
+each extended exchange relation is a column of the extended matrix at a
+base seed.
 """
 
 from .atlas import enumerate_atlas, exchange_monomials
 from .intlinalg import vec_dot
 from .polynomials import Poly
-from .seeds import (ExtendedExchangeMatrix, Seed, is_isolated_vertex_free,
-                    mutate_along)
+from .seeds import is_isolated_vertex_free, mutate_entries
 
 
 class UniversalError(Exception):
@@ -45,34 +50,54 @@ def _t_name(g):
 
 
 def build_universal(seed, max_seeds=100000, base_atlas=None):
-    """Enumerate the transpose pattern, stack its g-vectors as frozen rows
-    under the base matrix, and read each extended exchange relation off
-    column k of that matrix moved to the seed where the base atlas first
-    found the pair; the two sides are ordered by their sorted (id, exponent)
-    items.  base_atlas, when given, must be the atlas of `seed`; it is
-    enumerated here otherwise."""
+    """Read the coefficient rows off the base atlas by tropical duality,
+    stack them as frozen rows under the base matrix, and read each extended
+    exchange relation off column k of that matrix moved to the seed where
+    the base atlas first found the pair; the two sides are ordered by their
+    sorted (id, exponent) items.  Each variable's row must be integral and
+    the same at every seed that holds it.  base_atlas, when given, must be
+    the atlas of `seed`; it is enumerated here otherwise."""
     if base_atlas is None:
         base_atlas = enumerate_atlas(seed, max_seeds=max_seeds)
     n, m = seed.matrix.n, seed.matrix.m
+    d = seed.matrix.skew_symmetrizer
 
-    bt_rows = [[seed.matrix.entries[j][i] for j in range(n)] for i in range(n)]
-    t_seed = Seed(ExtendedExchangeMatrix(bt_rows, n=n),
-                  ["w%d" % (i + 1) for i in range(n)])
-    t_atlas = enumerate_atlas(t_seed, max_seeds=max_seeds)
-    t_gs = sorted(v.g_vector for v in t_atlas.mutable_variables)
+    rows = {}
+    for state in base_atlas.seeds:
+        for i, (v, g) in enumerate(zip(state.ids[:n],
+                                       zip(*state.g_matrix[:n]))):
+            if v not in rows:
+                h = [-d[j] * g[j] for j in range(n)]
+                if any(x % d[i] for x in h):
+                    raise UniversalError(
+                        "duality check: the coefficient row of %s is not "
+                        "integral at seed %d" % (v, state.index))
+                rows[v] = (g, d[i], state.index,
+                           tuple(x // d[i] for x in h))
+            elif rows[v][:2] != (g, d[i]):
+                raise UniversalError(
+                    "duality check: the coefficient row of %s differs "
+                    "between seeds %d and %d" % (v, rows[v][2], state.index))
+    t_gs = sorted(row[3] for row in rows.values())
     t_ids = [_t_name(g) for g in t_gs]
     if len(set(t_ids)) != len(t_ids):
         raise UniversalError("coefficient g-vectors are not distinct")
 
-    top = seed.matrix.entries[:n] + tuple(t_gs)
+    moved = {(): seed.matrix.entries[:n] + tuple(t_gs)}
+
+    def move(path):
+        if path not in moved:
+            moved[path] = mutate_entries(move(path[:-1]), path[-1])
+        return moved[path]
+
     relations = []
     for ep in base_atlas.exchange_pairs.values():
         state = base_atlas.seeds[ep.seed]
-        moved = mutate_along(top, state.path)
-        if moved[:n] != state.matrix[:n]:
+        rows_at = move(state.path)
+        if rows_at[:n] != state.matrix[:n]:
             raise UniversalError("mutable block moved along the path of "
                                  "seed %d does not match it" % ep.seed)
-        t_sides = exchange_monomials(t_ids, moved[n:], ep.k)
+        t_sides = exchange_monomials(t_ids, rows_at[n:], ep.k)
         z_sides = exchange_monomials(state.ids, state.matrix[:m], ep.k)
         sides = sorted(zip(t_sides, z_sides),
                        key=lambda tz: sorted([*tz[0].items(), *tz[1].items()]))

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-from clusterdeform.atlas import enumerate_atlas, separation_check
+from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.cones import Cone, dual_cone
 from clusterdeform.cotangent import (characteristic_image, obstruction_class,
                                      t1_invariant)
@@ -28,6 +28,7 @@ from clusterdeform.simplicial import (cluster_complex, minimal_nonfaces,
                                       sphere_check)
 from clusterdeform.universal import build_universal
 
+from tests.atlas_oracle import separation_check
 from tests.conftest import data_seed, path_seed
 from tests.lift_oracle import first_order
 from tests.test_atlas import A2_GVECTORS, A2_LAURENT

@@ -1,11 +1,15 @@
 """Exchange-pattern enumeration: variables, g-vectors, Laurent data."""
 
+import copy
+
 import pytest
 
 from clusterdeform import atlas as atlas_module
-from clusterdeform.atlas import (AtlasError, enumerate_atlas,
-                                 separation_check, tropical_g_vector)
+from clusterdeform.atlas import AtlasError, enumerate_atlas
+from clusterdeform.intlinalg import invert_unimodular
 from clusterdeform.polynomials import Poly, exact_divide
+from tests.atlas_oracle import (ORACLE_SEEDS, reference_atlas,
+                                separation_check, tropical_g_vector)
 from tests.conftest import data_seed, path_seed, tree_seed
 
 
@@ -101,7 +105,8 @@ def test_graph_symmetry(a2_atlas):
 
 
 def test_budget_exceeded():
-    with pytest.raises(AtlasError):
+    with pytest.raises(AtlasError, match=r"^exchange-graph search: more than "
+                       r"2 seeds \(--max-seeds 2\)$"):
         enumerate_atlas(data_seed("a2"), max_seeds=2)
 
 
@@ -144,3 +149,56 @@ def test_laurent_layer_divides_once_per_edge(monkeypatch, seed, divisions):
         atlas.laurent_expansion(vid)
     edges = sum(1 for (s, _), j in atlas.seed_graph.items() if j > s)
     assert len(calls) == edges == divisions
+
+
+def _search_record(atlas):
+    """Everything the search decides, in the order it decides it."""
+    return {
+        "variables": [(v.id, v.g_vector, v.is_frozen)
+                      for v in atlas.variables.values()],
+        "seeds": [(s.index, s.ids, s.matrix, s.g_matrix, s.path)
+                  for s in atlas.seeds],
+        "seed_graph": list(atlas.seed_graph.items()),
+        "exchange_pairs": [(key, ep.pair, ep.monomials, ep.seed, ep.k)
+                           for key, ep in atlas.exchange_pairs.items()]}
+
+
+@pytest.mark.parametrize("name", ORACLE_SEEDS)
+def test_search_matches_full_mutation_reference(name):
+    """The sparse search and the full mutation on every edge agree on
+    seeds, edges and pairs, insertion order included."""
+    seed = ORACLE_SEEDS[name]()
+    assert _search_record(enumerate_atlas(seed)) \
+        == _search_record(reference_atlas(seed))
+
+
+@pytest.mark.parametrize("name", [name for name in ORACLE_SEEDS
+                                  if not name.endswith(("_op", "_mu"))])
+def test_inverses_match_invert_unimodular(name):
+    """Each seed's inverse, updated from its BFS parent's, is the one
+    `invert_unimodular` computes from scratch."""
+    atlas = enumerate_atlas(ORACLE_SEEDS[name]())
+    n = atlas.n
+    for s, state in enumerate(atlas.seeds):
+        assert atlas._inverse(s) == invert_unimodular(
+            [row[:n] for row in state.g_matrix[:n]]), s
+
+
+def test_inverse_falls_back_and_names_a_singular_cone(a2_atlas):
+    """A block that differs from its parent's off the mutated column is
+    inverted from scratch; a doubled new column fails the pivot test."""
+    atlas = copy.deepcopy(a2_atlas)
+    s = len(atlas.seeds) - 1
+    state = atlas.seeds[s]
+    k = state.path[-1]
+    j = 1 - k
+    state.g_matrix = tuple(row[:j] + (row[j] + row[k],) + row[j + 1:]
+                           for row in state.g_matrix)
+    assert atlas._inverse(s) == invert_unimodular(
+        [row[:2] for row in state.g_matrix[:2]])
+    assert list(atlas._inverses) == [s]
+    atlas = copy.deepcopy(a2_atlas)
+    state = atlas.seeds[s]
+    state.g_matrix = tuple(row[:k] + (2 * row[k],) + row[k + 1:]
+                           for row in state.g_matrix)
+    assert atlas.fan_defect() == "the cone of seed %d is not unimodular" % s

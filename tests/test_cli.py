@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from clusterdeform import atlas, cli, universal
+from clusterdeform import atlas, cli, gradings, properties, universal
 from clusterdeform.cli import Pipeline, main
 from clusterdeform.seeds import load_seed, seed_to_dict
 from tests.conftest import AUGMENTED, augmented_seed, path_seed
@@ -297,7 +297,9 @@ def test_input_errors(tmp_path, capsys):
 
 
 def test_budget_error(capsys):
-    assert run(capsys, "enumerate", A3_BAD, "--max-seeds", "2")[0] == 2
+    assert main(["enumerate", A3_BAD, "--max-seeds", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: exchange-graph search: more than 2 seeds (--max-seeds 2)\n")
 
 
 def test_usage_error(capsys):
@@ -338,9 +340,31 @@ def test_pipeline_computes_each_stage_once(monkeypatch):
     first = [getattr(pipe, name) for name in stages]
     assert [getattr(pipe, name) for name in stages] == first
     assert pipe.universal.base_atlas is pipe.atlas
-    # base and transpose pattern; the base is not enumerated again, and the
-    # extended relations are read off it; no stage builds a Laurent expansion
-    assert calls == {"enumerate_atlas": 2, "groebner_cone": 1,
+    # one search: the coefficient rows and the extended relations are read
+    # off the base atlas; no stage builds a Laurent expansion
+    assert calls == {"enumerate_atlas": 1, "groebner_cone": 1,
                      "exact_divide": 0}
     pipe.atlas.laurent_expansion(pipe.seed.var_ids[0])
     assert calls["exact_divide"] > 0
+
+
+@pytest.mark.parametrize("argv, searches", [
+    (("univ",), 1), (("cone",), 1), (("lift",), 1),
+    (("check", "--property", "t1"), 1), (("check", "--property", "t0star"), 1),
+    (("grading", "--add-frozen"), 2),
+], ids=lambda a: "-".join(a) if isinstance(a, tuple) else str(a))
+@pytest.mark.parametrize("name", ["a2", "d4"])
+def test_each_command_searches_once(monkeypatch, capsys, argv, searches, name):
+    """One exchange-graph search per command; `grading --add-frozen` also
+    re-verifies the augmented seed with a second one."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return atlas.enumerate_atlas(*args, **kwargs)
+
+    for module in (cli, universal, gradings, properties):
+        monkeypatch.setattr(module, "enumerate_atlas", counted)
+    code, _ = run(capsys, argv[0], str(_DATA / (name + ".json")), *argv[1:])
+    assert code in (0, 1)
+    assert len(calls) == searches

@@ -24,7 +24,7 @@ TEST_ONLY = {
     "buchberger", "s_polynomial", "normal_form", "leading_term", "_pair_key",
     "_sub_exp", "specialize", "constant_term", "compose",
     # atlas
-    "separation_check", "tropical_g_vector", "f_polynomial",
+    "f_polynomial",
     # simplicial
     "link", "sphere_check", "is_face", "is_pure", "dimension",
     # cotangent, gradings, intlinalg, seeds

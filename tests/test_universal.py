@@ -1,5 +1,7 @@
 """The canonical coefficient extension and its exchange relations."""
 
+import copy
+
 import pytest
 
 from clusterdeform.atlas import AtlasError, enumerate_atlas
@@ -7,6 +9,7 @@ from clusterdeform.seeds import ExtendedExchangeMatrix, Seed, mutate
 from clusterdeform.simplicial import cluster_complex, sr_ideal
 from clusterdeform.universal import (UniversalError, build_universal,
                                      fiber_at_zero)
+from tests.atlas_oracle import ORACLE_SEEDS, transpose_u_rows
 from tests.conftest import data_seed, path_seed
 
 
@@ -161,3 +164,42 @@ def test_relations_match_enumerated_extension(name):
     assert len(relations) == len(univ.base_atlas.exchange_pairs)
     assert univ.univ_relations == relations
     assert univ.owners == owners
+
+
+@pytest.mark.parametrize("name", ORACLE_SEEDS)
+def test_u_rows_are_the_transpose_g_vectors(name):
+    """The rows read off the base atlas by tropical duality are the
+    g-vectors of an enumerated transpose pattern."""
+    seed = ORACLE_SEEDS[name]()
+    assert build_universal(seed).u_rows == transpose_u_rows(seed)
+
+
+def _corrupted(atlas, s, i, change):
+    """A copy of atlas with column i of seed s's g-matrix changed."""
+    atlas = copy.deepcopy(atlas)
+    state = atlas.seeds[s]
+    col = change([row[i] for row in state.g_matrix])
+    state.g_matrix = tuple(row[:i] + (x,) + row[i + 1:]
+                           for row, x in zip(state.g_matrix, col))
+    return atlas
+
+
+def test_duality_check_names_a_corrupted_g_vector(a2_seed, a2_atlas):
+    """x14 reflected at the first seed after the root that holds it."""
+    s = next(s for s, state in enumerate(a2_atlas.seeds)
+             if s and "x14" in state.ids)
+    atlas = _corrupted(a2_atlas, s, a2_atlas.seeds[s].ids.index("x14"),
+                       lambda g: [-x for x in g])
+    with pytest.raises(UniversalError, match=r"^duality check: the "
+                       r"coefficient row of x14 differs between seeds 0 "
+                       r"and %d$" % s):
+        build_universal(a2_seed, base_atlas=atlas)
+
+
+def test_duality_check_names_a_non_integral_row(g2_seed, g2_atlas):
+    """With d = (3, 1), the row of the variable at position 0 divides its
+    g-vector's second coordinate by 3."""
+    atlas = _corrupted(g2_atlas, 0, 0, lambda g: [g[0], g[1] + 1])
+    with pytest.raises(UniversalError, match=r"^duality check: the "
+                       r"coefficient row of z1 is not integral at seed 0$"):
+        build_universal(g2_seed, base_atlas=atlas)
