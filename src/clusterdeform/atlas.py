@@ -257,7 +257,7 @@ def enumerate_atlas(seed, max_seeds=100000):
             for k in range(n):
                 if (s, k) in graph:
                     continue
-                c_col = [rows[m + i][k] for i in range(n)]
+                c_col = [row[k] for row in rows[m:]]
                 eps = 1 if max(c_col) > 0 else -1
                 if eps == 1 and min(c_col) < 0:
                     raise AtlasError("c-vector sign-coherence violated")
@@ -287,8 +287,7 @@ def enumerate_atlas(seed, max_seeds=100000):
                     j = cluster_index[key] = len(seeds)
                     new_state = SeedState(
                         j, mutate_entries(rows, k), new_ids,
-                        tuple(grow[:k] + (x,) + grow[k + 1:]
-                              for grow, x in zip(state.g_matrix, g_new)),
+                        tuple(zip(*(variables[v].g_vector for v in new_ids))),
                         state.path + (k,))
                     seeds.append(new_state)
                     graph[(s, k)] = j

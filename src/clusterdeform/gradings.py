@@ -126,7 +126,9 @@ def add_frozen_for_positivity(seed, max_seeds=100000):
         ["aux%d" % (k + 1) for k in range(n)] + ["bal"]
     m_plus = m + n + 1
     grading = [[1] for _ in range(m_plus)]
-    out = Seed(ExtendedExchangeMatrix(rows, n=n), labels, grading)
+    out = Seed(ExtendedExchangeMatrix(
+        rows, n=n, skew_symmetrizer=seed.matrix.skew_symmetrizer),
+        labels, grading)
 
     # re-verify: every cluster variable of the augmented algebra has
     # positive degree under the all-ones grading

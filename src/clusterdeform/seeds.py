@@ -56,19 +56,21 @@ def mutate_entries(entries, k):
     """Matrix mutation at k of a tuple of rows whose first rows form the
     mutable block: b'_ij = -b_ij if i = k or j = k, else
     b_ij + sgn(b_ik) max(b_ik b_kj, 0).  Extra rows below the extended
-    matrix (such as principal coefficient rows) mutate the same way."""
-    row_k = entries[k]
+    matrix (such as principal coefficient rows) mutate the same way.  The
+    added term is b_ik max(b_kj, 0) for b_ik > 0 and b_ik max(-b_kj, 0) for
+    b_ik < 0."""
+    pos = [y if y > 0 else 0 for y in entries[k]]
+    neg = [-y if y < 0 else 0 for y in entries[k]]
     out = []
     for i, row in enumerate(entries):
         bik = row[k]
         if i == k:
             new = [-x for x in row]
-        elif bik > 0:
-            new = [x + max(bik * y, 0) for x, y in zip(row, row_k)]
-        elif bik < 0:
-            new = [x - max(bik * y, 0) for x, y in zip(row, row_k)]
+        elif bik:
+            new = [x + bik * y for x, y in zip(row, pos if bik > 0 else neg)]
         else:
-            new = list(row)
+            out.append(tuple(row))
+            continue
         new[k] = -bik
         out.append(tuple(new))
     return tuple(out)

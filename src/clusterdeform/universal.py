@@ -62,23 +62,25 @@ def build_universal(seed, max_seeds=100000, base_atlas=None):
     n, m = seed.matrix.n, seed.matrix.m
     d = seed.matrix.skew_symmetrizer
 
-    rows = {}
+    first, u_rows = {}, {}
     for state in base_atlas.seeds:
-        for i, (v, g) in enumerate(zip(state.ids[:n],
-                                       zip(*state.g_matrix[:n]))):
-            if v not in rows:
-                h = [-d[j] * g[j] for j in range(n)]
-                if any(x % d[i] for x in h):
+        columns = zip(*state.g_matrix[:n])
+        for i, (v, g) in enumerate(zip(state.ids[:n], columns)):
+            if v in first:
+                if first[v][:2] != (g, d[i]):
                     raise UniversalError(
-                        "duality check: the coefficient row of %s is not "
-                        "integral at seed %d" % (v, state.index))
-                rows[v] = (g, d[i], state.index,
-                           tuple(x // d[i] for x in h))
-            elif rows[v][:2] != (g, d[i]):
+                        "duality check: the coefficient row of %s differs "
+                        "between seeds %d and %d"
+                        % (v, first[v][2], state.index))
+                continue
+            first[v] = (g, d[i], state.index)
+            h = [-d[j] * g[j] for j in range(n)]
+            if any(x % d[i] for x in h):
                 raise UniversalError(
-                    "duality check: the coefficient row of %s differs "
-                    "between seeds %d and %d" % (v, rows[v][2], state.index))
-    t_gs = sorted(row[3] for row in rows.values())
+                    "duality check: the coefficient row of %s is not "
+                    "integral at seed %d" % (v, state.index))
+            u_rows[v] = tuple(x // d[i] for x in h)
+    t_gs = sorted(u_rows.values())
     t_ids = [_t_name(g) for g in t_gs]
     if len(set(t_ids)) != len(t_ids):
         raise UniversalError("coefficient g-vectors are not distinct")

@@ -3,13 +3,13 @@ coefficients, kept as oracles for `atlas.enumerate_atlas` and
 `universal.build_universal`.
 
 `reference_atlas` is the search as it was first written: it mutates the
-whole seed (matrix, g-matrix by the dense E_{k,eps} product, exchange
-monomials) on every edge, keys clusters by the sorted mutable g-vectors and
+whole seed (matrix by the textbook rule, g-matrix by the dense E_{k,eps}
+product, exchange monomials) on every edge, keys clusters by the sorted mutable g-vectors and
 finds each back edge by comparing g-vector sets.  `transpose_u_rows` reads
 the coefficient rows off a second search, of the transpose pattern B^T
 (Reading, "Universal geometric cluster algebras", 2014).
 `separation_check` and `tropical_g_vector` recompute the g-vectors from the
-F-polynomials.  `ORACLE_SEEDS` are the seeds both oracles run on.
+F-polynomials.  `SEARCH_SEEDS` are the seeds both oracles run on.
 """
 
 import random
@@ -18,8 +18,7 @@ from clusterdeform.atlas import (Atlas, AtlasError, ClusterVariable,
                                  ExchangePair, SeedState, _variable_name,
                                  exchange_monomials)
 from clusterdeform.polynomials import Poly
-from clusterdeform.seeds import (ExtendedExchangeMatrix, Seed, e_column,
-                                 mutate, mutate_entries)
+from clusterdeform.seeds import ExtendedExchangeMatrix, Seed, e_column, mutate
 from tests.conftest import AUGMENTED, augmented_seed, path_seed, tree_seed
 
 
@@ -44,7 +43,7 @@ def _mutated(make, rng):
     return lambda: mutate(make(), k)
 
 
-def _oracle_seeds():
+def _search_seeds():
     types = {"A%d" % r: _path(1, -1, r) for r in range(2, 7)}
     types.update(("B%d" % r, _path(1, -2, r)) for r in range(3, 6))
     types.update(("C%d" % r, _path(2, -1, r)) for r in range(3, 6))
@@ -70,7 +69,7 @@ def _oracle_seeds():
 # A2-A6, B3-B5, C3-C5, D4-D6, E6, F4, G2 and its transpose G2t, each also
 # with the opposite matrix -B and after one random mutation, and the
 # augmented seeds of conftest.
-ORACLE_SEEDS = _oracle_seeds()
+SEARCH_SEEDS = _search_seeds()
 
 
 def reference_atlas(seed, max_seeds=100000):
@@ -172,9 +171,22 @@ def _mutate_state(atlas, state, k, n, m):
 
     new_ids = list(state.ids)
     new_ids[k] = new_id
-    new_state = SeedState(-1, mutate_entries(rows, k), tuple(new_ids),
+    new_state = SeedState(-1, _mutate_rows(rows, k), tuple(new_ids),
                           new_g_matrix, state.path + (k,))
     return new_state, (pair_key, monomials)
+
+
+def _mutate_rows(entries, k):
+    """b'_ij = -b_ij if i = k or j = k, else b_ij + sgn(b_ik) max(b_ik b_kj, 0)
+    (Fomin-Zelevinsky), on every row."""
+    out = []
+    for i, row in enumerate(entries):
+        bik = row[k]
+        out.append(tuple(
+            -x if k in (i, j) else
+            x + (1 if bik > 0 else -1) * max(bik * entries[k][j], 0)
+            for j, x in enumerate(row)))
+    return tuple(out)
 
 
 def transpose_u_rows(seed):

@@ -8,7 +8,7 @@ from clusterdeform import atlas as atlas_module
 from clusterdeform.atlas import AtlasError, enumerate_atlas
 from clusterdeform.intlinalg import invert_unimodular
 from clusterdeform.polynomials import Poly, exact_divide
-from tests.atlas_oracle import (ORACLE_SEEDS, reference_atlas,
+from tests.atlas_oracle import (SEARCH_SEEDS, reference_atlas,
                                 separation_check, tropical_g_vector)
 from tests.conftest import data_seed, path_seed, tree_seed
 
@@ -163,21 +163,21 @@ def _search_record(atlas):
                            for key, ep in atlas.exchange_pairs.items()]}
 
 
-@pytest.mark.parametrize("name", ORACLE_SEEDS)
+@pytest.mark.parametrize("name", SEARCH_SEEDS)
 def test_search_matches_full_mutation_reference(name):
     """The sparse search and the full mutation on every edge agree on
     seeds, edges and pairs, insertion order included."""
-    seed = ORACLE_SEEDS[name]()
+    seed = SEARCH_SEEDS[name]()
     assert _search_record(enumerate_atlas(seed)) \
         == _search_record(reference_atlas(seed))
 
 
-@pytest.mark.parametrize("name", [name for name in ORACLE_SEEDS
+@pytest.mark.parametrize("name", [name for name in SEARCH_SEEDS
                                   if not name.endswith(("_op", "_mu"))])
 def test_inverses_match_invert_unimodular(name):
     """Each seed's inverse, updated from its BFS parent's, is the one
     `invert_unimodular` computes from scratch."""
-    atlas = enumerate_atlas(ORACLE_SEEDS[name]())
+    atlas = enumerate_atlas(SEARCH_SEEDS[name]())
     n = atlas.n
     for s, state in enumerate(atlas.seeds):
         assert atlas._inverse(s) == invert_unimodular(

@@ -9,7 +9,7 @@ from clusterdeform.seeds import ExtendedExchangeMatrix, Seed, mutate
 from clusterdeform.simplicial import cluster_complex, sr_ideal
 from clusterdeform.universal import (UniversalError, build_universal,
                                      fiber_at_zero)
-from tests.atlas_oracle import ORACLE_SEEDS, transpose_u_rows
+from tests.atlas_oracle import SEARCH_SEEDS, transpose_u_rows
 from tests.conftest import data_seed, path_seed
 
 
@@ -166,11 +166,11 @@ def test_relations_match_enumerated_extension(name):
     assert univ.owners == owners
 
 
-@pytest.mark.parametrize("name", ORACLE_SEEDS)
+@pytest.mark.parametrize("name", SEARCH_SEEDS)
 def test_u_rows_are_the_transpose_g_vectors(name):
     """The rows read off the base atlas by tropical duality are the
     g-vectors of an enumerated transpose pattern."""
-    seed = ORACLE_SEEDS[name]()
+    seed = SEARCH_SEEDS[name]()
     assert build_universal(seed).u_rows == transpose_u_rows(seed)
 
 
