@@ -11,7 +11,7 @@ from .seeds import (ExtendedExchangeMatrix, Seed, mutate, classify_finite_type,
                     load_seed, seed_from_dict, seed_to_dict)
 from .atlas import enumerate_atlas
 from .simplicial import (SimplicialComplex, MonomialIdeal, cluster_complex,
-                         sr_ideal, minimal_nonfaces, link, join, sphere_check)
+                         sr_ideal, minimal_nonfaces, link, join)
 from .gradings import (m_grading, rank_flags, find_positive_grading,
                        find_strictly_positive, add_frozen_for_positivity,
                        t_degrees)
@@ -30,7 +30,7 @@ __all__ = [
     "load_seed", "seed_from_dict", "seed_to_dict",
     "enumerate_atlas",
     "SimplicialComplex", "MonomialIdeal", "cluster_complex", "sr_ideal",
-    "minimal_nonfaces", "link", "join", "sphere_check",
+    "minimal_nonfaces", "link", "join",
     "m_grading", "rank_flags", "find_positive_grading",
     "find_strictly_positive", "add_frozen_for_positivity", "t_degrees",
     "build_universal", "fiber_at_zero",

@@ -12,6 +12,7 @@ from .gradings import (add_frozen_for_positivity, find_strictly_positive,
                        rank_flags, t_degrees)
 from .intlinalg import lattice_coordinates, nonnegative_solutions, vec_dot
 from .seeds import ExtendedExchangeMatrix, Seed, mutate_along
+from .simplicial import support_mask
 
 
 class PropertyError(Exception):
@@ -106,17 +107,17 @@ def check_t0(J, grading, atlas, D_strict):
     witnesses = []
     for i, v in enumerate(ids):
         unit = tuple(1 if l == i else 0 for l in range(len(ids)))
+        # each generator through v, with the support of its contraction by v
+        through = [(gen, m ^ 1 << i) for gen, m in zip(J.generators, J.masks)
+                   if m >> i & 1]
         for alpha in nonnegative_solutions(weights, weights[i],
                                            [(a, a[i]) for a in free]):
             if alpha == unit or any((vec_dot(a, alpha) - a[i]) % d for a, d
                                     in zip(tors, grading.torsion)):
                 continue
-            for gen in J.generators:
-                if gen[i] == 0:
-                    continue
-                shifted = tuple(a + g - (1 if l == i else 0)
-                                for l, (a, g) in enumerate(zip(alpha, gen)))
-                if not J.contains_monomial(shifted):
+            support = support_mask(alpha)
+            for gen, rest in through:
+                if not J.contains(support | rest):
                     witnesses.append({"v": v, "alpha": alpha,
                                       "blocking": gen})
                     break
@@ -149,13 +150,12 @@ def check_t0_star(J, univ, semigroup, D_strict):
             target = tuple(a - (x == i) for x, a in enumerate(alpha))
             if not any(target) or not semigroup.contains(target):
                 continue
+            support = support_mask(alpha)
             nontrivial = None
             exchangeable = False
             for l, w in enumerate(ids):
-                pair_mon = tuple((x == i) + (x == l) for x in range(len(ids)))
-                moved = tuple(a + (x == l) for x, a in enumerate(alpha))
-                if (not J.contains_monomial(pair_mon)
-                        or J.contains_monomial(moved)):
+                if (not J.contains(1 << i | 1 << l)
+                        or J.contains(support | 1 << l)):
                     continue
                 nontrivial = w
                 if frozenset({v, w}) in pairs:

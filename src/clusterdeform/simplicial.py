@@ -1,41 +1,41 @@
-"""Simplicial complexes, Stanley-Reisner ideals, links, joins, sphere checks."""
+"""Simplicial complexes, Stanley-Reisner ideals, links and joins.
 
-from itertools import combinations
+Finite-type cluster complexes are flag (Fomin and Zelevinsky, "Y-systems
+and generalized associahedra", Ann. Math. 2003), so the Stanley-Reisner
+ideal is read off the facets: its generators are the pairs of vertices
+that share no facet.  No face is ever enumerated; the face enumeration is
+kept as a test oracle."""
+
+from itertools import groupby
 
 
 class SimplicialComplex:
-    """Stored by facets; faces are materialized on demand."""
+    """Stored by facets, the maximal faces."""
 
     __slots__ = ("vertices", "facets")
 
     def __init__(self, vertices, facets):
         self.vertices = sorted(vertices)
         vertex_set = set(self.vertices)
-        cleaned = []
+        cleaned = set()
         for f in facets:
             fs = frozenset(f)
             if not fs <= vertex_set:
                 raise ValueError("facet uses unknown vertices")
-            cleaned.append(fs)
-        # drop facets contained in others
-        self.facets = sorted(
-            (f for f in set(cleaned)
-             if not any(f < g for g in cleaned)),
-            key=lambda f: tuple(sorted(f)))
+            cleaned.add(fs)
+        # drop facets contained in others; only a larger facet can contain
+        # one, so a pure complex makes no subset test
+        kept = []
+        for _, group in groupby(sorted(cleaned, key=len, reverse=True),
+                                key=len):
+            larger = list(kept)
+            kept += [f for f in group if not any(f < g for g in larger)]
+        self.facets = sorted(kept, key=lambda f: tuple(sorted(f)))
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialComplex)
                 and self.vertices == other.vertices
                 and self.facets == other.facets)
-
-    def faces(self):
-        """All faces, including the empty face."""
-        out = set()
-        for f in self.facets:
-            items = sorted(f)
-            for r in range(len(items) + 1):
-                out.update(frozenset(c) for c in combinations(items, r))
-        return out
 
     def is_face(self, subset):
         fs = frozenset(subset)
@@ -53,28 +53,44 @@ class SimplicialComplex:
             self.vertices, [sorted(f) for f in self.facets])
 
 
-class MonomialIdeal:
-    """A monomial ideal given by its minimal generators.
+def support_mask(exponents):
+    """The bit mask of a monomial's support: bit i for each variable i
+    with a nonzero exponent."""
+    return sum(1 << i for i, e in enumerate(exponents) if e)
 
-    generators are exponent tuples over `variables`; the stored list is the
-    unique minimal generating set, sorted lexicographically for bit-exact
-    output.
+
+class MonomialIdeal:
+    """A squarefree monomial ideal given by its minimal generators.
+
+    generators are 0/1 exponent tuples over `variables`; the stored list is
+    the unique minimal generating set, sorted lexicographically for
+    bit-exact output, and `masks` holds the same generators as bit masks
+    (bit i for variable i).  Any other exponent raises ValueError.
     """
 
-    __slots__ = ("variables", "generators")
+    __slots__ = ("variables", "generators", "masks")
 
     def __init__(self, variables, generators):
         self.variables = list(variables)
-        gens = sorted({tuple(g) for g in generators})
+        # only a generator of lower degree can divide one
         minimal = []
-        for g in gens:
-            if not any(h != g and all(a <= b for a, b in zip(h, g)) for h in gens):
-                minimal.append(g)
-        self.generators = minimal
+        for _, group in groupby(sorted({tuple(g) for g in generators},
+                                       key=sum), key=sum):
+            lower = [m for _, m in minimal]
+            for g in group:
+                if any(e not in (0, 1) for e in g):
+                    raise ValueError("generator %r is not squarefree" % (g,))
+                m = support_mask(g)
+                if not any(h & m == h for h in lower):
+                    minimal.append((g, m))
+        minimal.sort()
+        self.generators = [g for g, _ in minimal]
+        self.masks = [m for _, m in minimal]
 
-    def contains_monomial(self, exponents):
-        return any(all(a <= b for a, b in zip(g, exponents))
-                   for g in self.generators)
+    def contains(self, support):
+        """Whether the ideal holds the monomials whose support is the bit
+        mask `support`: some generator's mask is a submask of it."""
+        return any(m & support == m for m in self.masks)
 
     def __eq__(self, other):
         return (isinstance(other, MonomialIdeal)
@@ -93,17 +109,20 @@ def cluster_complex(atlas):
 
 
 def minimal_nonfaces(K):
-    faces = K.faces()
-    candidates = set()
-    vertex_set = set(K.vertices)
-    for f in faces:
-        for v in vertex_set - f:
-            s = f | {v}
-            if s in faces:
-                continue
-            if all((s - {u}) in faces for u in s):
-                candidates.add(s)
-    return sorted(candidates, key=lambda s: tuple(sorted(s)))
+    """The minimal nonfaces of the flag complex K, as pairs sorted by their
+    sorted vertices.  A flag complex is the clique complex of its edges,
+    so its minimal nonfaces are the pairs of vertices that share no facet;
+    every finite-type cluster complex is flag (Fomin and Zelevinsky,
+    "Y-systems and generalized associahedra", Ann. Math. 2003).  Each
+    vertex's star mask ORs the bit masks of the facets that hold it."""
+    bit = {v: 1 << i for i, v in enumerate(K.vertices)}
+    star = dict.fromkeys(K.vertices, 0)
+    for f in K.facets:
+        mask = sum(bit[v] for v in f)
+        for v in f:
+            star[v] |= mask
+    return [frozenset((u, w)) for i, u in enumerate(K.vertices)
+            for w in K.vertices[i + 1:] if not star[u] & bit[w]]
 
 
 def sr_ideal(K, cone_points=()):
@@ -143,37 +162,3 @@ def join(K1, K2):
     return SimplicialComplex(
         list(K1.vertices) + list(K2.vertices),
         [f | g for f in facets1 for g in facets2])
-
-
-def sphere_check(K):
-    """Pseudomanifold and Euler-characteristic checks for an (n-1)-sphere."""
-    if not K.is_pure() or not K.facets:
-        return {"pseudomanifold": False, "euler_ok": False}
-    s = len(K.facets[0])
-    ridge_owners = {}
-    for i, f in enumerate(K.facets):
-        for r in combinations(sorted(f), s - 1):
-            ridge_owners.setdefault(r, []).append(i)
-    # every codimension-1 face in exactly two facets
-    pseudo = s >= 1 and all(len(o) == 2 for o in ridge_owners.values())
-    # facet adjacency connected
-    if pseudo and len(K.facets) > 1:
-        adjacency = {i: set() for i in range(len(K.facets))}
-        for i, j in ridge_owners.values():
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in adjacency[i]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        pseudo = len(seen) == len(K.facets)
-    counts = {}
-    for f in K.faces():
-        counts[len(f)] = counts.get(len(f), 0) + 1
-    reduced_euler = sum((-1) ** (size - 1) * c for size, c in counts.items() if size >= 1) - 1
-    euler_ok = reduced_euler == (-1) ** (s - 1)
-    return {"pseudomanifold": pseudo, "euler_ok": euler_ok}

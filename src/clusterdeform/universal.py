@@ -17,6 +17,7 @@ from .atlas import enumerate_atlas, exchange_monomials
 from .intlinalg import vec_dot
 from .polynomials import Poly
 from .seeds import is_isolated_vertex_free, mutate_entries
+from .simplicial import support_mask
 
 
 class UniversalError(Exception):
@@ -167,6 +168,6 @@ def fiber_at_zero(univ, ideal):
             e[index[v]] += 1
         e = tuple(e)
         monomials.append(e)
-        if not ideal.contains_monomial(e):
+        if not ideal.contains(support_mask(e)):
             verdict = False
     return {"monomials": monomials, "verdict": verdict}

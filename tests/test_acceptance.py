@@ -24,13 +24,13 @@ from clusterdeform.polynomials import (Poly, buchberger, grlex_order,
                                        normal_form)
 from clusterdeform.properties import (check_t0_star, check_t1, repair_t1,
                                       semigroup_data)
-from clusterdeform.simplicial import (cluster_complex, minimal_nonfaces,
-                                      sphere_check)
+from clusterdeform.simplicial import cluster_complex, minimal_nonfaces
 from clusterdeform.universal import build_universal
 
 from tests.atlas_oracle import separation_check
 from tests.conftest import data_seed, path_seed
 from tests.lift_oracle import first_order
+from tests.simplicial_oracle import face_walk_nonfaces, sphere_check
 from tests.test_atlas import A2_GVECTORS, A2_LAURENT
 from tests.test_cones import double_dual_is_identity
 from tests.test_deform import A2_FAMILY_LINES, G2_FAMILY_LINES, _corrections
@@ -202,7 +202,9 @@ def test_criterion_4_counting_properties():
 
         check = sphere_check(K)
         assert check["pseudomanifold"] and check["euler_ok"], name
-        assert all(len(nf) == 2 for nf in minimal_nonfaces(K)), name
+        walked = face_walk_nonfaces(K)
+        assert all(len(nf) == 2 for nf in walked), name
+        assert minimal_nonfaces(K) == walked, name
 
         for state in atlas.seeds:
             bm = state.base_matrix(n, m)

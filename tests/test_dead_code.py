@@ -3,7 +3,9 @@ somewhere in `src/clusterdeform` outside its own body, or is named in
 TEST_ONLY.  The re-exports in `__init__.py` do not count as references,
 and neither do references from inside a TEST_ONLY function.
 
-The scan is by name.  A method is reached only as an attribute, and an
+The scan is by name.  A module-level function is reached only by a bare
+name: `" ".join(parts)` says nothing of a function `join`.  A method is
+reached only as an attribute, and an
 attribute that is also a data attribute (a `__slots__` entry or an
 assigned attribute) reaches a method only where it is called:
 `var.g_vector` reads a `ClusterVariable` slot and says nothing of a method
@@ -26,10 +28,13 @@ TEST_ONLY = {
     # atlas
     "f_polynomial",
     # simplicial
-    "link", "sphere_check", "is_face", "is_pure", "dimension",
+    "link", "join", "is_face", "is_pure", "dimension",
     # cotangent, gradings, intlinalg, seeds
     "characteristic_image", "degree_vector", "degree_of_monomial", "mat_mul",
-    "e_matrix",
+    "e_matrix", "rank",
+    # seeds: perfbench/cases.py imports mutate as well; mutate_grading is
+    # reached only through mutate, and e_column only through it and e_matrix
+    "mutate", "mutate_grading", "e_column",
 }
 
 
@@ -79,7 +84,7 @@ def _references(node, data, skip):
 
 def _uses(refs, fn, is_method):
     if not is_method:
-        return refs["name"][fn.name] + refs["method"][fn.name]
+        return refs["name"][fn.name]
     if any(isinstance(d, ast.Name) and d.id in ("property", "cached_property")
            for d in fn.decorator_list):
         return refs["attr"][fn.name]
@@ -133,3 +138,18 @@ def test_scan_sees_an_uncalled_method_behind_a_slot():
     assert unreferenced({"m.py": tree}) == [("m.py", "use"), ("m.py", "call")]
     assert unreferenced({"m.py": tree}, {"call"}) == [
         ("m.py", "use"), ("m.py", "call"), ("m.py", "g")]
+
+
+def test_scan_reaches_a_module_function_only_by_its_bare_name():
+    """An attribute of the same name is not a reference: the
+    `" ".join(...)` that once kept `simplicial.join` off TEST_ONLY."""
+    tree = ast.parse(
+        "def join(a, b):\n"
+        "    return a + b\n"
+        "def words(parts):\n"
+        "    return ' '.join(parts)\n"
+        "def use(parts):\n"
+        "    return words(parts)\n")
+    assert unreferenced({"m.py": tree}) == [("m.py", "join"), ("m.py", "use")]
+    tree.body.append(ast.parse("def pair(a):\n    return join(a, a)\n").body[0])
+    assert unreferenced({"m.py": tree}) == [("m.py", "use"), ("m.py", "pair")]

@@ -6,9 +6,11 @@ from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.seeds import ExtendedExchangeMatrix, Seed
 from clusterdeform.simplicial import (MonomialIdeal, SimplicialComplex,
                                       cluster_complex, join, link,
-                                      minimal_nonfaces, sphere_check,
-                                      sr_ideal)
+                                      minimal_nonfaces, sr_ideal,
+                                      support_mask)
 from tests.conftest import path_seed
+from tests.simplicial_oracle import (ORACLE_SEEDS, face_walk_nonfaces, faces,
+                                     sphere_check)
 
 
 def pentagon(a2_atlas):
@@ -51,7 +53,22 @@ def test_octagon_sr_ideal(g2_atlas):
 def test_flagness(a2_atlas, g2_atlas):
     for atlas in (a2_atlas, g2_atlas):
         K = cluster_complex(atlas)
-        assert all(len(nf) == 2 for nf in minimal_nonfaces(K))
+        walked = face_walk_nonfaces(K)
+        assert all(len(nf) == 2 for nf in walked)
+        assert minimal_nonfaces(K) == walked
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SEEDS))
+def test_sr_ideal_matches_face_walk(name):
+    """The pairs read off the facets are the minimal nonfaces that the
+    face walk finds, on every cluster complex up to E6."""
+    atlas = enumerate_atlas(ORACLE_SEEDS[name]())
+    K = cluster_complex(atlas)
+    J = sr_ideal(K, atlas.frozen_ids)
+    variables = K.vertices + list(atlas.frozen_ids)
+    assert J.variables == variables
+    assert J.generators == sorted(tuple(int(v in nf) for v in variables)
+                                  for nf in face_walk_nonfaces(K))
 
 
 def test_full_simplex_zero_ideal():
@@ -60,10 +77,26 @@ def test_full_simplex_zero_ideal():
 
 
 def test_monomial_ideal_minimality_and_membership():
-    J = MonomialIdeal(["x", "y"], [(2, 0), (1, 1), (2, 1), (3, 0)])
-    assert J.generators == [(1, 1), (2, 0)]
-    assert J.contains_monomial((2, 5))
-    assert not J.contains_monomial((1, 0))
+    J = MonomialIdeal(["x", "y", "z"],
+                      [(1, 1, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1), (0, 1, 1)])
+    # x divides xy and xyz, which are not minimal
+    assert J.generators == [(0, 1, 1), (1, 0, 0)]
+    assert J.masks == [0b110, 0b001]
+    assert J.contains(support_mask((2, 5, 0)))
+    assert J.contains(support_mask((0, 3, 1)))
+    assert not J.contains(support_mask((0, 1, 0)))
+    assert not J.contains(0)
+
+
+def test_monomial_ideal_rejects_non_squarefree():
+    with pytest.raises(ValueError, match="not squarefree"):
+        MonomialIdeal(["x", "y"], [(1, 1), (2, 0)])
+
+
+def test_facets_contained_in_larger_facets_are_dropped():
+    K = SimplicialComplex("abcd", [["a", "b", "c"], ["a", "b"], ["d"],
+                                   ["c", "b", "a"], ["c", "d"], []])
+    assert K.facets == [frozenset("abc"), frozenset("cd")]
 
 
 def test_link_of_pentagon_vertex(a2_atlas):
@@ -97,9 +130,8 @@ def test_sphere_checks(a2_atlas):
 def test_a3_sphere_counts():
     atlas = enumerate_atlas(path_seed([(1, -1), (1, -1)]))
     K = cluster_complex(atlas)
-    faces = K.faces()
     counts = {}
-    for f in faces:
+    for f in faces(K):
         counts[len(f)] = counts.get(len(f), 0) + 1
     assert counts[1] == 9 and counts[2] == 21 and counts[3] == 14
     check = sphere_check(K)
