@@ -11,13 +11,13 @@ from .seeds import (ExtendedExchangeMatrix, Seed, mutate, classify_finite_type,
                     load_seed, seed_from_dict, seed_to_dict)
 from .atlas import enumerate_atlas
 from .simplicial import (SimplicialComplex, MonomialIdeal, cluster_complex,
-                         sr_ideal, minimal_nonfaces, link, join)
+                         sr_ideal, minimal_nonfaces)
 from .gradings import (m_grading, rank_flags, find_positive_grading,
                        find_strictly_positive, add_frozen_for_positivity,
                        t_degrees)
 from .universal import build_universal, fiber_at_zero
 from .cotangent import (t1_degree_families, t1_invariant, t1_witnesses,
-                        characteristic_image, obstruction_class)
+                        obstruction_class)
 from .properties import (check_t0, check_t0_star, check_t1, repair_t1,
                          semigroup_data)
 from .groebner import groebner_cone, interior_weight, cone_certificates
@@ -30,12 +30,12 @@ __all__ = [
     "load_seed", "seed_from_dict", "seed_to_dict",
     "enumerate_atlas",
     "SimplicialComplex", "MonomialIdeal", "cluster_complex", "sr_ideal",
-    "minimal_nonfaces", "link", "join",
+    "minimal_nonfaces",
     "m_grading", "rank_flags", "find_positive_grading",
     "find_strictly_positive", "add_frozen_for_positivity", "t_degrees",
     "build_universal", "fiber_at_zero",
     "t1_degree_families", "t1_invariant", "t1_witnesses",
-    "characteristic_image", "obstruction_class",
+    "obstruction_class",
     "check_t0", "check_t0_star", "check_t1", "repair_t1", "semigroup_data",
     "groebner_cone", "interior_weight", "cone_certificates",
     "lift", "verify_family",

@@ -115,10 +115,6 @@ class Atlas:
     def laurent_expansion(self, variable_id):
         return self.principal[self._get(variable_id).id].project(range(self.m))
 
-    def f_polynomial(self, variable_id):
-        return self.principal[self._get(variable_id).id].project(
-            range(self.m, self.m + self.n))
-
     def _get(self, variable_id):
         if variable_id not in self.variables:
             raise KeyError("unknown variable id %r" % (variable_id,))

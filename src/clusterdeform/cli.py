@@ -53,8 +53,7 @@ class Pipeline:
 
     @cached_property
     def universal(self):
-        return build_universal(self.seed, max_seeds=self.max_seeds,
-                               base_atlas=self.atlas)
+        return build_universal(self.atlas)
 
     @cached_property
     def cone(self):

@@ -13,13 +13,12 @@ from .intlinalg import identity_matrix, primitive, row_lattice_basis, vec_dot
 
 
 class Cone:
-    __slots__ = ("ambient_dim", "lineality", "rays", "inequalities")
+    __slots__ = ("ambient_dim", "lineality", "rays")
 
-    def __init__(self, ambient_dim, lineality, rays, inequalities=None):
+    def __init__(self, ambient_dim, lineality, rays):
         self.ambient_dim = ambient_dim
         self.lineality = [list(r) for r in row_lattice_basis(lineality)]
         self.rays = sorted(_canonical_rays(rays, self.lineality))
-        self.inequalities = [list(a) for a in inequalities] if inequalities is not None else None
 
     def __eq__(self, other):
         return (isinstance(other, Cone)
@@ -34,11 +33,6 @@ class Cone:
     @property
     def lineality_dim(self):
         return len(self.lineality)
-
-    def contains(self, v):
-        if self.inequalities is None:
-            raise ValueError("no inequality form stored")
-        return all(vec_dot(a, v) >= 0 for a in self.inequalities)
 
 
 def _canonical_rays(rays, hnf):
@@ -114,7 +108,7 @@ def dual_cone(generators, dim):
                         rays[tuple(primitive(ray))] = common | bit
         bit <<= 1
 
-    return Cone(dim, lineality, rays, inequalities=[list(g) for g in generators])
+    return Cone(dim, lineality, rays)
 
 
 def slack_ray(rows, dim):

@@ -1,6 +1,5 @@
 """Graded first-order deformation degrees of the cluster complex: family
-enumeration, the invariant pinned degrees, the characteristic image, and
-the obstructedness lookup.
+enumeration, the invariant pinned degrees, and the obstructedness lookup.
 
 The T1 witness search is a call to `intlinalg.nonnegative_solutions`, the
 bounded search that the T0 and T0* checkers in `properties` use too;
@@ -41,15 +40,6 @@ class T1Degree:
         if self.a is None:
             raise ValueError("family degrees have no pinned exponents")
         return (tuple(sorted(self.a.items())), tuple(sorted(self.b.items())))
-
-    def degree_vector(self, order):
-        index = {v: i for i, v in enumerate(order)}
-        vec = [0] * len(order)
-        for v, e in self.a.items():
-            vec[index[v]] += e
-        for v, e in self.b.items():
-            vec[index[v]] -= e
-        return tuple(vec)
 
     def __repr__(self):
         return "T1Degree(pair=%r, a=%r, family=%r)" % (
@@ -170,24 +160,6 @@ def t1_invariant(atlas, K, J, D_strict):
                        family=False, witness_w=w)
         found.setdefault(deg.degree_key(), deg)
     return sorted(found.values(), key=lambda d: d.degree_key())
-
-
-def characteristic_image(univ):
-    """One pinned degree per universal coefficient, read off the relation
-    that carries the coefficient alone with exponent 1."""
-    if univ.has_isolated_vertex:
-        raise CotangentError("isolated vertex: characteristic map degenerate")
-    out = []
-    for t_id in univ.t_ids:
-        rel_idx, side_idx = univ.owners[t_id][0]
-        rel = univ.univ_relations[rel_idx]
-        _, z_part = rel["sides"][side_idx]
-        b = {v: 1 for v in rel["pair"]}
-        mutable = {v.id for v in univ.base_atlas.mutable_variables}
-        omega = {v for v in z_part if v in mutable}
-        out.append(T1Degree(None, None, rel["pair"], omega,
-                            dict(z_part), b, family=False))
-    return out
 
 
 def obstruction_class(matrix):

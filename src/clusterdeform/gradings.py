@@ -30,19 +30,6 @@ class GradingData:
         tors = tuple(vec_dot(row, w) % d for d, row in self._moduli_rows)
         return (free, tors)
 
-    def degree_of_monomial(self, exponents, order):
-        """Degree of a monomial given by exponents over the id list `order`."""
-        free = (0,) * self.free_rank
-        tors = [0] * len(self.torsion)
-        for v, e in zip(order, exponents):
-            if e == 0:
-                continue
-            f, t = self.deg_H[v]
-            free = tuple(a + e * b for a, b in zip(free, f))
-            tors = [x + e * y for x, y in zip(tors, t)]
-        tors = tuple(x % d for x, d in zip(tors, self.torsion))
-        return (free, tors)
-
 
 def m_grading(matrix, atlas=None):
     """M = coker(B~) via Smith normal form; degrees of the initial variables

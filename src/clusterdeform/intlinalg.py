@@ -17,12 +17,6 @@ def identity_matrix(n):
 def transpose(A):
     return [list(col) for col in zip(*A)] if A else []
 
-def mat_mul(A, B):
-    if not A or not B:
-        return []
-    bt = list(zip(*B))
-    return [[sum(map(mul, row, col)) for col in bt] for row in A]
-
 
 def mat_vec(A, v):
     return [sum(map(mul, row, v)) for row in A]
@@ -206,12 +200,6 @@ def row_lattice_basis(A):
         return []
     H, _ = hermite_normal_form(A)
     return [r for r in H if any(r)]
-
-
-def rank(A):
-    if not A or not A[0]:
-        return 0
-    return smith_normal_form(A).rank
 
 
 def lattice_coordinates(w, A):

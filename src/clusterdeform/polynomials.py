@@ -1,4 +1,5 @@
-"""Sparse multivariate Laurent polynomials over Q, monomial orders, and reduction.
+"""Sparse multivariate Laurent polynomials over Q, the weight order of the
+lifted family, and exact Laurent division.
 
 Polynomials are stored as a map from integer exponent tuples to nonzero
 rational coefficients.  Negative exponents are permitted; the surrounding
@@ -7,16 +8,11 @@ mutable cluster variables).
 """
 
 from fractions import Fraction
-from functools import cache
-from operator import add, sub
+from operator import add, lt, sub
 
 
 def _add_exp(e1, e2):
     return tuple(a + b for a, b in zip(e1, e2))
-
-
-def _sub_exp(e1, e2):
-    return tuple(a - b for a, b in zip(e1, e2))
 
 
 def monomial_str(names, exponents):
@@ -88,9 +84,6 @@ class Poly:
 
     def is_zero(self):
         return not self.terms
-
-    def constant_term(self):
-        return self.terms.get((0,) * self.nvars, 0)
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.nvars == other.nvars
@@ -169,42 +162,6 @@ class Poly:
         return Poly(self.nvars,
                     {_add_exp(e, exponents): c * coeff for e, c in self.terms.items()})
 
-    def specialize(self, assignments):
-        """Substitute constants for some variables.
-
-        assignments: dict index -> value (0 and 1 are the typical uses).
-        Substituting 0 into a variable with a negative exponent is an error.
-        The variable count is preserved; substituted variables simply no
-        longer occur.
-        """
-        out = {}
-        for e, c in self.terms.items():
-            coeff = c
-            new_e = list(e)
-            ok = True
-            for i, val in assignments.items():
-                k = e[i]
-                new_e[i] = 0
-                if k == 0:
-                    continue
-                if val == 0:
-                    if k < 0:
-                        raise ZeroDivisionError("substituting 0 into a negative power")
-                    ok = False
-                    break
-                if val == 1:
-                    continue
-                coeff = coeff * Fraction(val) ** k
-            if not ok:
-                continue
-            key = tuple(new_e)
-            s = out.get(key, 0) + coeff
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Poly(self.nvars, out)
-
     def project(self, keep):
         """Specialize every variable not listed in `keep` to 1 and drop it:
         the result is a Poly in the kept variables, in their given order."""
@@ -217,27 +174,6 @@ class Poly:
             else:
                 terms[key] = s
         return Poly(len(keep), terms)
-
-    def compose(self, images):
-        """Substitute images[i] (a Poly) for variable i.
-
-        Negative exponents are only supported when the corresponding image is
-        a single term (a unit in the Laurent ring).
-        """
-        nvars = images[0].nvars if images else 0
-        result = Poly.zero(nvars)
-        cache = {}
-        for e, c in self.terms.items():
-            term = Poly(nvars, {(0,) * nvars: c})
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                key = (i, k)
-                if key not in cache:
-                    cache[key] = images[i] ** k
-                term = term * cache[key]
-            result = result + term
-        return result
 
     def to_string(self, names):
         if not self.terms:
@@ -267,137 +203,43 @@ class MonomialOrder:
         w = sum(a * b for a, b in zip(self.weights, exponents))
         return (w, sum(exponents), exponents)
 
-    def leading_exponent(self, poly):
-        if poly.is_zero():
-            raise ValueError("zero polynomial has no leading term")
-        return max(poly.terms, key=self.key)
 
-    def leading_term(self, poly):
-        e = self.leading_exponent(poly)
-        return e, poly.terms[e]
-
-
-def grlex_order(nvars):
-    return MonomialOrder((0,) * nvars)
-
-
-def divide(dividends, divisors, order):
-    """Multivariate division of each Poly f in `dividends` by the (lead
-    exponent, Poly) pairs `divisors`: one (quotients, remainder) per f, with
-    f = sum(q_i * g_i) + remainder and no remainder term divisible by a lead.
-    Terms go in decreasing order, each to the first divisor in list order
-    whose lead divides it; exponents must be nonnegative.  The leads'
-    supports, coefficients and tails are prepared once per call, and the
-    memos of order keys and first dividing leads serve every dividend."""
-    table = [([(i, x) for i, x in enumerate(le) if x], le, g.terms[le],
-              [(x, c) for x, c in g.terms.items() if x != le])
-             for le, g in divisors]
-
-    @cache
-    def first_divisor(e):
-        for j, (support, _, _, _) in enumerate(table):
-            for i, x in support:
-                if e[i] < x:
-                    break
-            else:
-                return j
-        return None
-
-    key = cache(order.key)
-    out = []
-    for f in dividends:
-        zero = Poly(f.nvars)  # every empty quotient shares this value
-        work = dict(f.terms)
-        quotients = [{} for _ in table]
-        remainder = {}
-        while work:
-            e = max(work, key=key)
-            c = work.pop(e)
-            j = first_divisor(e)
-            if j is None:
-                remainder[e] = c
-                continue
-            _, le, lc, tail = table[j]
-            m = tuple(map(sub, e, le))
-            if lc != 1:
-                c = Fraction(c) / lc
-                c = c.numerator if c.denominator == 1 else c
-            quotients[j][m] = c
-            for x, cx in tail:
-                x = tuple(map(add, x, m))
-                s = work.pop(x, 0) - c * cx
-                if s:
-                    work[x] = s
-        out.append(([Poly(f.nvars, q) if q else zero for q in quotients],
-                    Poly(f.nvars, remainder)))
-    return out
-
-
-def normal_form(f, basis, order):
-    """Remainder of multivariate division of f by the list `basis`: no term
-    of the result is divisible by any leading term of `basis`."""
-    leads = [(order.leading_exponent(g), g) for g in basis if not g.is_zero()]
-    return divide([f], leads, order)[0][1]
-
-
-def s_polynomial(f, g, order):
-    ef, cf = order.leading_term(f)
-    eg, cg = order.leading_term(g)
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    uf = f.scale_monomial(_sub_exp(lcm, ef), Fraction(1) / Fraction(cf))
-    ug = g.scale_monomial(_sub_exp(lcm, eg), Fraction(1) / Fraction(cg))
-    return uf - ug
-
-
-def buchberger(gens, order, max_basis=500):
-    """Complete `gens` to a Groebner basis for the given order.
-
-    Uses the coprime-leading-term criterion; pairs are processed by
-    increasing lcm degree for determinism.  Small-scale implementation for
-    validation work, not a production Groebner engine.
-    """
-    basis = [g for g in gens if not g.is_zero()]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
-    while pairs:
-        pairs.sort(key=lambda p: _pair_key(basis, p, order))
-        i, j = pairs.pop(0)
-        ei = order.leading_exponent(basis[i])
-        ej = order.leading_exponent(basis[j])
-        if all(min(a, b) == 0 for a, b in zip(ei, ej)):
-            continue  # coprime leading terms reduce to zero
-        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
-        if not r.is_zero():
-            basis.append(r)
-            if len(basis) > max_basis:
-                raise RuntimeError("Groebner basis budget exceeded")
-            pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
-    return basis
-
-
-def _pair_key(basis, pair, order):
-    ei = order.leading_exponent(basis[pair[0]])
-    ej = order.leading_exponent(basis[pair[1]])
-    lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-    return (sum(lcm), lcm)
+def _grlex(exponents):
+    return sum(exponents), exponents
 
 
 def exact_divide(f, g):
     """Exact division of Laurent polynomials: returns q with f = q*g.
 
-    Raises ValueError if g does not divide f.  Works by clearing negative
-    exponents and doing leading-term division under graded lex.
+    The terms of f are divided in decreasing grlex order by the lead of g,
+    as after shifting f and g to nonnegative exponents: the shift keeps
+    the order of the terms, and the lead divides a shifted term exactly
+    when the quotient exponent is at least min(f) - min(g) in every
+    variable.  ValueError is raised at the first term the lead does not
+    divide; with one divisor that happens exactly when g does not divide f.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    if f.is_zero():
-        return Poly.zero(f.nvars)
-    n = f.nvars
-    shift_f = [min(e[i] for e in f.terms) for i in range(n)]
-    shift_g = [min(e[i] for e in g.terms) for i in range(n)]
-    fs = f.scale_monomial([-s for s in shift_f])
-    gs = g.scale_monomial([-s for s in shift_g])
-    order = grlex_order(n)
-    [((q,), r)] = divide([fs], [(order.leading_exponent(gs), gs)], order)
-    if not r.is_zero():
-        raise ValueError("not divisible")
-    return q.scale_monomial([a - b for a, b in zip(shift_f, shift_g)])
+    floor = [a - b for a, b in zip(map(min, zip(*f.terms)),
+                                   map(min, zip(*g.terms)))]
+    lead = max(g.terms, key=_grlex)
+    lc = g.terms[lead]
+    tail = [(x, c) for x, c in g.terms.items() if x != lead]
+    work = dict(f.terms)
+    quotient = {}
+    while work:
+        e = max(work, key=_grlex)
+        c = work.pop(e)
+        m = tuple(map(sub, e, lead))
+        if any(map(lt, m, floor)):
+            raise ValueError("not divisible")
+        if lc != 1:
+            c = Fraction(c) / lc
+            c = c.numerator if c.denominator == 1 else c
+        quotient[m] = c
+        for x, cx in tail:
+            x = tuple(map(add, x, m))
+            s = work.pop(x, 0) - c * cx
+            if s:
+                work[x] = s
+    return Poly(f.nvars, quotient)

@@ -76,11 +76,9 @@ class PropertyReport:
             self.property, self.holds, self.witnesses)
 
 
-def check_t1(atlas, D_strict=None):
+def check_t1(atlas, D_strict):
     """For every seed matrix and every mutable index, the only lattice
     witnesses allowed are 0 and the negated column."""
-    if D_strict is None:
-        D_strict = find_strictly_positive(atlas)
     if D_strict is None:
         raise PropertyError("no strictly positive grading: cannot bound "
                             "the witness search")

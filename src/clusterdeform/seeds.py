@@ -8,7 +8,7 @@ import json
 from fractions import Fraction
 from math import gcd
 
-from .intlinalg import determinant, identity_matrix
+from .intlinalg import determinant
 
 
 class ExtendedExchangeMatrix:
@@ -190,15 +190,6 @@ def e_column(entries, k, sign):
         raise ValueError("sign must be +1 or -1")
     return [-1 if i == k else max(0, -sign * row[k])
             for i, row in enumerate(entries)]
-
-
-def e_matrix(matrix, k, sign):
-    """The m x m elementary matrix E_{k,eps}: identity off column k."""
-    col = e_column(matrix.entries, k, sign)
-    E = identity_matrix(matrix.m)
-    for row, x in zip(E, col):
-        row[k] = x
-    return E
 
 
 def mutate_grading(matrix, grading_rows, k, sign=1):

@@ -1,4 +1,4 @@
-"""Simplicial complexes, Stanley-Reisner ideals, links and joins.
+"""Simplicial complexes and their Stanley-Reisner ideals.
 
 Finite-type cluster complexes are flag (Fomin and Zelevinsky, "Y-systems
 and generalized associahedra", Ann. Math. 2003), so the Stanley-Reisner
@@ -36,17 +36,6 @@ class SimplicialComplex:
         return (isinstance(other, SimplicialComplex)
                 and self.vertices == other.vertices
                 and self.facets == other.facets)
-
-    def is_face(self, subset):
-        fs = frozenset(subset)
-        return any(fs <= f for f in self.facets)
-
-    def is_pure(self):
-        sizes = {len(f) for f in self.facets}
-        return len(sizes) <= 1
-
-    def dimension(self):
-        return max((len(f) for f in self.facets), default=0) - 1
 
     def __repr__(self):
         return "SimplicialComplex(%r, %r)" % (
@@ -140,25 +129,3 @@ def sr_ideal(K, cone_points=()):
             e[index[v]] = 1
         gens.append(tuple(e))
     return MonomialIdeal(variables, gens)
-
-
-def link(K, face):
-    face = frozenset(face)
-    if not K.is_face(face):
-        raise ValueError("not a face of the complex")
-    new_facets = [f - face for f in K.facets if face <= f]
-    vertices = set()
-    for f in new_facets:
-        vertices.update(f)
-    return SimplicialComplex(sorted(vertices), new_facets)
-
-
-def join(K1, K2):
-    overlap = set(K1.vertices) & set(K2.vertices)
-    if overlap:
-        raise ValueError("vertex sets overlap: %r" % sorted(overlap))
-    facets1 = K1.facets or [frozenset()]
-    facets2 = K2.facets or [frozenset()]
-    return SimplicialComplex(
-        list(K1.vertices) + list(K2.vertices),
-        [f | g for f in facets1 for g in facets2])

@@ -13,7 +13,7 @@ each extended exchange relation is a column of the extended matrix at a
 base seed.
 """
 
-from .atlas import enumerate_atlas, exchange_monomials
+from .atlas import exchange_monomials
 from .intlinalg import vec_dot
 from .polynomials import Poly
 from .seeds import is_isolated_vertex_free, mutate_entries
@@ -50,16 +50,14 @@ def _t_name(g):
     return "t(" + ",".join(str(x) for x in g) + ")"
 
 
-def build_universal(seed, max_seeds=100000, base_atlas=None):
+def build_universal(base_atlas):
     """Read the coefficient rows off the base atlas by tropical duality,
-    stack them as frozen rows under the base matrix, and read each extended
-    exchange relation off column k of that matrix moved to the seed where
-    the base atlas first found the pair; the two sides are ordered by their
-    sorted (id, exponent) items.  Each variable's row must be integral and
-    the same at every seed that holds it.  base_atlas, when given, must be
-    the atlas of `seed`; it is enumerated here otherwise."""
-    if base_atlas is None:
-        base_atlas = enumerate_atlas(seed, max_seeds=max_seeds)
+    stack them as frozen rows under the initial seed's matrix, and read
+    each extended exchange relation off column k of that matrix moved to
+    the seed where the base atlas first found the pair; the two sides are
+    ordered by their sorted (id, exponent) items.  Each variable's row must
+    be integral and the same at every seed that holds it."""
+    seed = base_atlas.initial_seed
     n, m = seed.matrix.n, seed.matrix.m
     d = seed.matrix.skew_symmetrizer
 

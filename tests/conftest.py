@@ -69,8 +69,8 @@ def a2_ideal(a2_atlas):
 
 
 @pytest.fixture(scope="session")
-def a2_univ(a2_seed):
-    return build_universal(a2_seed)
+def a2_univ(a2_atlas):
+    return build_universal(a2_atlas)
 
 
 @pytest.fixture(scope="session")
@@ -84,8 +84,8 @@ def g2_atlas(g2_seed):
 
 
 @pytest.fixture(scope="session")
-def g2_univ(g2_seed):
-    return build_universal(g2_seed)
+def g2_univ(g2_atlas):
+    return build_universal(g2_atlas)
 
 
 @pytest.fixture(scope="session")

@@ -4,13 +4,16 @@ complex off its facets.
 
 `faces` lists every face, `face_walk_nonfaces` finds the minimal nonfaces
 of any complex by walking the faces, and `sphere_check` tests the
-pseudomanifold property and the Euler characteristic of a sphere.
+pseudomanifold property and the Euler characteristic of a sphere.  `link`
+and `join` build the complexes that cluster complexes are compared with,
+and `is_pure` and `dimension` read a complex's shape.
 `ORACLE_SEEDS` are the seeds the oracle test runs on.
 """
 
 from importlib import resources
 from itertools import combinations
 
+from clusterdeform.simplicial import SimplicialComplex
 from tests.conftest import (AUGMENTED, augmented_seed, data_seed, path_seed,
                             tree_seed)
 
@@ -33,6 +36,36 @@ ORACLE_SEEDS = dict(
        ("d5", _d(5)), ("d6", _d(6)),
        ("e6", lambda: tree_seed(6, [(0, 1), (1, 2), (2, 3), (3, 4),
                                     (2, 5)]))])
+
+
+def is_pure(K):
+    return len({len(f) for f in K.facets}) <= 1
+
+
+def dimension(K):
+    return max((len(f) for f in K.facets), default=0) - 1
+
+
+def link(K, face):
+    face = frozenset(face)
+    if not any(face <= f for f in K.facets):
+        raise ValueError("not a face of the complex")
+    new_facets = [f - face for f in K.facets if face <= f]
+    vertices = set()
+    for f in new_facets:
+        vertices.update(f)
+    return SimplicialComplex(sorted(vertices), new_facets)
+
+
+def join(K1, K2):
+    overlap = set(K1.vertices) & set(K2.vertices)
+    if overlap:
+        raise ValueError("vertex sets overlap: %r" % sorted(overlap))
+    facets1 = K1.facets or [frozenset()]
+    facets2 = K2.facets or [frozenset()]
+    return SimplicialComplex(
+        list(K1.vertices) + list(K2.vertices),
+        [f | g for f in facets1 for g in facets2])
 
 
 def faces(K):
@@ -64,7 +97,7 @@ def face_walk_nonfaces(K):
 
 def sphere_check(K):
     """Pseudomanifold and Euler-characteristic checks for an (n-1)-sphere."""
-    if not K.is_pure() or not K.facets:
+    if not is_pure(K) or not K.facets:
         return {"pseudomanifold": False, "euler_ok": False}
     s = len(K.facets[0])
     ridge_owners = {}

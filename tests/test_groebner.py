@@ -2,6 +2,7 @@
 
 import pytest
 
+from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.cones import Cone
 from clusterdeform.gradings import t_degrees
 from clusterdeform.groebner import (GroebnerError, cone_certificates,
@@ -62,14 +63,14 @@ def test_g2_cone(g2_univ):
 
 
 def test_pullback_cone_simplicial_not_smooth():
-    univ = build_universal(data_seed("gr26_pullback"))
+    univ = build_universal(enumerate_atlas(data_seed("gr26_pullback")))
     gc = groebner_cone(univ)
     assert gc.simplicial_mod_lineality
     assert not gc.smooth_mod_lineality
 
 
 def test_sink_source_cone():
-    univ = build_universal(data_seed("a1f"))
+    univ = build_universal(enumerate_atlas(data_seed("a1f")))
     gc = groebner_cone(univ)
     assert len(gc.dual_generators) == 2
     assert len(gc.cone.rays) == 2
@@ -78,7 +79,7 @@ def test_sink_source_cone():
 
 
 def test_isolated_vertex_rejected():
-    univ = build_universal(path_seed([]))
+    univ = build_universal(enumerate_atlas(path_seed([])))
     with pytest.raises(GroebnerError):
         groebner_cone(univ)
 

@@ -1,15 +1,29 @@
 """Integer lattice linear algebra: normal forms, kernels, solving."""
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterdeform.intlinalg import (hermite_normal_form, identity_matrix,
                                      invert_unimodular, kernel_basis,
-                                     lattice_coordinates, mat_mul, mat_vec,
-                                     primitive, rank, row_lattice_basis, rref,
+                                     lattice_coordinates, mat_vec, primitive,
+                                     row_lattice_basis, rref,
                                      smith_normal_form, transpose)
+
+
+def mat_mul(A, B):
+    if not A or not B:
+        return []
+    bt = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in bt] for row in A]
+
+
+def rank(A):
+    if not A or not A[0]:
+        return 0
+    return smith_normal_form(A).rank
 
 
 def matrices(rows, cols, bound=5):

@@ -1,12 +1,14 @@
-"""Sparse polynomial arithmetic, monomial orders, division, and bases."""
+"""Sparse polynomial arithmetic, exact division, and the Gröbner oracle."""
 
 from fractions import Fraction
 
-from hypothesis import example, given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from clusterdeform.polynomials import (MonomialOrder, Poly, buchberger,
-                                       divide, exact_divide, grlex_order,
-                                       normal_form, s_polynomial)
+from clusterdeform.polynomials import MonomialOrder, Poly, exact_divide
+from tests.groebner_oracle import (buchberger, compose, divide, grlex_order,
+                                   leading_exponent, normal_form,
+                                   s_polynomial, specialize)
 
 NVARS = 3
 
@@ -37,6 +39,24 @@ def test_exact_divide_roundtrip(f, g):
     assert exact_divide(f * g, g) == f
 
 
+@given(poly_strategy(min_exp=-2), poly_strategy(), poly_strategy(),
+       st.tuples(*[st.integers(-2, 2)] * NVARS),
+       st.tuples(*[st.integers(-2, 2)] * NVARS))
+@settings(max_examples=80, deadline=None)
+def test_exact_divide_rejects_a_remainder(f, g, r, u, v):
+    """Once g is shifted to have no monomial factor, a remainder that the
+    oracle's division by g leaves nonzero is not a multiple of g in the
+    Laurent ring: so exact_divide(f*g + r, g) raises, after shifting the
+    dividend and the divisor by any Laurent monomials."""
+    assume(not g.is_zero())
+    g = g.scale_monomial([-min(col) for col in zip(*g.terms)])
+    order = grlex_order(NVARS)
+    [(_, r)] = divide([r], [(leading_exponent(g, order), g)], order)
+    assume(not r.is_zero())
+    with pytest.raises(ValueError):
+        exact_divide((f * g + r).scale_monomial(u), g.scale_monomial(v))
+
+
 @given(poly_strategy(), poly_strategy(),
        st.lists(poly_strategy(), min_size=1, max_size=3))
 # the lead x^3 brings in the tail y^2*z^2
@@ -48,7 +68,7 @@ def test_divide_quotients_and_remainder(f0, h, basis):
     divisor's leading exponent."""
     f = f0 + h * basis[0]
     order = MonomialOrder((3, 1, 2))
-    divisors = [(order.leading_exponent(g), g) for g in basis
+    divisors = [(leading_exponent(g, order), g) for g in basis
                 if not g.is_zero()]
     [(quotients, r)] = divide([f], divisors, order)
     assert len(quotients) == len(divisors)
@@ -111,7 +131,7 @@ def division_batches(draw):
         gs = [Poly(NVARS, d) for d in draw(st.lists(
             st.dictionaries(EXPONENTS, NONZERO, min_size=1, max_size=3),
             min_size=1, max_size=3))]
-        lists.append([(order.leading_exponent(g), g) for g in gs])
+        lists.append([(leading_exponent(g, order), g) for g in gs])
     return order, dividends, lists
 
 
@@ -161,9 +181,9 @@ def test_specialize_and_compose():
     x = Poly.variable(2, 0)
     y = Poly.variable(2, 1)
     f = x * x + 2 * y
-    assert f.specialize({0: 1}) == Poly.one(2) + 2 * y
-    assert f.specialize({0: 0, 1: 0}) == Poly.zero(2)
-    g = f.compose([y, x])
+    assert specialize(f, {0: 1}) == Poly.one(2) + 2 * y
+    assert specialize(f, {0: 0, 1: 0}) == Poly.zero(2)
+    g = compose(f, [y, x])
     assert g == y * y + 2 * x
 
 
@@ -173,10 +193,10 @@ def test_order_key_is_multiplicative(f, g):
     order = MonomialOrder((3, 1, 2))
     if f.is_zero() or g.is_zero():
         return
-    ef = order.leading_exponent(f)
-    eg = order.leading_exponent(g)
+    ef = leading_exponent(f, order)
+    eg = leading_exponent(g, order)
     prod = Poly.monomial(NVARS, ef) * Poly.monomial(NVARS, eg)
-    assert order.leading_exponent(prod) == tuple(
+    assert leading_exponent(prod, order) == tuple(
         a + b for a, b in zip(ef, eg))
     for e in f.terms:
         shifted_e = tuple(a + b for a, b in zip(e, eg))
@@ -192,7 +212,7 @@ def test_normal_form_remainder_is_reduced():
     basis = [x * x - y, x * y - Poly.one(2)]
     f = x ** 4 + y ** 3 + x
     r = normal_form(f, basis, order)
-    leads = [order.leading_exponent(g) for g in basis]
+    leads = [leading_exponent(g, order) for g in basis]
     for e in r.terms:
         assert not any(all(a <= b for a, b in zip(le, e)) for le in leads)
 

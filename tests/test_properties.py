@@ -18,17 +18,18 @@ from clusterdeform.properties import (PropertyError, SemigroupData, check_t0,
                                       semigroup_data)
 from clusterdeform.universal import build_universal
 from tests.conftest import augmented_seed, data_seed
+from tests.test_gradings import degree_of_monomial
 
 
 def test_lattice_condition_holds_a2(a2_atlas):
-    report = check_t1(a2_atlas)
+    report = check_t1(a2_atlas, find_strictly_positive(a2_atlas))
     assert report.holds
     assert report.property == "T1"
 
 
 def test_lattice_condition_fails_a3_variant(a3_bad_seed):
     atlas = enumerate_atlas(a3_bad_seed)
-    report = check_t1(atlas)
+    report = check_t1(atlas, find_strictly_positive(atlas))
     assert not report.holds
     first = report.witnesses[0]
     assert first["seed"] == 0 and first["j"] == 0
@@ -43,7 +44,7 @@ def test_repair(a3_bad_seed):
     assert [list(r) for r in repaired.matrix.entries[6:]] == \
         [[0, 0, -1], [-1, 0, 0], [1, 0, 0]]
     atlas = enumerate_atlas(repaired)
-    assert check_t1(atlas).holds
+    assert check_t1(atlas, find_strictly_positive(atlas)).holds
     # idempotent: repairing a repaired seed changes nothing
     again = repair_t1(repaired)
     assert again.matrix.entries == repaired.matrix.entries
@@ -125,10 +126,10 @@ def test_fine_degree_enumeration_matches_filter(name, max_weight):
         if max_weight is not None and weight > max_weight:
             continue
         unit = tuple(1 if l == i else 0 for l in range(len(ids)))
-        deg_v = grading.degree_of_monomial(unit, ids)
+        deg_v = degree_of_monomial(grading, unit, ids)
         every = nonnegative_solutions(weights, weight)
         expected = [alpha for alpha in every
-                    if grading.degree_of_monomial(alpha, ids) == deg_v]
+                    if degree_of_monomial(grading, alpha, ids) == deg_v]
         found = [alpha for alpha in nonnegative_solutions(
                      weights, weight, [(a, a[i]) for a in free])
                  if not any((vec_dot(a, alpha) - a[i]) % d
@@ -144,7 +145,7 @@ def test_checks_require_strict_grading(a2_atlas, a2_ideal, g2_atlas):
         check_t0(a2_ideal, None, a2_atlas, None)
     # no strictly positive grading exists without frozen variables
     with pytest.raises(PropertyError):
-        check_t1(g2_atlas)
+        check_t1(g2_atlas, find_strictly_positive(g2_atlas))
 
 
 def test_exchangeable_pairs(a2_atlas):
@@ -225,7 +226,8 @@ def test_semigroup_membership_by_enumeration_gr26():
     """Every element of functional value at most 4 is enumerated as a sum of
     generators; each one and each unit step away from it must be decided
     as that enumeration says."""
-    sg = semigroup_data(build_universal(data_seed("gr26_pullback")))
+    atlas = enumerate_atlas(data_seed("gr26_pullback"))
+    sg = semigroup_data(build_universal(atlas))
     f = sg.positive_functional
     gens = [g for g in sg.generators if any(g)]
     dim = len(gens[0])

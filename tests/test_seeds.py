@@ -5,9 +5,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clusterdeform.intlinalg import identity_matrix
 from clusterdeform.seeds import (ExtendedExchangeMatrix, Seed,
                                  cartan_counterpart, classify_finite_type,
-                                 e_matrix, is_isolated_vertex_free,
+                                 e_column, is_isolated_vertex_free,
                                  mutate_grading, seed_from_dict, seed_to_dict)
 from tests.conftest import data_seed, path_seed
 
@@ -98,6 +99,14 @@ def test_not_finite():
     info = classify_finite_type(markov, mutation_search=True,
                                 max_matrices=200)
     assert not info["finite"]
+
+
+def e_matrix(matrix, k, sign):
+    """The m x m elementary matrix E_{k,eps}: identity off column k."""
+    E = identity_matrix(matrix.m)
+    for row, x in zip(E, e_column(matrix.entries, k, sign)):
+        row[k] = x
+    return E
 
 
 def test_e_matrix_inverts_mutation_on_g():

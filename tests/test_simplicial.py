@@ -5,12 +5,12 @@ import pytest
 from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.seeds import ExtendedExchangeMatrix, Seed
 from clusterdeform.simplicial import (MonomialIdeal, SimplicialComplex,
-                                      cluster_complex, join, link,
-                                      minimal_nonfaces, sr_ideal,
-                                      support_mask)
+                                      cluster_complex, minimal_nonfaces,
+                                      sr_ideal, support_mask)
 from tests.conftest import path_seed
-from tests.simplicial_oracle import (ORACLE_SEEDS, face_walk_nonfaces, faces,
-                                     sphere_check)
+from tests.simplicial_oracle import (ORACLE_SEEDS, dimension,
+                                     face_walk_nonfaces, faces, is_pure, join,
+                                     link, sphere_check)
 
 
 def pentagon(a2_atlas):
@@ -22,7 +22,7 @@ def test_pentagon_structure(a2_atlas):
     assert len(K.vertices) == 5
     assert len(K.facets) == 5
     assert all(len(f) == 2 for f in K.facets)
-    assert K.is_pure() and K.dimension() == 1
+    assert is_pure(K) and dimension(K) == 1
 
 
 def test_pentagon_sr_ideal(a2_atlas):

@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from clusterdeform.atlas import AtlasError, enumerate_atlas
+from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.seeds import ExtendedExchangeMatrix, Seed, mutate
 from clusterdeform.simplicial import cluster_complex, sr_ideal, support_mask
 from clusterdeform.universal import (UniversalError, build_universal,
@@ -69,13 +69,13 @@ def test_owner_bookkeeping(a2_univ):
 
 def test_relation_count_preserved():
     seed = path_seed([(1, -1), (1, -1)])
-    univ = build_universal(seed)
+    univ = build_universal(enumerate_atlas(seed))
     assert univ.p == 9
     assert len(univ.univ_relations) == 15
 
 
 def test_sink_and_source_relation():
-    univ = build_universal(data_seed("a1f"))
+    univ = build_universal(enumerate_atlas(data_seed("a1f")))
     assert univ.p == 2
     assert not univ.has_isolated_vertex
     (rel,) = univ.univ_relations
@@ -88,7 +88,7 @@ def test_sink_and_source_relation():
 
 
 def test_isolated_vertex_flag():
-    univ = build_universal(path_seed([]))
+    univ = build_universal(enumerate_atlas(path_seed([])))
     assert univ.has_isolated_vertex
 
 
@@ -99,11 +99,6 @@ def test_fiber_at_zero(a2_univ, a2_ideal):
     for e in result["monomials"]:
         assert sum(e) == 2
         assert a2_ideal.contains(support_mask(e))
-
-
-def test_budget_propagates():
-    with pytest.raises(AtlasError):
-        build_universal(data_seed("a2"), max_seeds=2)
 
 
 def _enumerated_extension(seed, univ):
@@ -159,7 +154,7 @@ def test_relations_match_enumerated_extension(name):
     """The relations read off the base atlas equal those of a full
     enumeration of the extended pattern, side order included."""
     seed = MORE_SEEDS[name]() if name in MORE_SEEDS else data_seed(name)
-    univ = build_universal(seed)
+    univ = build_universal(enumerate_atlas(seed))
     relations, owners = _enumerated_extension(seed, univ)
     assert len(relations) == len(univ.base_atlas.exchange_pairs)
     assert univ.univ_relations == relations
@@ -171,7 +166,8 @@ def test_u_rows_are_the_transpose_g_vectors(name):
     """The rows read off the base atlas by tropical duality are the
     g-vectors of an enumerated transpose pattern."""
     seed = SEARCH_SEEDS[name]()
-    assert build_universal(seed).u_rows == transpose_u_rows(seed)
+    univ = build_universal(enumerate_atlas(seed))
+    assert univ.u_rows == transpose_u_rows(seed)
 
 
 def _corrupted(atlas, s, i, change):
@@ -184,7 +180,7 @@ def _corrupted(atlas, s, i, change):
     return atlas
 
 
-def test_duality_check_names_a_corrupted_g_vector(a2_seed, a2_atlas):
+def test_duality_check_names_a_corrupted_g_vector(a2_atlas):
     """x14 reflected at the first seed after the root that holds it."""
     s = next(s for s, state in enumerate(a2_atlas.seeds)
              if s and "x14" in state.ids)
@@ -193,13 +189,13 @@ def test_duality_check_names_a_corrupted_g_vector(a2_seed, a2_atlas):
     with pytest.raises(UniversalError, match=r"^duality check: the "
                        r"coefficient row of x14 differs between seeds 0 "
                        r"and %d$" % s):
-        build_universal(a2_seed, base_atlas=atlas)
+        build_universal(atlas)
 
 
-def test_duality_check_names_a_non_integral_row(g2_seed, g2_atlas):
+def test_duality_check_names_a_non_integral_row(g2_atlas):
     """With d = (3, 1), the row of the variable at position 0 divides its
     g-vector's second coordinate by 3."""
     atlas = _corrupted(g2_atlas, 0, 0, lambda g: [g[0], g[1] + 1])
     with pytest.raises(UniversalError, match=r"^duality check: the "
                        r"coefficient row of z1 is not integral at seed 0$"):
-        build_universal(g2_seed, base_atlas=atlas)
+        build_universal(atlas)
