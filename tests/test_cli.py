@@ -287,6 +287,20 @@ def test_t1_invariant_text(capsys):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("name", ["a3_bad", "d4", "gr26_pullback", "aug_b3",
+                                  "aug_c3"])
+def test_t1_json_golden(capsys, tmp_path, name):
+    """`t1 --json` prints the degree families and the pinned degrees."""
+    if name in AUGMENTED:
+        seed_file = tmp_path / (name + ".json")
+        seed_file.write_text(json.dumps(seed_to_dict(augmented_seed(name))))
+    else:
+        seed_file = _DATA / (name + ".json")
+    code, out = run(capsys, "t1", str(seed_file), "--json")
+    assert code == 0
+    assert out == (GOLDEN / "t1" / (name + ".json")).read_text()
+
+
 def test_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
