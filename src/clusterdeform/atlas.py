@@ -23,9 +23,9 @@ by separation is the one the search gave.
 
 from functools import cached_property
 
-from .intlinalg import invert_unimodular, vec_dot
+from .intlinalg import identity_matrix, vec_dot
 from .polynomials import Poly, exact_divide
-from .seeds import ExtendedExchangeMatrix, mutate_entries
+from .seeds import mutate_entries
 
 
 class AtlasError(Exception):
@@ -76,9 +76,6 @@ class SeedState:
         self.g_matrix = g_matrix      # m x m, columns are g-vectors
         self.path = path              # mutation sequence from the root
 
-    def base_matrix(self, n, m):
-        return ExtendedExchangeMatrix([list(r) for r in self.matrix[:m]], n=n)
-
 
 class Atlas:
     def __init__(self, initial_seed):
@@ -90,7 +87,7 @@ class Atlas:
         self.seeds = []
         self.seed_graph = {}
         self.exchange_pairs = {}
-        self._inverses = {}
+        self._inverses = {0: identity_matrix(self.n)}
 
     @property
     def frozen_ids(self):
@@ -150,31 +147,23 @@ class Atlas:
     def _inverse(self, s):
         """The inverse of seed s's mutable g-matrix block, computed once.
 
-        The block of a seed differs from its BFS parent's in column k alone,
-        k the last index of its path.  If H inverts the parent's block and
-        u = H g_k, the block is unimodular iff u_k = +-1, and its inverse is
-        H with row k scaled by u_k and u_i u_k times it taken from row i.
-        A block that differs elsewhere is inverted by `invert_unimodular`."""
+        The root's block is the identity, stored at construction.  Every
+        other block differs from its BFS parent's in column k alone, k the
+        last index of its path.  If H inverts the parent's block and
+        u = H g_k, the block is unimodular iff u_k = +-1, and its inverse
+        is H with row k scaled by u_k and u_i u_k times it taken from row
+        i."""
         if s not in self._inverses:
-            n, G = self.n, self.seeds[s].g_matrix[:self.n]
-            H = None
-            if s:
-                k = self.seeds[s].path[-1]
-                p = self.seed_graph[(s, k)]
-                if all(r[:k] == q[:k] and r[k + 1:n] == q[k + 1:n]
-                       for r, q in zip(G, self.seeds[p].g_matrix)):
-                    H = self._inverse(p)
-            if H is None:
-                self._inverses[s] = invert_unimodular([r[:n] for r in G])
-            else:
-                g = [r[k] for r in G]
-                u = [vec_dot(h, g) for h in H]
-                if u[k] not in (1, -1):
-                    raise ValueError("matrix is not unimodular")
-                hk = [u[k] * x for x in H[k]]
-                self._inverses[s] = [
-                    hk if i == k else [x - u[i] * y for x, y in zip(h, hk)]
-                    for i, h in enumerate(H)]
+            k = self.seeds[s].path[-1]
+            H = self._inverse(self.seed_graph[(s, k)])
+            g = [r[k] for r in self.seeds[s].g_matrix[:self.n]]
+            u = [vec_dot(h, g) for h in H]
+            if u[k] not in (1, -1):
+                raise ValueError("matrix is not unimodular")
+            hk = [u[k] * x for x in H[k]]
+            self._inverses[s] = [
+                hk if i == k else [x - u[i] * y for x, y in zip(h, hk)]
+                for i, h in enumerate(H)]
         return self._inverses[s]
 
     def fan_defect(self):

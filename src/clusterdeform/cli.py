@@ -32,8 +32,9 @@ PIPELINE_ERRORS = (AtlasError, CotangentError, DeformError, GroebnerError,
 
 class Pipeline:
     """The stages built from one seed, each computed on first use and kept:
-    atlas -> complex -> ideal, atlas -> universal -> cone, and the strictly
-    positive grading of the atlas.  No stage is computed twice."""
+    atlas -> complex -> ideal, atlas -> universal -> cone, and
+    atlas -> M-grading -> strictly positive grading.  No stage is computed
+    twice."""
 
     def __init__(self, seed, max_seeds):
         self.seed = seed
@@ -60,8 +61,12 @@ class Pipeline:
         return groebner_cone(self.universal)
 
     @cached_property
+    def grading(self):
+        return m_grading(self.atlas)
+
+    @cached_property
     def strict_grading(self):
-        return find_strictly_positive(self.atlas)
+        return find_strictly_positive(self.atlas, self.grading)
 
     def lifted_family(self, max_order):
         """The flat family at the cone's interior weight (`deform.lift`)."""
@@ -160,8 +165,7 @@ def cmd_grading(args):
         payload = seed_to_dict(augmented)
         _emit(args, payload, [json.dumps(payload)])
         return 0
-    atlas = pipe.atlas
-    grading = m_grading(seed.matrix, atlas)
+    atlas, grading = pipe.atlas, pipe.grading
     payload = {"free_rank": grading.free_rank, "torsion": grading.torsion,
                "rank_flags": rank_flags(seed.matrix),
                "degrees": {v: [list(grading.deg_H[v][0]),
@@ -174,7 +178,7 @@ def cmd_grading(args):
         lines.append("  deg %s = %s%s" % (v, free,
                                           " mod %s" % (tors,) if tors else ""))
     if args.find_positive:
-        payload["positive_grading"] = find_positive_grading(atlas)
+        payload["positive_grading"] = find_positive_grading(atlas, grading)
         payload["strictly_positive_grading"] = pipe.strict_grading
         lines.append("positive grading: %s" % payload["positive_grading"])
         lines.append("strictly positive grading: %s"
@@ -236,8 +240,7 @@ def cmd_t1(args):
             ", ".join(f["pair"]), ", ".join(f["omega"]))
             for f in payload["families"]]
     if want_invariant:
-        pinned = t1_invariant(pipe.atlas, pipe.complex, pipe.ideal,
-                              pipe.strict_grading)
+        pinned = t1_invariant(pipe.atlas, pipe.strict_grading, pipe.grading)
         payload["pinned"] = [{"pair": sorted(d.pair),
                               "a": dict(sorted(d.a.items())),
                               "b": dict(sorted(d.b.items())),
@@ -256,10 +259,9 @@ def cmd_check(args):
     pipe = _pipeline(args)
     atlas, D = pipe.atlas, pipe.strict_grading
     if args.property == "t1":
-        report = check_t1(atlas, D)
+        report = check_t1(atlas, D, pipe.grading)
     elif args.property == "t0":
-        grading = m_grading(pipe.seed.matrix, atlas)
-        report = check_t0(pipe.ideal, grading, atlas, D)
+        report = check_t0(pipe.ideal, pipe.grading, atlas, D)
     else:
         univ = pipe.universal
         report = check_t0_star(pipe.ideal, univ, semigroup_data(univ), D)
@@ -370,9 +372,6 @@ def build_parser():
                         help="emit machine-readable JSON instead of text")
     common.add_argument("--max-seeds", type=int, default=100000,
                         help="enumeration budget (default 100000)")
-    common.add_argument("--max-order", type=int, default=16,
-                        help="cap on the lifted family's t-degree "
-                             "(default 16)")
 
     parser = argparse.ArgumentParser(
         prog="cluster-deform",
@@ -405,8 +404,12 @@ def build_parser():
     add("cone", cmd_cone, help="weight cone with certificates")
     lf = add("lift", cmd_lift, help="flat family over the coefficients")
     lf.add_argument("--verify", action="store_true")
-    add("demo", cmd_demo, with_seed=False,
-        help="run the bundled showcase examples end to end")
+    demo = add("demo", cmd_demo, with_seed=False,
+               help="run the bundled showcase examples end to end")
+    for p in (lf, demo):
+        p.add_argument("--max-order", type=int, default=16,
+                       help="cap on the lifted family's t-degree "
+                            "(default 16)")
     return parser
 
 

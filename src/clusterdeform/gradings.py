@@ -3,8 +3,7 @@ grading search, rank flags, frozen-variable augmentation, and t-degrees."""
 
 from .atlas import enumerate_atlas
 from .cones import slack_ray
-from .intlinalg import (identity_matrix, kernel_basis, smith_normal_form,
-                        transpose, vec_dot)
+from .intlinalg import identity_matrix, smith_normal_form, vec_dot
 from .seeds import ExtendedExchangeMatrix, Seed
 
 
@@ -15,26 +14,35 @@ class GradingData:
     torsion moduli are listed in `torsion`.
     """
 
-    __slots__ = ("free_rank", "torsion", "deg_H", "_rows", "_moduli_rows")
+    __slots__ = ("free_rank", "torsion", "deg_H", "free_rows",
+                 "_moduli_rows")
 
-    def __init__(self, free_rank, torsion, deg_H, rows, moduli_rows):
+    def __init__(self, free_rank, torsion, deg_H, free_rows, moduli_rows):
         self.free_rank = free_rank
         self.torsion = torsion
         self.deg_H = deg_H
-        self._rows = rows          # rows of L giving the free components
+        # rows of L giving the free components: a basis of the integer
+        # left kernel of B~
+        self.free_rows = free_rows
         self._moduli_rows = moduli_rows  # (modulus, row of L) for torsion
 
     def degree_of_vector(self, w):
         """Image in M of an arbitrary integer vector of length m."""
-        free = tuple(vec_dot(row, w) for row in self._rows)
+        free = tuple(vec_dot(row, w) for row in self.free_rows)
         tors = tuple(vec_dot(row, w) % d for d, row in self._moduli_rows)
         return (free, tors)
 
+    def degree_rows(self, ids):
+        """The degrees of the variables ids by position: one row per free
+        coordinate of M, and one (row, modulus) pair per torsion factor."""
+        free, tors = zip(*(self.deg_H[v] for v in ids))
+        return list(zip(*free)), list(zip(zip(*tors), self.torsion))
 
-def m_grading(matrix, atlas=None):
-    """M = coker(B~) via Smith normal form; degrees of the initial variables
-    are the images of the standard basis vectors, and all other variables get
-    deg_H = image of their g-vector."""
+
+def m_grading(atlas):
+    """M = coker(B~) of the atlas's initial seed, via one Smith normal form;
+    every variable gets deg_H = the image of its g-vector."""
+    matrix = atlas.initial_seed.matrix
     m = matrix.m
     A = [list(r) for r in matrix.entries]
     snf = smith_normal_form(A)
@@ -46,12 +54,8 @@ def m_grading(matrix, atlas=None):
 
     deg_H = {}
     data = GradingData(free_rank, torsion, deg_H, rows, moduli_rows)
-    if atlas is not None:
-        for var in atlas.variables.values():
-            deg_H[var.id] = data.degree_of_vector(list(var.g_vector))
-    else:
-        for i, e in enumerate(identity_matrix(m)):
-            deg_H[i] = data.degree_of_vector(e)
+    for var in atlas.variables.values():
+        deg_H[var.id] = data.degree_of_vector(list(var.g_vector))
     return data
 
 
@@ -72,14 +76,14 @@ def positive_combination(constraint_rows, dim):
     return None if ray is None else ray[:dim]
 
 
-def find_positive_grading(atlas, strict=False):
-    """Integer D with B~^T D = 0 and g . D >= 1 for every mutable g-vector.
+def find_positive_grading(atlas, grading, strict=False):
+    """Integer D with B~^T D = 0 and g . D >= 1 for every mutable g-vector,
+    searched in the span of the free rows of the atlas's M-grading.
 
     With strict=True every variable (frozen included) must get degree >= 1,
     which is the termination requirement of the property checkers."""
     matrix = atlas.initial_seed.matrix
-    bt = transpose([list(r) for r in matrix.entries])
-    basis = kernel_basis(bt)
+    basis = grading.free_rows
     if not basis:
         return None
     targets = [list(v.g_vector) for v in atlas.mutable_variables]
@@ -94,8 +98,8 @@ def find_positive_grading(atlas, strict=False):
     return D
 
 
-def find_strictly_positive(atlas):
-    return find_positive_grading(atlas, strict=True)
+def find_strictly_positive(atlas, grading):
+    return find_positive_grading(atlas, grading, strict=True)
 
 
 def add_frozen_for_positivity(seed, max_seeds=100000):

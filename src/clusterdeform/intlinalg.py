@@ -6,7 +6,6 @@ Matrices are lists of row lists of Python ints.  Everything here is pure and
 allocation-happy; the lattices involved are small (dimension <= a few dozen).
 """
 
-from fractions import Fraction
 from operator import mul
 
 
@@ -222,47 +221,6 @@ def kernel_basis(A):
     r = snf.rank
     rt = transpose(snf.right)
     return [list(rt[j]) for j in range(r, cols)]
-
-
-def rref(rows, ncols):
-    """Reduced row echelon form over Q, pivoting only in the first ncols
-    columns; any further (augmented) columns are carried along.
-
-    The pivot of each column is the first nonzero row at or below the
-    current one.  Returns (rows, pivot columns): the first len(pivots) rows
-    are the pivot rows, the rest are zero in the first ncols columns.  A
-    row is updated in place, over the pivot row's nonzero columns only.
-    """
-    mat = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = prow = [x * inv for x in mat[r]]
-        support = [(c, x) for c, x in enumerate(prow) if x]
-        for i, row in enumerate(mat):
-            f = row[col]
-            if f and i != r:
-                for c, x in support:
-                    row[c] -= f * x
-        pivots.append(col)
-        r += 1
-    return mat, pivots
-
-
-def invert_unimodular(U):
-    """Inverse of a unimodular integer matrix, returned as an integer matrix."""
-    n = len(U)
-    mat, pivots = rref([list(row) + e for row, e in zip(U, identity_matrix(n))],
-                       n)
-    inverse = [row[n:] for row in mat]
-    if len(pivots) < n or any(x.denominator != 1 for row in inverse for x in row):
-        raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in inverse]
 
 
 def determinant(rows):

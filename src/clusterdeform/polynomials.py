@@ -8,7 +8,7 @@ mutable cluster variables).
 """
 
 from fractions import Fraction
-from operator import add, lt, sub
+from operator import add, lt, mul, sub
 
 
 def _add_exp(e1, e2):
@@ -200,8 +200,8 @@ class MonomialOrder:
         self.weights = tuple(weights)
 
     def key(self, exponents):
-        w = sum(a * b for a, b in zip(self.weights, exponents))
-        return (w, sum(exponents), exponents)
+        return (sum(map(mul, self.weights, exponents)), sum(exponents),
+                exponents)
 
 
 def _grlex(exponents):

@@ -3,13 +3,15 @@ the derivation conditions on the Stanley-Reisner ideal, plus the
 constructive repair by added frozen rows.  All three checkers search
 through the one kernel `intlinalg.nonnegative_solutions`: T1 by way of
 `cotangent.t1_witnesses`, T0 and T0* directly and in
-`SemigroupData.contains`."""
+`SemigroupData.contains`.  T1 and T0 read their lattice conditions off the
+one M-grading of the initial seed (`gradings.m_grading`); no seed takes
+a Smith form of its own."""
 
 from .atlas import enumerate_atlas
 from .cones import dual_cone
 from .cotangent import t1_witness_walk, variable_weights
 from .gradings import (add_frozen_for_positivity, find_strictly_positive,
-                       rank_flags, t_degrees)
+                       m_grading, rank_flags, t_degrees)
 from .intlinalg import lattice_coordinates, nonnegative_solutions, vec_dot
 from .seeds import ExtendedExchangeMatrix, Seed, mutate_along
 from .simplicial import support_mask
@@ -76,15 +78,16 @@ class PropertyReport:
             self.property, self.holds, self.witnesses)
 
 
-def check_t1(atlas, D_strict):
+def check_t1(atlas, D_strict, grading):
     """For every seed matrix and every mutable index, the only lattice
-    witnesses allowed are 0 and the negated column."""
+    witnesses allowed are 0 and the negated column; lattice membership is
+    read off the M-grading `grading` (see `t1_witness_walk`)."""
     if D_strict is None:
         raise PropertyError("no strictly positive grading: cannot bound "
                             "the witness search")
     witnesses = []
-    for state, matrix, j, w in t1_witness_walk(atlas, D_strict):
-        if any(w) and w != [-row[j] for row in matrix.entries]:
+    for state, rows, j, w in t1_witness_walk(atlas, D_strict, grading):
+        if any(w) and w != [-row[j] for row in rows]:
             witnesses.append({"seed": state.index, "path": state.path,
                               "j": j, "w": w})
     return PropertyReport("T1", witnesses)
@@ -100,8 +103,7 @@ def check_t0(J, grading, atlas, D_strict):
         raise PropertyError("no strictly positive grading")
     ids = J.variables
     weights = variable_weights(atlas, ids, D_strict)
-    free, tors = zip(*(grading.deg_H[v] for v in ids))
-    free, tors = list(zip(*free)), list(zip(*tors))
+    free, torsion = grading.degree_rows(ids)
     witnesses = []
     for i, v in enumerate(ids):
         unit = tuple(1 if l == i else 0 for l in range(len(ids)))
@@ -110,8 +112,8 @@ def check_t0(J, grading, atlas, D_strict):
                    if m >> i & 1]
         for alpha in nonnegative_solutions(weights, weights[i],
                                            [(a, a[i]) for a in free]):
-            if alpha == unit or any((vec_dot(a, alpha) - a[i]) % d for a, d
-                                    in zip(tors, grading.torsion)):
+            if alpha == unit or any((vec_dot(a, alpha) - a[i]) % d
+                                    for a, d in torsion):
                 continue
             support = support_mask(alpha)
             for gen, rest in through:
@@ -173,22 +175,23 @@ def repair_t1(seed, max_seeds=100000, max_rounds=64):
     current = seed
     for _ in range(max_rounds):
         atlas = enumerate_atlas(current, max_seeds=max_seeds)
-        D = find_strictly_positive(atlas)
+        grading = m_grading(atlas)
+        D = find_strictly_positive(atlas, grading)
         if D is None:
             current = add_frozen_for_positivity(current, max_seeds=max_seeds)
             atlas = enumerate_atlas(current, max_seeds=max_seeds)
-            D = find_strictly_positive(atlas)
+            grading = m_grading(atlas)
+            D = find_strictly_positive(atlas, grading)
             if D is None:
                 raise PropertyError("could not establish a strictly "
                                     "positive grading")
-        report = check_t1(atlas, D)
+        report = check_t1(atlas, D, grading)
         if report.holds:
             return current
         witness = report.witnesses[0]
         state = atlas.seeds[witness["seed"]]
-        matrix = state.base_matrix(atlas.n, atlas.m)
-        lam = lattice_coordinates(witness["w"],
-                                  [list(r) for r in matrix.entries])
+        rows = state.matrix[:atlas.m]
+        lam = lattice_coordinates(witness["w"], [list(r) for r in rows])
         if lam is None:
             raise PropertyError("witness not in the column lattice")
         j = witness["j"]
@@ -196,7 +199,7 @@ def repair_t1(seed, max_seeds=100000, max_rounds=64):
         new_row = [0] * atlas.n
         new_row[k] = 1 if lam[k] < 0 else -1
         # transport the row back to the initial seed along the reverse path
-        work = mutate_along(matrix.entries + (tuple(new_row),),
+        work = mutate_along(rows + (tuple(new_row),),
                             reversed(state.path))
         if work[:atlas.m] != current.matrix.entries:
             raise PropertyError("row transport did not return to the "

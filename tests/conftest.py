@@ -4,7 +4,8 @@ import pytest
 
 from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.cli import _data_path
-from clusterdeform.gradings import add_frozen_for_positivity
+from clusterdeform.gradings import (add_frozen_for_positivity,
+                                    find_strictly_positive, m_grading)
 from clusterdeform.seeds import ExtendedExchangeMatrix, Seed, load_seed
 from clusterdeform.simplicial import cluster_complex, sr_ideal
 from clusterdeform.universal import build_universal
@@ -45,6 +46,13 @@ AUGMENTED = {
     "aug_d4": lambda: tree_seed(4, [(0, 1), (0, 2), (0, 3)]),
     "aug_f4": lambda: path_seed([(1, -1), (1, -2), (1, -1)]),
 }
+
+
+def gradings_of(atlas):
+    """The strictly positive grading D and the M-grading of an atlas, as
+    the pipeline builds them: D is searched in the M-grading's free rows."""
+    grading = m_grading(atlas)
+    return find_strictly_positive(atlas, grading), grading
 
 
 def augmented_seed(name):

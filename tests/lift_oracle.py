@@ -20,9 +20,10 @@ from operator import add
 from clusterdeform.deform import (DeformError, _exponent, _family,
                                   _max_possible_order)
 from clusterdeform.gradings import t_degrees
-from clusterdeform.intlinalg import rref, vec_dot
+from clusterdeform.intlinalg import vec_dot
 from clusterdeform.polynomials import MonomialOrder, Poly
 from tests.groebner_oracle import divide
+from tests.rational_oracle import rref
 
 
 def first_order(univ, J, weight):

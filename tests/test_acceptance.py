@@ -16,17 +16,17 @@ from clusterdeform.cones import Cone, dual_cone
 from clusterdeform.cotangent import obstruction_class, t1_invariant
 from clusterdeform.deform import lift, verify_family
 from clusterdeform.cli import Pipeline, family_lines
-from clusterdeform.gradings import (find_strictly_positive, m_grading,
-                                    t_degrees)
+from clusterdeform.gradings import m_grading, t_degrees
 from clusterdeform.groebner import groebner_cone
 from clusterdeform.polynomials import Poly
 from clusterdeform.properties import (check_t0_star, check_t1, repair_t1,
                                       semigroup_data)
+from clusterdeform.seeds import ExtendedExchangeMatrix
 from clusterdeform.simplicial import cluster_complex, minimal_nonfaces
 from clusterdeform.universal import build_universal
 
 from tests.atlas_oracle import separation_check
-from tests.conftest import data_seed, path_seed
+from tests.conftest import data_seed, gradings_of, path_seed
 from tests.groebner_oracle import buchberger, grlex_order, normal_form
 from tests.lift_oracle import first_order
 from tests.simplicial_oracle import face_walk_nonfaces, sphere_check
@@ -88,7 +88,7 @@ def test_criterion_1_rank2_single_edge_pipeline():
         assert got[frozenset(pair)] == expected
 
     # fine grading table and coefficient degrees, exact
-    assert m_grading(seed.matrix, atlas).deg_H == A2_DEG_H
+    assert m_grading(atlas).deg_H == A2_DEG_H
     assert t_degrees(univ) == A2_T_DEGREES
 
     # weight cone: equal to the reference up to coordinate relabeling, and
@@ -102,8 +102,8 @@ def test_criterion_1_rank2_single_edge_pipeline():
     assert gc.smooth_mod_lineality
 
     # lattice and derivation conditions
-    D = find_strictly_positive(atlas)
-    assert check_t1(atlas, D).holds
+    D, grading = gradings_of(atlas)
+    assert check_t1(atlas, D, grading).holds
     assert check_t0_star(J, univ, semigroup_data(univ), D).holds
 
     # the lifted family, sign-normalized to leading coefficient +1
@@ -207,7 +207,7 @@ def test_criterion_4_counting_properties():
         assert minimal_nonfaces(K) == walked, name
 
         for state in atlas.seeds:
-            bm = state.base_matrix(n, m)
+            bm = ExtendedExchangeMatrix(state.matrix[:m], n=n)
             for k in range(n):
                 assert bm.mutate(k).mutate(k) == bm, name
 
@@ -227,9 +227,8 @@ def test_criterion_4_counting_properties():
 
 @criterion(5)
 def test_criterion_5_checker_cross_validation():
-    seed, atlas, K, J, univ = full_pipeline("a2")
-    D = find_strictly_positive(atlas)
-    pinned = t1_invariant(atlas, K, J, D)
+    seed, atlas, _, _, univ = full_pipeline("a2")
+    pinned = t1_invariant(atlas, *gradings_of(atlas))
     image = characteristic_image(univ)
     order = univ.variable_order
     assert sorted(degree_vector(d, order) for d in pinned) == \
@@ -237,14 +236,14 @@ def test_criterion_5_checker_cross_validation():
 
     bad = data_seed("a3_bad")
     bad_atlas = enumerate_atlas(bad)
-    report = check_t1(bad_atlas, find_strictly_positive(bad_atlas))
+    report = check_t1(bad_atlas, *gradings_of(bad_atlas))
     assert not report.holds
     first = report.witnesses[0]
     assert first["seed"] == 0 and first["j"] == 0
     assert first["w"] == [0, 0, 0, 0, -1, 1]
 
     repaired = enumerate_atlas(repair_t1(bad))
-    assert check_t1(repaired, find_strictly_positive(repaired)).holds
+    assert check_t1(repaired, *gradings_of(repaired)).holds
 
 
 def monomials_of_degree(nvars, degree):

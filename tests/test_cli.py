@@ -308,6 +308,18 @@ def test_input_errors(tmp_path, capsys):
     assert run(capsys, "enumerate", str(tmp_path / "missing.json"))[0] == 2
 
 
+def test_max_order_only_on_lift_and_demo(capsys):
+    """--max-order caps the lifted family, so only lift and demo take it;
+    elsewhere it is a usage error."""
+    code, out = run(capsys, "lift", A2, "--max-order", "6")
+    assert code == 0 and out.startswith("generators: 5  (order 6)\n")
+    assert cli.build_parser().parse_args(
+        ["demo", "--max-order", "6"]).max_order == 6
+    for argv in (["check", A2, "--property", "t1"], ["t1", A2], ["cone", A2]):
+        assert main(argv + ["--max-order", "6"]) == 2
+    capsys.readouterr()
+
+
 def test_budget_error(capsys):
     assert main(["enumerate", A3_BAD, "--max-seeds", "2"]) == 2
     assert capsys.readouterr().err == (

@@ -2,19 +2,21 @@
 
 import pytest
 
-from clusterdeform import cotangent, intlinalg
+import clusterdeform
+from clusterdeform import intlinalg
 from clusterdeform.atlas import enumerate_atlas
+from clusterdeform.cli import _data_path, main
 from clusterdeform.cotangent import (CotangentError, T1Degree,
                                      obstruction_class, t1_degree_families,
                                      t1_invariant, t1_witnesses,
                                      variable_weights)
-from clusterdeform.gradings import find_strictly_positive
-from clusterdeform.intlinalg import lattice_coordinates, smith_normal_form
+from clusterdeform.intlinalg import lattice_coordinates, mat_vec
 from clusterdeform.properties import check_t1
 from clusterdeform.seeds import ExtendedExchangeMatrix
-from clusterdeform.simplicial import cluster_complex, sr_ideal
+from clusterdeform.simplicial import cluster_complex
 from clusterdeform.universal import build_universal
-from tests.conftest import augmented_seed, data_seed, path_seed
+from tests.atlas_oracle import SEARCH_SEEDS
+from tests.conftest import augmented_seed, data_seed, gradings_of, path_seed
 
 
 def characteristic_image(univ):
@@ -61,10 +63,7 @@ def test_a2_families(a2_atlas):
 
 
 def test_a2_pinned_degrees(a2_atlas, a2_univ):
-    K = cluster_complex(a2_atlas)
-    J = sr_ideal(K, a2_atlas.frozen_ids)
-    D = find_strictly_positive(a2_atlas)
-    pinned = t1_invariant(a2_atlas, K, J, D)
+    pinned = t1_invariant(a2_atlas, *gradings_of(a2_atlas))
     image = characteristic_image(a2_univ)
     order = a2_univ.variable_order
     assert len(pinned) == 5
@@ -86,49 +85,45 @@ def test_characteristic_image_rejects_isolated():
         characteristic_image(univ)
 
 
-def test_witnesses_a3_counterexample(a3_bad_seed):
-    from clusterdeform.atlas import enumerate_atlas
+def _seed_inputs(atlas, state, D, grading):
+    """What t1_witness_walk passes t1_witnesses at one seed, j aside."""
+    return ((state.matrix[:atlas.m], variable_weights(atlas, state.ids, D))
+            + grading.degree_rows(state.ids))
 
+
+def test_witnesses_a3_counterexample(a3_bad_seed):
     atlas = enumerate_atlas(a3_bad_seed)
-    D = find_strictly_positive(atlas)
-    root = atlas.seeds[0]
-    matrix = root.base_matrix(atlas.n, atlas.m)
-    weights = variable_weights(atlas, root.ids, D)
-    ws = t1_witnesses(matrix, 0, weights, _snf(matrix))
+    rows, weights, free, torsion = _seed_inputs(
+        atlas, atlas.seeds[0], *gradings_of(atlas))
+    ws = t1_witnesses(rows, 0, weights, free, torsion)
     assert ws == [[0, 0, 0, 0, -1, 1], [0, 0, 0, 0, 0, 0]]
 
 
 def test_witnesses_a2_trivial(a2_atlas):
-    D = find_strictly_positive(a2_atlas)
+    D, grading = gradings_of(a2_atlas)
     for state in a2_atlas.seeds:
-        matrix = state.base_matrix(a2_atlas.n, a2_atlas.m)
-        weights = variable_weights(a2_atlas, state.ids, D)
-        snf = _snf(matrix)
+        rows, weights, free, torsion = _seed_inputs(a2_atlas, state, D,
+                                                    grading)
         for j in range(a2_atlas.n):
-            neg_col = [-matrix.entries[i][j] for i in range(a2_atlas.m)]
-            for w in t1_witnesses(matrix, j, weights, snf):
+            neg_col = [-row[j] for row in rows]
+            for w in t1_witnesses(rows, j, weights, free, torsion):
                 assert w == [0] * a2_atlas.m or w == neg_col
 
 
-def _snf(matrix):
-    return smith_normal_form([list(r) for r in matrix.entries])
-
-
-def witnesses_by_lattice_coordinates(matrix, j, weights):
+def witnesses_by_lattice_coordinates(rows, j, weights):
     """Reference: the same search box, each candidate of weight 0 filtered
-    by its own lattice_coordinates solve.  Returns the witnesses and the
-    number of candidates the filter rejected."""
-    m, n = matrix.m, matrix.n
-    entries = matrix.entries
+    by its own lattice_coordinates solve against the seed's rows.  Returns
+    the witnesses and the number of candidates the filter rejected."""
+    m, n = len(rows), len(rows[0])
     lower = []
     for i in range(m):
         if i == j:
             lower.append(0)
-        elif i < n and entries[i][j] != 0:
-            lower.append(1 - max(0, entries[i][j]))
+        elif i < n and rows[i][j] != 0:
+            lower.append(1 - max(0, rows[i][j]))
         else:
-            lower.append(-max(0, entries[i][j]))
-    cols = [list(r) for r in entries]
+            lower.append(-max(0, rows[i][j]))
+    cols = [list(r) for r in rows]
     tail = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         tail[i] = tail[i + 1] + weights[i] * lower[i]
@@ -158,23 +153,21 @@ def witnesses_by_lattice_coordinates(matrix, j, weights):
     return out, rejected[0]
 
 
-# On d4 and aug_c4 the Smith form has zero rows, whose equalities prune
-# the search.
+# On d4 and aug_c4 the M-grading has free coordinates, whose equalities
+# prune the search.
 @pytest.mark.parametrize("name", ["a2", "a3_bad", "gr26_pullback", "aug_b3",
                                   "d4", "aug_c4"])
 def test_witnesses_match_per_candidate_solve(name):
     seed = augmented_seed(name) if name.startswith("aug_") else data_seed(name)
     atlas = enumerate_atlas(seed)
-    D = find_strictly_positive(atlas)
+    D, grading = gradings_of(atlas)
     found = rejected = 0
     for state in atlas.seeds:
-        matrix = state.base_matrix(atlas.n, atlas.m)
-        weights = variable_weights(atlas, state.ids, D)
-        snf = _snf(matrix)
+        rows, weights, free, torsion = _seed_inputs(atlas, state, D, grading)
         for j in range(atlas.n):
-            ws = t1_witnesses(matrix, j, weights, snf)
+            ws = t1_witnesses(rows, j, weights, free, torsion)
             expected, dropped = witnesses_by_lattice_coordinates(
-                matrix, j, weights)
+                rows, j, weights)
             assert ws == expected
             found += len(ws)
             rejected += dropped
@@ -182,54 +175,76 @@ def test_witnesses_match_per_candidate_solve(name):
     assert found > 0 and rejected > 0
 
 
-def test_witnesses_compute_one_smith_form(monkeypatch, a3_bad_seed):
-    """t1_witnesses reads the caller's Smith form and computes none."""
-    atlas = enumerate_atlas(a3_bad_seed)
-    state = atlas.seeds[0]
-    matrix = state.base_matrix(atlas.n, atlas.m)
-    weights = variable_weights(atlas, state.ids,
-                               find_strictly_positive(atlas))
-    snf = _snf(matrix)
-    calls = []
-    monkeypatch.setattr(cotangent, "smith_normal_form", calls.append)
-    monkeypatch.setattr(intlinalg, "smith_normal_form", calls.append)
-    assert len(t1_witnesses(matrix, 0, weights, snf)) == 2
-    assert calls == []
+@pytest.mark.parametrize("name", sorted(SEARCH_SEEDS))
+def test_tropical_duality_on_every_seed(name):
+    """G_t B~_t = B~_0 C_t on every seed: the g-matrix times the extended
+    exchange matrix is the initial matrix times the c-matrix, the identity
+    behind t1_witness_walk's lemma."""
+    atlas = enumerate_atlas(SEARCH_SEEDS[name]())
+    m = atlas.m
+    B0 = atlas.seeds[0].matrix[:m]
+    for state in atlas.seeds:
+        B, C = state.matrix[:m], state.matrix[m:]
+        assert ([mat_vec(state.g_matrix, col) for col in zip(*B)]
+                == [mat_vec(B0, col) for col in zip(*C)]), state.path
 
 
-def test_witness_searches_compute_one_smith_form_per_seed(monkeypatch):
-    """check_t1 and t1_invariant search every mutable index of a seed
-    against that seed's one Smith form, with unchanged results."""
-    atlas = enumerate_atlas(data_seed("a3_bad"))
-    D = find_strictly_positive(atlas)
-    K = cluster_complex(atlas)
-    J = sr_ideal(K, atlas.frozen_ids)
-    expected = (check_t1(atlas, D).witnesses, t1_invariant(atlas, K, J, D))
+def _smith_calls(monkeypatch):
+    """Count smith_normal_form calls made anywhere in the package."""
     calls = []
+    snf = intlinalg.smith_normal_form
 
     def counted(A):
         calls.append(A)
         return snf(A)
 
-    snf = intlinalg.smith_normal_form
-    for module in (cotangent, intlinalg):
-        monkeypatch.setattr(module, "smith_normal_form", counted)
-    assert check_t1(atlas, D).witnesses == expected[0]
-    assert len(calls) == len(atlas.seeds)
-    calls.clear()
-    assert [d.degree_key() for d in t1_invariant(atlas, K, J, D)] == \
-        [d.degree_key() for d in expected[1]]
-    assert len(calls) == len(atlas.seeds)
+    for module in vars(clusterdeform).values():
+        if getattr(module, "smith_normal_form", None) is snf:
+            monkeypatch.setattr(module, "smith_normal_form", counted)
+    return calls
+
+
+def test_witnesses_compute_one_smith_form(monkeypatch, a3_bad_seed):
+    """t1_witnesses reads the degree rows of the caller's one M-grading
+    and computes no Smith form."""
+    atlas = enumerate_atlas(a3_bad_seed)
+    rows, weights, free, torsion = _seed_inputs(
+        atlas, atlas.seeds[0], *gradings_of(atlas))
+    calls = _smith_calls(monkeypatch)
+    assert len(t1_witnesses(rows, 0, weights, free, torsion)) == 2
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["a2", "a3_bad", "d4"])
+def test_witness_searches_compute_one_smith_form_per_pipeline(
+        monkeypatch, capsys, name):
+    """check_t1 and t1_invariant walk every seed against the given
+    M-grading and take no Smith form, with unchanged results; a whole
+    `check --property t1` run takes one, the M-grading's, whatever the
+    number of seeds."""
+    atlas = enumerate_atlas(data_seed(name))
+    D, grading = gradings_of(atlas)
+    expected = (check_t1(atlas, D, grading).witnesses,
+                [d.degree_key() for d in t1_invariant(atlas, D, grading)])
+    calls = _smith_calls(monkeypatch)
+    assert check_t1(atlas, D, grading).witnesses == expected[0]
+    assert [d.degree_key() for d in t1_invariant(atlas, D, grading)] == \
+        expected[1]
+    assert calls == []
+    main(["check", "--property", "t1", _data_path(name)])
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_witnesses_require_grading(a2_atlas):
-    matrix = a2_atlas.seeds[0].base_matrix(a2_atlas.n, a2_atlas.m)
+    rows, _, free, torsion = _seed_inputs(a2_atlas, a2_atlas.seeds[0],
+                                          *gradings_of(a2_atlas))
     with pytest.raises(CotangentError):
-        t1_witnesses(matrix, 0, [1, 2, 3, 4, 5], _snf(matrix))
+        t1_witnesses(rows, 0, [1, 2, 3, 4, 5], free, torsion)
 
 
 def test_seed_weights_positive(a2_atlas):
-    D = find_strictly_positive(a2_atlas)
+    D, _ = gradings_of(a2_atlas)
     for state in a2_atlas.seeds:
         assert all(w >= 1 for w in variable_weights(a2_atlas, state.ids, D))
 

@@ -13,7 +13,7 @@ from clusterdeform import deform
 from clusterdeform.atlas import Atlas, enumerate_atlas
 from clusterdeform.cli import Pipeline, family_lines
 from clusterdeform.deform import DeformError, lift, verify_family
-from clusterdeform.intlinalg import invert_unimodular, rref, vec_dot
+from clusterdeform.intlinalg import vec_dot
 from clusterdeform.polynomials import MonomialOrder, Poly, monomial_str
 from clusterdeform.simplicial import cluster_complex, sr_ideal
 from clusterdeform.universal import build_universal
@@ -23,6 +23,7 @@ from tests.groebner_oracle import buchberger, compose
 from tests.lift_oracle import (_candidates, _exchange_minimal,
                                _pair_reductions, _spairs, first_order,
                                in_order_zero)
+from tests.rational_oracle import invert_unimodular, rref
 
 
 A2_FAMILY_LINES = [

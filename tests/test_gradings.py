@@ -32,15 +32,15 @@ A2_T_DEGREES = {
 }
 
 
-def test_a2_fine_grading(a2_seed, a2_atlas):
-    grading = m_grading(a2_seed.matrix, a2_atlas)
+def test_a2_fine_grading(a2_atlas):
+    grading = m_grading(a2_atlas)
     assert grading.free_rank == 3
     assert grading.torsion == []
     assert grading.deg_H == A2_DEG_H
 
 
-def test_exchange_relations_homogeneous(a2_seed, a2_atlas):
-    grading = m_grading(a2_seed.matrix, a2_atlas)
+def test_exchange_relations_homogeneous(a2_atlas):
+    grading = m_grading(a2_atlas)
     for ep in a2_atlas.exchange_pairs.values():
         degs = set()
         pair_deg = tuple(map(sum, zip(*(grading.deg_H[v][0]
@@ -56,14 +56,27 @@ def test_exchange_relations_homogeneous(a2_seed, a2_atlas):
 
 
 def test_torsion_grading():
-    m = ExtendedExchangeMatrix([[0, 2], [-2, 0]], n=2)
-    grading = m_grading(m)
-    assert grading.free_rank == 0
+    """A1 x A1 with frozen rows 2 e_1 and 2 e_2: M = Z^2 + (Z/2)^2, and the
+    exchange relations x_i x_i' = f_i^2 + 1 are homogeneous only modulo 2."""
+    atlas = enumerate_atlas(Seed(ExtendedExchangeMatrix(
+        [[0, 0], [0, 0], [2, 0], [0, 2]], n=2), ["x1", "x2", "f1", "f2"]))
+    grading = m_grading(atlas)
+    assert grading.free_rank == 2
     assert grading.torsion == [2, 2]
-    d1 = grading.degree_of_vector([1, 0])
-    d2 = grading.degree_of_vector([1, 2])
+    d1 = grading.degree_of_vector([0, 0, 1, 0])
+    d2 = grading.degree_of_vector([0, 0, 1, 2])
     assert d1 == d2
-    assert d1 != grading.degree_of_vector([0, 1])
+    assert d1 != grading.degree_of_vector([0, 0, 0, 1])
+    for ep in atlas.exchange_pairs.values():
+        pair = [sum(x) for x in zip(*(atlas.variables[v].g_vector
+                                      for v in ep.pair))]
+        for side in ep.monomials:
+            vec = [0] * atlas.m
+            for v, e in side:
+                vec = [a + e * b for a, b in
+                       zip(vec, atlas.variables[v].g_vector)]
+            assert grading.degree_of_vector(vec) == \
+                grading.degree_of_vector(pair)
 
 
 def degree_of_monomial(grading, exponents, order):
@@ -81,8 +94,8 @@ def degree_of_monomial(grading, exponents, order):
     return (free, tors)
 
 
-def test_degree_of_monomial(a2_seed, a2_atlas):
-    grading = m_grading(a2_seed.matrix, a2_atlas)
+def test_degree_of_monomial(a2_atlas):
+    grading = m_grading(a2_atlas)
     order = ["x13", "s1"]
     d = degree_of_monomial(grading, (2, 1), order)
     assert d == ((-1, 2, 2), ())
@@ -97,19 +110,20 @@ def test_rank_flags(a2_seed, a3_bad_seed):
 
 
 def test_positive_grading_a2(a2_atlas):
-    D = find_positive_grading(a2_atlas)
+    grading = m_grading(a2_atlas)
+    D = find_positive_grading(a2_atlas, grading)
     assert D == [1, 1, 1, 1, 1]
-    assert find_strictly_positive(a2_atlas) == [1, 1, 1, 1, 1]
+    assert find_strictly_positive(a2_atlas, grading) == [1, 1, 1, 1, 1]
 
 
 def test_no_positive_grading_without_frozen(g2_atlas):
-    assert find_positive_grading(g2_atlas) is None
+    assert find_positive_grading(g2_atlas, m_grading(g2_atlas)) is None
 
 
 def test_add_frozen_for_positivity(g2_seed):
     augmented = add_frozen_for_positivity(g2_seed)
     atlas = enumerate_atlas(augmented)
-    D = find_strictly_positive(atlas)
+    D = find_strictly_positive(atlas, m_grading(atlas))
     assert D is not None
     for var in atlas.variables.values():
         assert vec_dot(var.g_vector, D) >= 1

@@ -1,4 +1,5 @@
-"""Integer lattice linear algebra: normal forms, kernels, solving."""
+"""Integer lattice linear algebra: normal forms, kernels, solving; and the
+reference eliminator over Q of `tests/rational_oracle`."""
 
 from fractions import Fraction
 from operator import mul
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterdeform.intlinalg import (hermite_normal_form, identity_matrix,
-                                     invert_unimodular, kernel_basis,
-                                     lattice_coordinates, mat_vec, primitive,
-                                     row_lattice_basis, rref,
+                                     kernel_basis, lattice_coordinates,
+                                     mat_vec, primitive, row_lattice_basis,
                                      smith_normal_form, transpose)
+from tests.rational_oracle import invert_unimodular, rref
 
 
 def mat_mul(A, B):

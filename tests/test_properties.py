@@ -1,6 +1,9 @@
 """Decision procedures and the constructive repair."""
 
+import json
+from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,26 +13,26 @@ from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.cli import Pipeline
 from clusterdeform.cones import dual_cone
 from clusterdeform.cotangent import variable_weights
-from clusterdeform.gradings import find_strictly_positive, m_grading
 from clusterdeform.intlinalg import nonnegative_solutions, vec_dot
 from clusterdeform.properties import (PropertyError, SemigroupData, check_t0,
                                       check_t0_star, check_t1,
                                       exchangeable_pairs, repair_t1,
                                       semigroup_data)
+from clusterdeform.seeds import mutate
 from clusterdeform.universal import build_universal
-from tests.conftest import augmented_seed, data_seed
+from tests.conftest import augmented_seed, data_seed, gradings_of
 from tests.test_gradings import degree_of_monomial
 
 
 def test_lattice_condition_holds_a2(a2_atlas):
-    report = check_t1(a2_atlas, find_strictly_positive(a2_atlas))
+    report = check_t1(a2_atlas, *gradings_of(a2_atlas))
     assert report.holds
     assert report.property == "T1"
 
 
 def test_lattice_condition_fails_a3_variant(a3_bad_seed):
     atlas = enumerate_atlas(a3_bad_seed)
-    report = check_t1(atlas, find_strictly_positive(atlas))
+    report = check_t1(atlas, *gradings_of(atlas))
     assert not report.holds
     first = report.witnesses[0]
     assert first["seed"] == 0 and first["j"] == 0
@@ -44,7 +47,7 @@ def test_repair(a3_bad_seed):
     assert [list(r) for r in repaired.matrix.entries[6:]] == \
         [[0, 0, -1], [-1, 0, 0], [1, 0, 0]]
     atlas = enumerate_atlas(repaired)
-    assert check_t1(atlas, find_strictly_positive(atlas)).holds
+    assert check_t1(atlas, *gradings_of(atlas)).holds
     # idempotent: repairing a repaired seed changes nothing
     again = repair_t1(repaired)
     assert again.matrix.entries == repaired.matrix.entries
@@ -59,15 +62,14 @@ def test_repair_requires_full_rank():
         repair_t1(degenerate)
 
 
-def test_derivation_condition_a2(a2_seed, a2_atlas, a2_ideal):
-    grading = m_grading(a2_seed.matrix, a2_atlas)
-    D = find_strictly_positive(a2_atlas)
+def test_derivation_condition_a2(a2_atlas, a2_ideal):
+    D, grading = gradings_of(a2_atlas)
     report = check_t0(a2_ideal, grading, a2_atlas, D)
     assert report.holds
 
 
 def test_strong_derivation_condition_a2(a2_atlas, a2_ideal, a2_univ):
-    D = find_strictly_positive(a2_atlas)
+    D, _ = gradings_of(a2_atlas)
     sg = semigroup_data(a2_univ)
     report = check_t0_star(a2_ideal, a2_univ, sg, D)
     assert report.holds
@@ -116,7 +118,7 @@ def test_fine_degree_enumeration_matches_filter(name, max_weight):
     that degree_of_monomial puts in the variable's fine degree."""
     seed = augmented_seed(name) if name.startswith("aug_") else data_seed(name)
     pipe = Pipeline(seed, max_seeds=100000)
-    grading = m_grading(seed.matrix, pipe.atlas)
+    grading = pipe.grading
     ids = pipe.ideal.variables
     weights = variable_weights(pipe.atlas, ids, pipe.strict_grading)
     free, tors = zip(*(grading.deg_H[v] for v in ids))
@@ -145,7 +147,44 @@ def test_checks_require_strict_grading(a2_atlas, a2_ideal, g2_atlas):
         check_t0(a2_ideal, None, a2_atlas, None)
     # no strictly positive grading exists without frozen variables
     with pytest.raises(PropertyError):
-        check_t1(g2_atlas, find_strictly_positive(g2_atlas))
+        check_t1(g2_atlas, *gradings_of(g2_atlas))
+
+
+GOLDEN_CHECK = Path(__file__).with_name("golden") / "check"
+
+# The seeds whose verdicts must not depend on the initial seed, with the
+# properties checked on each: T0* only where it takes milliseconds.
+INVARIANCE = {"a2": ("t1", "t0", "t0star"), "a3_bad": ("t1", "t0", "t0star"),
+              "gr26_pullback": ("t1", "t0", "t0star"),
+              "aug_b3": ("t1", "t0"), "aug_c3": ("t1", "t0")}
+
+
+@lru_cache(maxsize=None)
+def _invariance_seed(name):
+    return augmented_seed(name) if name.startswith("aug_") else data_seed(name)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(INVARIANCE)),
+       st.lists(st.integers(0, 2), min_size=1, max_size=4))
+def test_verdicts_are_seed_invariant(name, path):
+    """The T1, T0 and T0* verdicts of the `check --json` goldens hold again
+    when the initial seed is replaced by its mutation along a path of one
+    to four steps.  `seeds.mutate` mutates the frozen rows too."""
+    seed = _invariance_seed(name)
+    for k in path:
+        seed = mutate(seed, k % seed.matrix.n)
+    pipe = Pipeline(seed, max_seeds=100000)
+    atlas, D, grading = pipe.atlas, pipe.strict_grading, pipe.grading
+    checks = {
+        "t1": lambda: check_t1(atlas, D, grading),
+        "t0": lambda: check_t0(pipe.ideal, grading, atlas, D),
+        "t0star": lambda: check_t0_star(pipe.ideal, pipe.universal,
+                                        semigroup_data(pipe.universal), D)}
+    for prop in INVARIANCE[name]:
+        golden = json.loads(
+            (GOLDEN_CHECK / ("%s-%s.json" % (name, prop))).read_text())
+        assert checks[prop]().holds == golden["holds"], (prop, path)
 
 
 def test_exchangeable_pairs(a2_atlas):
