@@ -7,8 +7,8 @@ derivation conditions, the weight cone of the squarefree degeneration, and
 the flat family over the coefficient parameters, in closed form.
 """
 
-from .seeds import (ExtendedExchangeMatrix, Seed, mutate, classify_finite_type,
-                    load_seed, seed_from_dict, seed_to_dict)
+from .seeds import (ExtendedExchangeMatrix, Seed, load_seed, seed_from_dict,
+                    seed_to_dict)
 from .atlas import enumerate_atlas
 from .simplicial import (SimplicialComplex, MonomialIdeal, cluster_complex,
                          sr_ideal, minimal_nonfaces)
@@ -16,8 +16,7 @@ from .gradings import (m_grading, rank_flags, find_positive_grading,
                        find_strictly_positive, add_frozen_for_positivity,
                        t_degrees)
 from .universal import build_universal, fiber_at_zero
-from .cotangent import (t1_degree_families, t1_invariant, t1_witnesses,
-                        obstruction_class)
+from .cotangent import t1_degree_families, t1_invariant, t1_witnesses
 from .properties import (check_t0, check_t0_star, check_t1, repair_t1,
                          semigroup_data)
 from .groebner import groebner_cone, interior_weight, cone_certificates
@@ -26,8 +25,8 @@ from .deform import lift, verify_family
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExtendedExchangeMatrix", "Seed", "mutate", "classify_finite_type",
-    "load_seed", "seed_from_dict", "seed_to_dict",
+    "ExtendedExchangeMatrix", "Seed", "load_seed", "seed_from_dict",
+    "seed_to_dict",
     "enumerate_atlas",
     "SimplicialComplex", "MonomialIdeal", "cluster_complex", "sr_ideal",
     "minimal_nonfaces",
@@ -35,7 +34,6 @@ __all__ = [
     "find_strictly_positive", "add_frozen_for_positivity", "t_degrees",
     "build_universal", "fiber_at_zero",
     "t1_degree_families", "t1_invariant", "t1_witnesses",
-    "obstruction_class",
     "check_t0", "check_t0_star", "check_t1", "repair_t1", "semigroup_data",
     "groebner_cone", "interior_weight", "cone_certificates",
     "lift", "verify_family",

@@ -11,8 +11,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .atlas import AtlasError, enumerate_atlas
-from .cotangent import (CotangentError, obstruction_class,
-                        t1_degree_families, t1_invariant)
+from .cotangent import CotangentError, t1_degree_families, t1_invariant
 from .deform import DeformError, lift, verify_family
 from .gradings import (add_frozen_for_positivity, find_positive_grading,
                        find_strictly_positive, m_grading, rank_flags,
@@ -167,7 +166,7 @@ def cmd_grading(args):
         return 0
     atlas, grading = pipe.atlas, pipe.grading
     payload = {"free_rank": grading.free_rank, "torsion": grading.torsion,
-               "rank_flags": rank_flags(seed.matrix),
+               "rank_flags": rank_flags(seed.matrix, grading),
                "degrees": {v: [list(grading.deg_H[v][0]),
                                list(grading.deg_H[v][1])]
                            for v in sorted(grading.deg_H)}}
@@ -355,8 +354,13 @@ def cmd_demo(args):
         print("coefficients: %d; cone rays: %d, lineality: %d, smooth: %s"
               % (univ.p, len(gc.cone.rays), gc.cone.lineality_dim,
                  gc.smooth_mod_lineality))
-        print("obstruction class: %s"
-              % obstruction_class(pipe.seed.matrix)["reason"])
+        # mutation preserves skew-symmetry, so the initial seed decides it
+        B, n = pipe.seed.matrix.entries, pipe.seed.matrix.n
+        if all(B[i][j] == -B[j][i] for i in range(n) for j in range(n)):
+            print("mutable block: skew-symmetric, so unobstructed (paper)")
+        else:
+            print("mutable block: not skew-symmetric: not covered by the "
+                  "paper's unobstructedness theorem")
         family = pipe.lifted_family(args.max_order)
         print("lifted family (%d generators):" % len(family.generators))
         for line in family_lines(family):

@@ -1,5 +1,5 @@
 """Graded first-order deformation degrees of the cluster complex: family
-enumeration, the invariant pinned degrees, and the obstructedness lookup.
+enumeration and the invariant pinned degrees.
 
 The T1 witness search is a call to `intlinalg.nonnegative_solutions`, the
 bounded search that the T0 and T0* checkers in `properties` use too;
@@ -9,7 +9,6 @@ seed is read off the one M-grading of the initial seed (`m_grading`): no
 seed takes a Smith form of its own."""
 
 from .intlinalg import nonnegative_solutions, vec_dot
-from .seeds import classify_finite_type
 
 
 class CotangentError(Exception):
@@ -175,18 +174,3 @@ def t1_invariant(atlas, D_strict, grading):
                        family=False, witness_w=w)
         found.setdefault(deg.degree_key(), deg)
     return sorted(found.values(), key=lambda d: d.degree_key())
-
-
-def obstruction_class(matrix):
-    """Unobstructed exactly when the mutable block is skew-symmetric."""
-    info = classify_finite_type(matrix, mutation_search=True)
-    if not info["finite"]:
-        raise CotangentError("not of finite cluster type")
-    n = matrix.n
-    symmetric = all(matrix.entries[i][j] == -matrix.entries[j][i]
-                    for i in range(n) for j in range(n))
-    if symmetric:
-        reason = "all components simply laced: %s" % ", ".join(info["components"])
-    else:
-        reason = "non-simply-laced component among: %s" % ", ".join(info["components"])
-    return {"unobstructed": symmetric, "reason": reason}

@@ -59,12 +59,12 @@ def m_grading(atlas):
     return data
 
 
-def rank_flags(matrix):
-    A = [list(r) for r in matrix.entries]
-    snf = smith_normal_form(A)
-    full_rank = snf.rank == matrix.n
-    full_z_rank = full_rank and all(d == 1 for d in snf.diag[:snf.rank])
-    return {"full_rank": full_rank, "full_Z_rank": full_z_rank}
+def rank_flags(matrix, grading):
+    """Rank flags of B~ read off its M-grading: rank B~ = m - free rank, and
+    the column lattice is saturated exactly when M has no torsion."""
+    full_rank = matrix.m - grading.free_rank == matrix.n
+    return {"full_rank": full_rank,
+            "full_Z_rank": full_rank and not grading.torsion}
 
 
 def positive_combination(constraint_rows, dim):

@@ -170,12 +170,13 @@ def check_t0_star(J, univ, semigroup, D_strict):
 def repair_t1(seed, max_seeds=100000, max_rounds=64):
     """Add frozen rows, one per surviving witness, until the lattice
     condition holds on every seed in the class."""
-    if not rank_flags(seed.matrix)["full_rank"]:
-        raise PropertyError("repair requires a full-rank matrix")
     current = seed
     for _ in range(max_rounds):
         atlas = enumerate_atlas(current, max_seeds=max_seeds)
         grading = m_grading(atlas)
+        # added rows keep B~ of full rank, so only the first round can fail
+        if not rank_flags(current.matrix, grading)["full_rank"]:
+            raise PropertyError("repair requires a full-rank matrix")
         D = find_strictly_positive(atlas, grading)
         if D is None:
             current = add_frozen_for_positivity(current, max_seeds=max_seeds)

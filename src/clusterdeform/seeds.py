@@ -1,4 +1,4 @@
-"""Extended exchange matrices, labeled seeds, mutation, and type classification.
+"""Extended exchange matrices, labeled seeds, and mutation.
 
 Indices are 0-based throughout the library; the first n indices are mutable,
 the remaining m - n are frozen.
@@ -7,8 +7,6 @@ the remaining m - n are frozen.
 import json
 from fractions import Fraction
 from math import gcd
-
-from .intlinalg import determinant
 
 
 class ExtendedExchangeMatrix:
@@ -43,13 +41,6 @@ class ExtendedExchangeMatrix:
 
     def __repr__(self):
         return "ExtendedExchangeMatrix(%r, n=%d)" % ([list(r) for r in self.entries], self.n)
-
-    def mutate(self, k):
-        if not 0 <= k < self.n:
-            raise IndexError("mutation index out of range")
-        return ExtendedExchangeMatrix(mutate_entries(self.entries, k),
-                                      n=self.n,
-                                      skew_symmetrizer=self.skew_symmetrizer)
 
 
 def mutate_entries(entries, k):
@@ -170,7 +161,11 @@ def _bt_times_d(matrix, grading_rows):
 
 def mutate(seed, k):
     """Mutate a seed at mutable index k; the new variable gets a fresh id."""
-    matrix = seed.matrix.mutate(k)
+    if not 0 <= k < seed.matrix.n:
+        raise IndexError("mutation index out of range")
+    matrix = ExtendedExchangeMatrix(
+        mutate_entries(seed.matrix.entries, k), n=seed.matrix.n,
+        skew_symmetrizer=seed.matrix.skew_symmetrizer)
     var_ids = list(seed.var_ids)
     var_ids[k] = "mu%d(%s)" % (k, var_ids[k])
     grading = None
@@ -205,186 +200,6 @@ def is_isolated_vertex_free(matrix):
     """True iff no mutable index has an all-zero column of the extended matrix."""
     return all(any(matrix.entries[i][k] != 0 for i in range(matrix.m))
                for k in range(matrix.n))
-
-
-def cartan_counterpart(matrix):
-    """A(B): 2 on the diagonal, -|b_ij| off it (mutable block only)."""
-    n = matrix.n
-    return [[2 if i == j else -abs(matrix.entries[i][j]) for j in range(n)]
-            for i in range(n)]
-
-
-def _components(matrix):
-    n = matrix.n
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = []
-        stack = [s]
-        seen[s] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if not seen[j] and matrix.entries[i][j] != 0:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _positive_principal_minors(A):
-    from itertools import combinations
-    n = len(A)
-    for r in range(1, n + 1):
-        for subset in combinations(range(n), r):
-            sub = [[A[i][j] for j in subset] for i in subset]
-            if determinant(sub) <= 0:
-                return False
-    return True
-
-
-def _bn_cartan(r):
-    A = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
-    for i in range(r - 1):
-        A[i][i + 1] = -1
-        A[i + 1][i] = -1
-    A[r - 1][r - 2] = -2  # the short-root row carries the -2
-    return A
-
-
-def _component_label(A, idx):
-    """Dynkin label of one connected positive component (vertex set idx)."""
-    r = len(idx)
-    if r == 1:
-        return "A1"
-    sub = [[A[i][j] for j in idx] for i in idx]
-    edges = [(i, j) for i in range(r) for j in range(i + 1, r)
-             if sub[i][j] != 0]
-    weights = sorted(sub[i][j] * sub[j][i] for i, j in edges)
-    deg = [sum(1 for e in edges if v in e) for v in range(r)]
-    if 3 in weights:
-        return "G2" if r == 2 else "unknown"
-    if all(w == 1 for w in weights):
-        if max(deg) <= 2:
-            return "A%d" % r
-        center = deg.index(3)
-        lengths = sorted(_branch_lengths(edges, r, center))
-        if lengths == [1, 1, r - 3] or (r == 4 and lengths == [1, 1, 1]):
-            return "D%d" % r
-        if lengths == [1, 2, 2]:
-            return "E6"
-        if lengths == [1, 2, 3]:
-            return "E7"
-        if lengths == [1, 2, 4]:
-            return "E8"
-        return "unknown"
-    # exactly one weight-2 edge in a path: types B/C/F
-    if weights.count(2) != 1 or max(deg) > 2:
-        return "unknown"
-    if r == 2:
-        return "B2"
-    order = _path_order(edges, r)
-    if order is None:
-        return "unknown"
-    hi, hj = next((i, j) for i, j in edges if sub[i][j] * sub[j][i] == 2)
-    pos = sorted((order.index(hi), order.index(hj)))
-    if pos == [1, 2] and r == 4:
-        return "F4"
-    if pos[0] != r - 2:
-        order = order[::-1]
-        pos = sorted((order.index(hi), order.index(hj)))
-    if pos != [r - 2, r - 1]:
-        return "unknown"
-    perm = [[sub[order[i]][order[j]] for j in range(r)] for i in range(r)]
-    if perm == _bn_cartan(r):
-        return "B%d" % r
-    if perm == [list(col) for col in zip(*_bn_cartan(r))]:
-        return "C%d" % r
-    return "unknown"
-
-
-def _branch_lengths(edges, r, center):
-    adj = {v: [] for v in range(r)}
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    lengths = []
-    for start in adj[center]:
-        length = 1
-        prev, cur = center, start
-        while True:
-            nxt = [v for v in adj[cur] if v != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        lengths.append(length)
-    return lengths
-
-
-def _path_order(edges, r):
-    adj = {v: [] for v in range(r)}
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    ends = [v for v in range(r) if len(adj[v]) == 1]
-    if len(ends) != 2:
-        return None
-    order = [ends[0]]
-    prev = None
-    while len(order) < r:
-        nxt = [v for v in adj[order[-1]] if v != prev]
-        if not nxt:
-            return None
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
-
-
-def classify_finite_type(matrix, mutation_search=False, max_matrices=5000):
-    """Finite-type test via positivity of the Cartan counterpart.
-
-    Positivity of A(B) on the given representative certifies finite type;
-    with mutation_search=True the whole mutation class (bounded by
-    max_matrices) is scanned, so a negative answer then means the class
-    contains no positive representative found within the budget.
-    """
-    result = _classify_direct(matrix)
-    if result["finite"] or not mutation_search:
-        return result
-    seen = {matrix.entries}
-    frontier = [matrix]
-    while frontier:
-        nxt = []
-        for mat in frontier:
-            for k in range(mat.n):
-                mut = mat.mutate(k)
-                if mut.entries in seen:
-                    continue
-                seen.add(mut.entries)
-                if len(seen) > max_matrices:
-                    return {"finite": False, "components": ["not finite"]}
-                res = _classify_direct(mut)
-                if res["finite"]:
-                    return res
-                nxt.append(mut)
-        frontier = nxt
-    return {"finite": False, "components": ["not finite"]}
-
-
-def _classify_direct(matrix):
-    A = cartan_counterpart(matrix)
-    comps = _components(matrix)
-    labels = []
-    for idx in comps:
-        sub = [[A[i][j] for j in idx] for i in idx]
-        if not _positive_principal_minors(sub):
-            return {"finite": False, "components": ["not finite"]}
-        labels.append(_component_label(A, idx))
-    return {"finite": True, "components": labels}
 
 
 def seed_from_dict(data):

@@ -7,6 +7,7 @@ import pytest
 from clusterdeform import atlas as atlas_module
 from clusterdeform.atlas import AtlasError, enumerate_atlas
 from clusterdeform.polynomials import Poly, exact_divide
+from clusterdeform.seeds import ExtendedExchangeMatrix, Seed
 from tests.atlas_oracle import (SEARCH_SEEDS, f_polynomial, reference_atlas,
                                 separation_check, tropical_g_vector)
 from tests.conftest import data_seed, path_seed, tree_seed
@@ -109,6 +110,15 @@ def test_budget_exceeded():
     with pytest.raises(AtlasError, match=r"^exchange-graph search: more than "
                        r"2 seeds \(--max-seeds 2\)$"):
         enumerate_atlas(data_seed("a2"), max_seeds=2)
+
+
+def test_infinite_type_exhausts_the_budget():
+    """The Markov quiver is of infinite type: the search, which certifies
+    finite type, stops at the budget and names it."""
+    markov = Seed(ExtendedExchangeMatrix(
+        [[0, 2, -2], [-2, 0, 2], [2, -2, 0]], n=3), ["z1", "z2", "z3"])
+    with pytest.raises(AtlasError, match=r"--max-seeds 200\)$"):
+        enumerate_atlas(markov, max_seeds=200)
 
 
 def test_unknown_variable():

@@ -1,4 +1,4 @@
-"""Graded deformation degrees, witnesses, and the obstruction lookup."""
+"""Graded deformation degrees and witnesses."""
 
 import pytest
 
@@ -7,12 +7,10 @@ from clusterdeform import intlinalg
 from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.cli import _data_path, main
 from clusterdeform.cotangent import (CotangentError, T1Degree,
-                                     obstruction_class, t1_degree_families,
-                                     t1_invariant, t1_witnesses,
-                                     variable_weights)
+                                     t1_degree_families, t1_invariant,
+                                     t1_witnesses, variable_weights)
 from clusterdeform.intlinalg import lattice_coordinates, mat_vec
 from clusterdeform.properties import check_t1
-from clusterdeform.seeds import ExtendedExchangeMatrix
 from clusterdeform.simplicial import cluster_complex
 from clusterdeform.universal import build_universal
 from tests.atlas_oracle import SEARCH_SEEDS
@@ -236,6 +234,16 @@ def test_witness_searches_compute_one_smith_form_per_pipeline(
     assert len(calls) == 1
 
 
+def test_grading_command_computes_one_smith_form(monkeypatch, capsys):
+    """The rank flags are read off the M-grading: a `grading
+    --find-positive` run factors B~ once."""
+    calls = _smith_calls(monkeypatch)
+    assert main(["grading", "--find-positive", "--json",
+                 _data_path("d4")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_witnesses_require_grading(a2_atlas):
     rows, _, free, torsion = _seed_inputs(a2_atlas, a2_atlas.seeds[0],
                                           *gradings_of(a2_atlas))
@@ -247,25 +255,3 @@ def test_seed_weights_positive(a2_atlas):
     D, _ = gradings_of(a2_atlas)
     for state in a2_atlas.seeds:
         assert all(w >= 1 for w in variable_weights(a2_atlas, state.ids, D))
-
-
-def test_obstruction_class():
-    assert obstruction_class(data_seed("a2").matrix)["unobstructed"]
-    assert obstruction_class(path_seed([(1, -1), (1, -1)]).matrix)[
-        "unobstructed"]
-    for name in ("g2", "b2", "c2"):
-        report = obstruction_class(data_seed(name).matrix)
-        assert not report["unobstructed"]
-    # the Markov quiver is of infinite type
-    with pytest.raises(CotangentError):
-        obstruction_class(ExtendedExchangeMatrix(
-            [[0, 2, -2], [-2, 0, 2], [2, -2, 0]], n=3))
-
-
-def test_obstruction_class_oriented_three_cycle():
-    """The Cartan test rejects the oriented 3-cycle as given, but one
-    mutation turns it into the path A3."""
-    report = obstruction_class(ExtendedExchangeMatrix(
-        [[0, 1, -1], [-1, 0, 1], [1, -1, 0]], n=3))
-    assert report == {"unobstructed": True,
-                      "reason": "all components simply laced: A3"}

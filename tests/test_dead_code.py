@@ -22,7 +22,10 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "clusterdeform"
 # perfbench/cases.py imports mutate, mutate_grading is reached only through
 # mutate, and e_column only through it.  Every other test-only function
 # lives in the tests, next to the oracle or the test that uses it.
-TEST_ONLY = {"mutate", "mutate_grading", "e_column"}
+# Keyed by file and module-level function: a method of the same name
+# is still checked.
+TEST_ONLY = {("seeds.py", "mutate"), ("seeds.py", "mutate_grading"),
+             ("seeds.py", "e_column")}
 
 BENCH_CASES = SRC.parent.parent / "perfbench" / "cases.py"
 
@@ -33,10 +36,10 @@ def _trees():
 
 
 def _walk(node, skip):
-    """ast.walk that does not enter a function named in skip."""
+    """ast.walk that does not enter a function node in skip (by id)."""
     yield node
     for child in ast.iter_child_nodes(node):
-        if not (isinstance(child, ast.FunctionDef) and child.name in skip):
+        if id(child) not in skip:
             yield from _walk(child, skip)
 
 
@@ -82,28 +85,35 @@ def _uses(refs, fn, is_method):
 
 def unreferenced(trees, test_only=()):
     """(file, name) of each function or method that nothing outside its
-    own body and the test_only functions references."""
+    own body and the test_only functions references.  test_only holds
+    (file, name) of module-level functions; a function defined in a class
+    or another function is reported as "Outer.name", so it never matches
+    one."""
     data = _data_attributes(trees)
+    skip = {id(fn) for name, tree in trees.items() for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and (name, fn.name) in test_only}
     refs = {"name": Counter(), "attr": Counter(), "method": Counter()}
     for tree in trees.values():
-        for key, count in _references(tree, data, test_only).items():
+        for key, count in _references(tree, data, skip).items():
             refs[key].update(count)
     dead = []
     for name, tree in trees.items():
         for parent in ast.walk(tree):
             is_method = isinstance(parent, ast.ClassDef)
+            nested = is_method or isinstance(parent, ast.FunctionDef)
             for fn in ast.iter_child_nodes(parent):
                 if (not isinstance(fn, ast.FunctionDef)
                         or fn.name.startswith("__") and fn.name.endswith("__")):
                     continue
-                own = _references(fn, data, test_only)
+                own = _references(fn, data, skip)
                 if _uses(refs, fn, is_method) <= _uses(own, fn, is_method):
-                    dead.append((name, fn.name))
+                    dead.append((name, "%s.%s" % (parent.name, fn.name)
+                                 if nested else fn.name))
     return dead
 
 
 def test_every_src_function_has_a_src_caller():
-    dead = {n for _, n in unreferenced(_trees(), TEST_ONLY)}
+    dead = set(unreferenced(_trees(), TEST_ONLY))
     assert sorted(dead - TEST_ONLY) == []
     assert sorted(TEST_ONLY - dead) == [], \
         "take the names with a src caller off TEST_ONLY"
@@ -136,11 +146,11 @@ def test_scan_sees_an_uncalled_method_behind_a_slot():
         "        return v.g\n"
         "def use(v):\n"
         "    return v.g\n")
-    assert unreferenced({"m.py": tree}) == [("m.py", "use"), ("m.py", "g")]
+    assert unreferenced({"m.py": tree}) == [("m.py", "use"), ("m.py", "A.g")]
     tree.body.append(ast.parse("def call(a):\n    return a.g(1)\n").body[0])
     assert unreferenced({"m.py": tree}) == [("m.py", "use"), ("m.py", "call")]
-    assert unreferenced({"m.py": tree}, {"call"}) == [
-        ("m.py", "use"), ("m.py", "call"), ("m.py", "g")]
+    assert unreferenced({"m.py": tree}, {("m.py", "call")}) == [
+        ("m.py", "use"), ("m.py", "call"), ("m.py", "A.g")]
 
 
 def test_scan_reaches_a_module_function_only_by_its_bare_name():
@@ -156,3 +166,20 @@ def test_scan_reaches_a_module_function_only_by_its_bare_name():
     assert unreferenced({"m.py": tree}) == [("m.py", "join"), ("m.py", "use")]
     tree.body.append(ast.parse("def pair(a):\n    return join(a, a)\n").body[0])
     assert unreferenced({"m.py": tree}) == [("m.py", "use"), ("m.py", "pair")]
+
+
+def test_test_only_does_not_hide_a_method_of_the_same_name():
+    """TEST_ONLY names module-level functions: an uncalled method that
+    shares the name, like the `ExtendedExchangeMatrix.mutate` that once
+    outlived its last caller, is still reported."""
+    tree = ast.parse(
+        "class M:\n"
+        "    def mutate(self, k):\n"
+        "        return k\n"
+        "def mutate(s, k):\n"
+        "    return s.mutate(k)\n")
+    only = {("m.py", "mutate")}
+    assert set(unreferenced({"m.py": tree}, only)) - only == {
+        ("m.py", "M.mutate")}
+    tree.body.append(ast.parse("def use(s):\n    return s.mutate(0)\n").body[0])
+    assert set(unreferenced({"m.py": tree}, only)) - only == {("m.py", "use")}

@@ -101,12 +101,21 @@ def test_degree_of_monomial(a2_atlas):
     assert d == ((-1, 2, 2), ())
 
 
+def _rank_flags_of(seed):
+    return rank_flags(seed.matrix, m_grading(enumerate_atlas(seed)))
+
+
 def test_rank_flags(a2_seed, a3_bad_seed):
-    assert rank_flags(a2_seed.matrix) == {"full_rank": True,
-                                          "full_Z_rank": True}
-    assert rank_flags(a3_bad_seed.matrix)["full_rank"]
-    degenerate = ExtendedExchangeMatrix([[0, 0], [0, 0], [1, 1]], n=2)
-    assert not rank_flags(degenerate)["full_rank"]
+    assert _rank_flags_of(a2_seed) == {"full_rank": True,
+                                       "full_Z_rank": True}
+    assert _rank_flags_of(a3_bad_seed)["full_rank"]
+    degenerate = Seed(ExtendedExchangeMatrix([[0, 0], [0, 0], [1, 1]], n=2),
+                      ["a", "b", "f"])
+    assert not _rank_flags_of(degenerate)["full_rank"]
+    # full rank, but the column lattice 2Z is not saturated
+    doubled = Seed(ExtendedExchangeMatrix([[0], [2]], n=1), ["a", "f"])
+    assert _rank_flags_of(doubled) == {"full_rank": True,
+                                       "full_Z_rank": False}
 
 
 def test_positive_grading_a2(a2_atlas):
