@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 property-check failure (witnesses reported),
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cached_property
 
 from .atlas import AtlasError, enumerate_atlas
@@ -307,7 +306,7 @@ def _sorted_terms(family):
 
 def family_payload(family):
     """Generators in stable order with terms sorted by the monomial order."""
-    gens = [[{"coeff": str(Fraction(c)), "exponents": list(e)}
+    gens = [[{"coeff": str(c), "exponents": list(e)}
              for e, c in terms] for terms in _sorted_terms(family)]
     return {"variables": family.z_vars + family.t_vars,
             "weights": family.weights, "order": family.order,

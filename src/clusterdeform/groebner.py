@@ -1,12 +1,10 @@
 """The weight cone selecting the squarefree monomial degeneration, its
 simpliciality and smoothness certificates, and interior weight selection."""
 
-from math import gcd
-
 from .cones import dual_cone, slack_ray
 from .gradings import t_degrees
-from .intlinalg import (determinant, identity_matrix, kernel_basis,
-                        vec_dot)
+from .intlinalg import (identity_matrix, kernel_basis, primitive,
+                        smith_normal_form, vec_dot)
 
 
 class GroebnerError(Exception):
@@ -83,24 +81,16 @@ def cone_certificates(cone):
 
     The quotient lattice is realized by pairing with a saturated basis of
     the lineality orthogonal; ray images are primitivized there, so the
-    verdict is scaling-invariant."""
+    verdict is scaling-invariant.  The images span the quotient over Q
+    when their Smith form has no zero on the diagonal, and over Z when
+    every diagonal entry is 1."""
     k = cone.ambient_dim - cone.lineality_dim
     if len(cone.rays) != k:
         return False, False
-    if k == 0:
-        return True, True
     if cone.lineality:
         coords = kernel_basis([list(r) for r in cone.lineality])
     else:
         coords = identity_matrix(cone.ambient_dim)
-    images = []
-    for r in cone.rays:
-        img = [vec_dot(c, r) for c in coords]
-        g = 0
-        for x in img:
-            g = gcd(g, x)
-        if g == 0:
-            return False, False
-        images.append([x // g for x in img])
-    det = determinant(images)
-    return det != 0, abs(det) == 1
+    diag = smith_normal_form([primitive([vec_dot(c, r) for c in coords])
+                              for r in cone.rays]).diag
+    return 0 not in diag, all(x == 1 for x in diag)

@@ -1,4 +1,6 @@
-"""Exact integer-lattice linear algebra: Smith and Hermite normal forms, and
+"""Exact integer-lattice linear algebra: the Smith normal form, the one
+eliminator, which serves every rank, kernel and lattice test; the Hermite
+normal form, which only gives the canonical basis of a row lattice; and
 `nonnegative_solutions`, the one bounded search for nonnegative integer
 points that the T1, T0 and T0* checkers share.
 
@@ -146,7 +148,7 @@ def smith_normal_form(A):
 
 
 def hermite_normal_form(A):
-    """Row-style Hermite normal form: returns (H, U) with U*A = H, U unimodular.
+    """Row-style Hermite normal form H of A: H = U*A for a unimodular U.
 
     Pivot entries are positive, entries above a pivot are reduced into
     [0, pivot), zero rows are at the bottom.  H is a canonical basis of the
@@ -155,7 +157,6 @@ def hermite_normal_form(A):
     rows = len(A)
     cols = len(A[0]) if rows else 0
     H = [list(r) for r in A]
-    U = identity_matrix(rows)
     pivot_row = 0
     for col in range(cols):
         if pivot_row >= rows:
@@ -168,13 +169,11 @@ def hermite_normal_form(A):
             i_min = min(nz, key=lambda i: abs(H[i][col]))
             if i_min != pivot_row:
                 H[pivot_row], H[i_min] = H[i_min], H[pivot_row]
-                U[pivot_row], U[i_min] = U[i_min], U[pivot_row]
             done = True
             for i in range(pivot_row + 1, rows):
                 if H[i][col] != 0:
                     q = H[i][col] // H[pivot_row][col]
                     H[i] = [a - q * b for a, b in zip(H[i], H[pivot_row])]
-                    U[i] = [a - q * b for a, b in zip(U[i], U[pivot_row])]
                     if H[i][col] != 0:
                         done = False
             if done:
@@ -183,22 +182,19 @@ def hermite_normal_form(A):
             continue
         if H[pivot_row][col] < 0:
             H[pivot_row] = [-a for a in H[pivot_row]]
-            U[pivot_row] = [-a for a in U[pivot_row]]
         for i in range(pivot_row):
             q = H[i][col] // H[pivot_row][col]
             if q:
                 H[i] = [a - q * b for a, b in zip(H[i], H[pivot_row])]
-                U[i] = [a - q * b for a, b in zip(U[i], U[pivot_row])]
         pivot_row += 1
-    return H, U
+    return H
 
 
 def row_lattice_basis(A):
     """Canonical (HNF) basis of the lattice spanned by the rows of A."""
     if not A:
         return []
-    H, _ = hermite_normal_form(A)
-    return [r for r in H if any(r)]
+    return [r for r in hermite_normal_form(A) if any(r)]
 
 
 def lattice_coordinates(w, A):
@@ -221,28 +217,6 @@ def kernel_basis(A):
     r = snf.rank
     rt = transpose(snf.right)
     return [list(rt[j]) for j in range(r, cols)]
-
-
-def determinant(rows):
-    """Fraction-free determinant (Bareiss) of a square integer matrix."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
 
 
 def nonnegative_solutions(weights, total, equalities=(), inequalities=()):

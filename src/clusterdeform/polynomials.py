@@ -1,13 +1,12 @@
-"""Sparse multivariate Laurent polynomials over Q, the weight order of the
+"""Sparse multivariate Laurent polynomials over Z, the weight order of the
 lifted family, and exact Laurent division.
 
 Polynomials are stored as a map from integer exponent tuples to nonzero
-rational coefficients.  Negative exponents are permitted; the surrounding
+integer coefficients.  Negative exponents are permitted; the surrounding
 modules only produce them on variables they treat as invertible (the initial
 mutable cluster variables).
 """
 
-from fractions import Fraction
 from operator import add, lt, mul, sub
 
 
@@ -49,10 +48,12 @@ def join_terms(terms):
 
 
 class Poly:
-    """A sparse polynomial (or Laurent polynomial) with rational coefficients.
+    """A sparse polynomial (or Laurent polynomial) with integer coefficients.
 
-    terms: dict mapping exponent tuples (length nvars) to nonzero coefficients
-    (int or Fraction).  Instances are treated as immutable values.
+    terms: dict mapping exponent tuples (length nvars) to nonzero
+    coefficients.  The operators only add and multiply coefficients, so
+    any exact number type passes through them.  Instances are treated as
+    immutable values.
     """
 
     __slots__ = ("nvars", "terms")
@@ -87,12 +88,10 @@ class Poly:
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.nvars == other.nvars
-                and all(Fraction(c) == Fraction(other.terms.get(e, 0))
-                        for e, c in self.terms.items())
-                and all(e in self.terms for e in other.terms))
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset((e, Fraction(c)) for e, c in self.terms.items())))
+        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other):
         if not isinstance(other, Poly):
@@ -139,14 +138,7 @@ class Poly:
 
     def __pow__(self, k):
         if k < 0:
-            if len(self.terms) != 1:
-                raise ValueError("negative power of a non-monomial")
-            (e, c), = self.terms.items()
-            inv_c = Fraction(1, 1) / Fraction(c)
-            if inv_c.denominator == 1:
-                inv_c = int(inv_c)
-            return Poly(self.nvars,
-                        {tuple(-x for x in e): inv_c}) ** (-k)
+            raise ValueError("negative power")
         result = Poly.one(self.nvars)
         base = self
         while k:
@@ -215,8 +207,9 @@ def exact_divide(f, g):
     as after shifting f and g to nonnegative exponents: the shift keeps
     the order of the terms, and the lead divides a shifted term exactly
     when the quotient exponent is at least min(f) - min(g) in every
-    variable.  ValueError is raised at the first term the lead does not
-    divide; with one divisor that happens exactly when g does not divide f.
+    variable and the lead coefficient divides the term's coefficient.
+    ValueError is raised at the first term the lead does not divide; with
+    one divisor that happens exactly when g does not divide f over Z.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -231,11 +224,9 @@ def exact_divide(f, g):
         e = max(work, key=_grlex)
         c = work.pop(e)
         m = tuple(map(sub, e, lead))
-        if any(map(lt, m, floor)):
+        c, rest = divmod(c, lc)
+        if rest or any(map(lt, m, floor)):
             raise ValueError("not divisible")
-        if lc != 1:
-            c = Fraction(c) / lc
-            c = c.numerator if c.denominator == 1 else c
         quotient[m] = c
         for x, cx in tail:
             x = tuple(map(add, x, m))

@@ -5,7 +5,6 @@ the remaining m - n are frozen.
 """
 
 import json
-from fractions import Fraction
 from math import gcd
 
 
@@ -75,12 +74,16 @@ def mutate_along(entries, path):
 
 
 def _find_skew_symmetrizer(entries, n):
-    """Minimal positive integer d with d_i b_ij = -d_j b_ji, per component."""
+    """Minimal positive integer d with d_i b_ij = -d_j b_ji, per component.
+
+    A component grows from d = 1 by d_j = d_i |b_ij| / |b_ji|.  When that
+    ratio is not integral, the component so far is first scaled by the
+    least factor that makes it so; the gcd of the component stays 1."""
     d = [None] * n
     for start in range(n):
         if d[start] is not None:
             continue
-        d[start] = Fraction(1)
+        d[start] = 1
         queue = [start]
         comp = [start]
         while queue:
@@ -93,23 +96,17 @@ def _find_skew_symmetrizer(entries, n):
                     continue
                 if (bij > 0) == (bji > 0):
                     raise ValueError("matrix is not skew-symmetrizable")
-                val = d[i] * abs(bij) / abs(bji)
+                num, den = d[i] * abs(bij), abs(bji)
                 if d[j] is None:
-                    d[j] = val
+                    scale = den // gcd(num, den)
+                    for c in comp:
+                        d[c] *= scale
+                    d[j] = num * scale // den
                     queue.append(j)
                     comp.append(j)
-                elif d[j] != val:
+                elif d[j] * den != num:
                     raise ValueError("matrix is not skew-symmetrizable")
-        denom = 1
-        for j in comp:
-            denom = denom * d[j].denominator // gcd(denom, d[j].denominator)
-        nums = [int(d[j] * denom) for j in comp]
-        g = 0
-        for x in nums:
-            g = gcd(g, x)
-        for j, x in zip(comp, nums):
-            d[j] = x // g
-    return tuple(int(x) for x in d)
+    return tuple(d)
 
 
 def _validate_skew_symmetrizer(entries, n, d):

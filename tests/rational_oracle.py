@@ -1,8 +1,9 @@
-"""The reference eliminator over Q: reduced row echelon form and the
-inverse of a unimodular matrix, in `Fraction`s.  The package itself works
-over Z only; the tests use these as independent references for the
-integer inverse updates of `Atlas._inverse`, the lineality bases of the
-cones and the linear solves of the order-by-order lift."""
+"""The reference eliminator over Q: reduced row echelon form, the inverse
+of a unimodular matrix and the determinant, in `Fraction`s.  The package
+itself works over Z only; the tests use these as independent references
+for the integer inverse updates of `Atlas._inverse`, the lineality bases
+of the cones, the linear solves of the order-by-order lift and the Smith
+form certificates of `cone_certificates`."""
 
 from fractions import Fraction
 
@@ -48,3 +49,21 @@ def invert_unimodular(U):
     if len(pivots) < n or any(x.denominator != 1 for row in inverse for x in row):
         raise ValueError("matrix is not unimodular")
     return [[int(x) for x in row] for row in inverse]
+
+
+def determinant(rows):
+    """Determinant of a square integer matrix by Gaussian elimination over Q."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for col in range(len(mat)):
+        piv = next((i for i in range(col, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            det = -det
+        det *= mat[col][col]
+        for i in range(col + 1, len(mat)):
+            f = mat[i][col] / mat[col][col]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
+    return int(det)

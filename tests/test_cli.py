@@ -192,6 +192,19 @@ def test_check_t0star_d4_fits_in_1gib():
     assert result.stdout == (GOLDEN / "check" / "d4-t0star.json").read_text()
 
 
+def test_cli_import_loads_no_fractions():
+    """The package works over Z only: importing the CLI in a fresh
+    interpreter loads no `fractions` module."""
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, clusterdeform.cli; print('fractions' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
 @pytest.mark.parametrize("prop", ["t1", "t0star"])
 def test_traced_check_spans_the_shared_kernel(tmp_path, prop):
     """perfbench/traced_cli.py hooks SemigroupData.contains by name and

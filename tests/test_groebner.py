@@ -1,6 +1,7 @@
 """The weight cone of the squarefree degeneration and its certificates."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.cones import Cone
@@ -10,6 +11,7 @@ from clusterdeform.groebner import (GroebnerError, cone_certificates,
 from clusterdeform.intlinalg import vec_dot
 from clusterdeform.universal import build_universal
 from tests.conftest import data_seed, path_seed
+from tests.rational_oracle import determinant
 
 
 # reference cone data in the order (x25, x13, x24, x35, x14, s1, s2, s3),
@@ -101,6 +103,27 @@ def test_certificates_direct():
     assert cone_certificates(nonsmooth) == (True, False)
     too_few = Cone(2, [], [[1, 0]])
     assert cone_certificates(too_few) == (False, False)
+    # all lineality: the quotient is 0, spanned by no rays
+    assert cone_certificates(dual_cone([], 2)) == (True, True)
+
+
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+    min_size=k, max_size=k)))
+@example([[1, 0], [0, 1]])
+@example([[1, 0], [1, 2]])
+@example([[1, 1], [-1, -1]])
+@example([[1, 2], [2, 4]])
+@example([[0, 0, 1], [1, 0, 0], [0, 3, 0]])
+@settings(max_examples=200, deadline=None)
+def test_certificates_match_the_determinant(rays):
+    """Simplicial iff the stored (primitive) rays have a nonzero
+    determinant, smooth iff it is +-1.  A zero ray or a repeated direction
+    leaves fewer than k stored rays, and the drawn matrix was singular."""
+    k = len(rays)
+    cone = Cone(k, [], rays)
+    d = determinant(cone.rays) if len(cone.rays) == k else 0
+    assert cone_certificates(cone) == (d != 0, abs(d) == 1)
 
 
 def test_weight_selects_exchange_monomials(a2_univ):

@@ -54,23 +54,25 @@ def test_snf_factorization(A):
 @given(matrices(3, 3))
 @settings(max_examples=60, deadline=None)
 def test_hnf_factorization(A):
-    H, U = hermite_normal_form(A)
-    assert mat_mul(U, A) == H
-    assert abs(_det3(U)) == 1
-    # pivots positive, entries above reduced
+    """H and A span the same row lattice: each row of one has integer
+    coordinates on the rows of the other."""
+    H = hermite_normal_form(A)
+    assert len(H) == len(A)
+    for rows, basis in ((H, A), (A, H)):
+        for row in rows:
+            lam = lattice_coordinates(row, transpose(basis))
+            assert lam is not None
+            assert mat_vec(transpose(basis), lam) == row
+    # pivots positive, entries above reduced, zero rows at the bottom
     pivots = []
-    for row in H:
+    for i, row in enumerate(H):
         nz = [j for j, x in enumerate(row) if x != 0]
         if nz:
+            assert len(pivots) == i
             pivots.append((nz[0], row[nz[0]]))
-    for col, val in pivots:
+    for r, (col, val) in enumerate(pivots):
         assert val > 0
-
-
-def _det3(A):
-    return (A[0][0] * (A[1][1] * A[2][2] - A[1][2] * A[2][1])
-            - A[0][1] * (A[1][0] * A[2][2] - A[1][2] * A[2][0])
-            + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0]))
+        assert all(0 <= H[i][col] < val for i in range(r))
 
 
 @given(matrices(3, 3), st.permutations(range(3)))

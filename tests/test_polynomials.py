@@ -171,10 +171,18 @@ def test_power_matches_repeated_product(f, k):
     assert f ** k == expected
 
 
-def test_negative_power_of_monomial():
-    m = Poly.monomial(2, (2, 1), 3)
-    inv = m ** -1
-    assert m * inv == Poly.one(2)
+def test_negative_power_raises():
+    with pytest.raises(ValueError):
+        Poly.monomial(2, (2, 1), 3) ** -1
+
+
+def test_exact_divide_needs_an_integral_quotient():
+    """x / (2x) = 1/2 is a Laurent quotient over Q but not over Z."""
+    x = Poly.variable(2, 0)
+    y = Poly.variable(2, 1)
+    with pytest.raises(ValueError):
+        exact_divide(x, 2 * x)
+    assert exact_divide(2 * x * y + 4 * x, 2 * x) == y + 2
 
 
 def test_specialize_and_compose():

@@ -1,6 +1,7 @@
 """Exchange matrices, mutation, serialization."""
 
 import json
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +42,47 @@ def test_skew_symmetrizer():
         ExtendedExchangeMatrix([[0, 1], [1, 0]], n=2)
     with pytest.raises(ValueError):
         ExtendedExchangeMatrix([[0, 1], [0, 0]], n=2)
+
+
+@st.composite
+def skew_symmetrizable(draw):
+    """(B, components, d) with B_ij = d_j K_ij for a skew-symmetric K that
+    is block-diagonal over 1-3 blocks, each connected through its chain
+    K_{i,i+1} != 0, with the indices shuffled."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n = sum(sizes)
+    d = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    K = [[0] * n for _ in range(n)]
+    blocks, start = [], 0
+    for size in sizes:
+        block = list(range(start, start + size))
+        for a, i in enumerate(block):
+            for j in block[a + 1:]:
+                entry = (st.integers(-2, 2).filter(bool) if j == i + 1
+                         else st.integers(-2, 2))
+                K[i][j] = draw(entry)
+                K[j][i] = -K[i][j]
+        blocks.append(block)
+        start += size
+    perm = draw(st.permutations(range(n)))
+    B = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            B[perm[i]][perm[j]] = d[j] * K[i][j]
+    components = [[perm[i] for i in block] for block in blocks]
+    return B, components, [d[perm.index(i)] for i in range(n)]
+
+
+@given(skew_symmetrizable())
+@settings(max_examples=150, deadline=None)
+def test_skew_symmetrizer_is_minimal_per_component(case):
+    B, components, d = case
+    found = ExtendedExchangeMatrix(B).skew_symmetrizer
+    for comp in components:
+        g = 0
+        for i in comp:
+            g = gcd(g, d[i])
+        assert [found[i] for i in comp] == [d[i] // g for i in comp]
 
 
 def test_mutation_preserves_skew_symmetrizability():
