@@ -106,7 +106,7 @@ def add_frozen_for_positivity(seed, max_seeds=100000):
     """Add n frozen rows plus one balancing row so that (1,...,1) becomes a
     grading giving every cluster variable positive degree."""
     base = enumerate_atlas(seed, max_seeds=max_seeds)
-    n, m = seed.matrix.n, seed.matrix.m
+    n = seed.matrix.n
     c = min(sum(v.g_vector) for v in base.mutable_variables) - 1
     rows = [list(r) for r in seed.matrix.entries]
     for k in range(n):
@@ -115,11 +115,7 @@ def add_frozen_for_positivity(seed, max_seeds=100000):
     rows.append([-sum(row[j] for row in rows) for j in range(n)])
     labels = list(seed.var_ids) + \
         ["aux%d" % (k + 1) for k in range(n)] + ["bal"]
-    m_plus = m + n + 1
-    grading = [[1] for _ in range(m_plus)]
-    out = Seed(ExtendedExchangeMatrix(
-        rows, n=n, skew_symmetrizer=seed.matrix.skew_symmetrizer),
-        labels, grading)
+    out = Seed(ExtendedExchangeMatrix(rows, n=n), labels)
 
     # re-verify: every cluster variable of the augmented algebra has
     # positive degree under the all-ones grading

@@ -124,10 +124,6 @@ def check_t0(J, grading, atlas, D_strict):
     return PropertyReport("T0", witnesses)
 
 
-def exchangeable_pairs(atlas):
-    return set(atlas.exchange_pairs.keys())
-
-
 def check_t0_star(J, univ, semigroup, D_strict):
     """Every ideal-non-trivial derivation whose degree lies in the
     semigroup must act on a generator coming from an exchangeable pair.
@@ -139,7 +135,7 @@ def check_t0_star(J, univ, semigroup, D_strict):
     ids = J.variables
     index = {v: i for i, v in enumerate(ids)}
     weights = variable_weights(atlas, ids, D_strict)
-    pairs = exchangeable_pairs(atlas)
+    pairs = atlas.exchange_pairs
     cone = semigroup.cone
     witnesses = []
     for v in [x.id for x in atlas.mutable_variables]:

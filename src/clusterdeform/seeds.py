@@ -13,7 +13,7 @@ class ExtendedExchangeMatrix:
 
     __slots__ = ("n", "m", "entries", "skew_symmetrizer")
 
-    def __init__(self, entries, n=None, skew_symmetrizer=None):
+    def __init__(self, entries, n=None):
         self.entries = tuple(tuple(row) for row in entries)
         self.m = len(self.entries)
         self.n = n if n is not None else (len(self.entries[0]) if self.entries else 0)
@@ -24,12 +24,7 @@ class ExtendedExchangeMatrix:
         for i in range(self.n):
             if self.entries[i][i] != 0:
                 raise ValueError("diagonal of B must be zero")
-        if skew_symmetrizer is None:
-            skew_symmetrizer = _find_skew_symmetrizer(self.entries, self.n)
-        else:
-            skew_symmetrizer = tuple(skew_symmetrizer)
-            _validate_skew_symmetrizer(self.entries, self.n, skew_symmetrizer)
-        self.skew_symmetrizer = skew_symmetrizer
+        self.skew_symmetrizer = _find_skew_symmetrizer(self.entries, self.n)
 
     def __eq__(self, other):
         return (isinstance(other, ExtendedExchangeMatrix)
@@ -109,51 +104,28 @@ def _find_skew_symmetrizer(entries, n):
     return tuple(d)
 
 
-def _validate_skew_symmetrizer(entries, n, d):
-    if len(d) != n or any(x <= 0 for x in d):
-        raise ValueError("skew-symmetrizer must be positive of length n")
-    for i in range(n):
-        for j in range(n):
-            if d[i] * entries[i][j] != -d[j] * entries[j][i]:
-                raise ValueError("stored d is not a skew-symmetrizer")
-
-
 class Seed:
-    """A labeled seed: matrix, variable ids, optional grading rows D (m x d)."""
+    """A labeled seed: an extended exchange matrix and one variable id per
+    row.  Every other value, the skew-symmetrizer and the gradings
+    included, is derived from these two."""
 
-    __slots__ = ("matrix", "var_ids", "grading_rows")
+    __slots__ = ("matrix", "var_ids")
 
-    def __init__(self, matrix, var_ids, grading_rows=None):
+    def __init__(self, matrix, var_ids):
         self.matrix = matrix
         self.var_ids = tuple(var_ids)
         if len(self.var_ids) != matrix.m:
             raise ValueError("need one variable id per row")
-        if grading_rows is not None:
-            grading_rows = tuple(tuple(r) for r in grading_rows)
-            if len(grading_rows) != matrix.m:
-                raise ValueError("grading rows must match matrix rows")
-            bt_d = _bt_times_d(matrix, grading_rows)
-            if any(any(x != 0 for x in row) for row in bt_d):
-                raise ValueError("grading rows must satisfy B~^T D = 0")
-        self.grading_rows = grading_rows
 
     def __eq__(self, other):
         return (isinstance(other, Seed) and self.matrix == other.matrix
-                and self.var_ids == other.var_ids
-                and self.grading_rows == other.grading_rows)
+                and self.var_ids == other.var_ids)
 
     def __hash__(self):
-        return hash((self.matrix, self.var_ids, self.grading_rows))
+        return hash((self.matrix, self.var_ids))
 
     def __repr__(self):
         return "Seed(%r, %r)" % (self.matrix, list(self.var_ids))
-
-
-def _bt_times_d(matrix, grading_rows):
-    n, m = matrix.n, matrix.m
-    width = len(grading_rows[0]) if grading_rows else 0
-    return [[sum(matrix.entries[i][j] * grading_rows[i][c] for i in range(m))
-             for c in range(width)] for j in range(n)]
 
 
 def mutate(seed, k):
@@ -161,36 +133,10 @@ def mutate(seed, k):
     if not 0 <= k < seed.matrix.n:
         raise IndexError("mutation index out of range")
     matrix = ExtendedExchangeMatrix(
-        mutate_entries(seed.matrix.entries, k), n=seed.matrix.n,
-        skew_symmetrizer=seed.matrix.skew_symmetrizer)
+        mutate_entries(seed.matrix.entries, k), n=seed.matrix.n)
     var_ids = list(seed.var_ids)
     var_ids[k] = "mu%d(%s)" % (k, var_ids[k])
-    grading = None
-    if seed.grading_rows is not None:
-        grading = mutate_grading(seed.matrix, seed.grading_rows, k)
-    return Seed(matrix, var_ids, grading)
-
-
-def e_column(entries, k, sign):
-    """Column k of E_{k,eps}, the only column where it differs from the
-    identity: -1 at k and max(0, -eps*b_ik) at every other row i.
-
-    Mutation at k multiplies the g-matrix by E on the right and the grading
-    rows by E^T on the left (Fomin-Zelevinsky, Cluster algebras IV), so in
-    both only the k-th g-vector or grading row changes."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return [-1 if i == k else max(0, -sign * row[k])
-            for i, row in enumerate(entries)]
-
-
-def mutate_grading(matrix, grading_rows, k, sign=1):
-    """Transport grading rows across a mutation: D' = (E_{k,eps})^T D."""
-    col = e_column(matrix.entries, k, sign)
-    out = [list(r) for r in grading_rows]
-    out[k] = [sum(e * x for e, x in zip(col, column))
-              for column in zip(*grading_rows)]
-    return tuple(tuple(r) for r in out)
+    return Seed(matrix, var_ids)
 
 
 def is_isolated_vertex_free(matrix):
@@ -212,7 +158,7 @@ def seed_from_dict(data):
     if len(labels) != m:
         raise ValueError("need m labels")
     matrix = ExtendedExchangeMatrix(B, n=n)
-    return Seed(matrix, labels, data.get("D"))
+    return Seed(matrix, labels)
 
 
 def load_seed(path):
@@ -221,12 +167,9 @@ def load_seed(path):
 
 
 def seed_to_dict(seed):
-    data = {
+    return {
         "n": seed.matrix.n,
         "m": seed.matrix.m,
         "B": [list(r) for r in seed.matrix.entries],
         "labels": list(seed.var_ids),
     }
-    if seed.grading_rows is not None:
-        data["D"] = [list(r) for r in seed.grading_rows]
-    return data

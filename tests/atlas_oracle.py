@@ -18,7 +18,7 @@ from clusterdeform.atlas import (Atlas, AtlasError, ClusterVariable,
                                  ExchangePair, SeedState, _variable_name,
                                  exchange_monomials)
 from clusterdeform.polynomials import Poly
-from clusterdeform.seeds import ExtendedExchangeMatrix, Seed, e_column, mutate
+from clusterdeform.seeds import ExtendedExchangeMatrix, Seed, mutate
 from tests.conftest import AUGMENTED, augmented_seed, path_seed, tree_seed
 from tests.groebner_oracle import compose
 
@@ -143,6 +143,18 @@ def _find_back_index(atlas, existing, origin, n):
         if atlas.variables[existing.ids[i]].g_vector == g:
             return i
     return None
+
+
+def e_column(entries, k, sign):
+    """Column k of E_{k,eps}, the only column where it differs from the
+    identity: -1 at k and max(0, -eps*b_ik) at every other row i.
+
+    Mutation at k multiplies the g-matrix by E on the right (Fomin-Zelevinsky,
+    Cluster algebras IV), so only the k-th g-vector changes."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    return [-1 if i == k else max(0, -sign * row[k])
+            for i, row in enumerate(entries)]
 
 
 def _mutate_state(atlas, state, k, n, m):

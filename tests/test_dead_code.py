@@ -13,21 +13,21 @@ assigned attribute) reaches a method only where it is called:
 load of its name counts."""
 
 import ast
+import importlib
+import inspect
 import pathlib
 from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "clusterdeform"
 
-# Reached only from the tests and the benchmark's case builder:
-# perfbench/cases.py imports mutate, mutate_grading is reached only through
-# mutate, and e_column only through it.  Every other test-only function
-# lives in the tests, next to the oracle or the test that uses it.
-# Keyed by file and module-level function: a method of the same name
-# is still checked.
-TEST_ONLY = {("seeds.py", "mutate"), ("seeds.py", "mutate_grading"),
-             ("seeds.py", "e_column")}
+# Reached only from the tests and the benchmark's case builder, which
+# imports mutate.  Every other test-only function lives in the tests, next
+# to the oracle or the test that uses it.  Keyed by file and module-level
+# function: a method of the same name is still checked.
+TEST_ONLY = {("seeds.py", "mutate")}
 
-BENCH_CASES = SRC.parent.parent / "perfbench" / "cases.py"
+BENCH = SRC.parent.parent / "perfbench"
+BENCH_CASES = BENCH / "cases.py"
 
 
 def _trees():
@@ -120,17 +120,58 @@ def test_every_src_function_has_a_src_caller():
 
 
 def test_test_only_is_kept_for_the_benchmark():
-    """TEST_ONLY names seeds.mutate and what only it reaches, because the
-    benchmark's case builder imports mutate from the package."""
+    """TEST_ONLY names seeds.mutate, because the benchmark's case builder
+    imports it from the package."""
     tree = ast.parse(BENCH_CASES.read_text())
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)
                 and node.module == "clusterdeform.seeds"
                 for alias in node.names}
     assert "mutate" in imported, (
-        "perfbench/cases.py no longer imports seeds.mutate: move mutate, "
-        "mutate_grading and e_column into the tests that use them and "
-        "empty TEST_ONLY")
+        "perfbench/cases.py no longer imports seeds.mutate: move mutate "
+        "into the tests that use it and empty TEST_ONLY")
+
+
+def _bench_constant(tree, name):
+    """The literal value of a module-level assignment `name = ...`."""
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == name
+                        for t in node.targets))
+
+
+def test_benchmark_bindings_resolve():
+    """Everything the benchmark harness binds in the package exists: each
+    name a perfbench script imports from it, with the calls a script makes
+    to such a name binding to its signature; each module traced_cli wraps;
+    and each method it wraps.  A deletion that breaks the harness fails
+    here rather than as a failed benchmark run."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(BENCH.glob("*.py"))}
+    for name, tree in trees.items():
+        bound = {}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.startswith("clusterdeform")):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), (name, node.module,
+                                                         alias.name)
+                    bound[alias.asname or alias.name] = getattr(module,
+                                                                alias.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in bound):
+                inspect.signature(bound[node.func.id]).bind(
+                    *node.args, **{k.arg: None for k in node.keywords})
+    traced = trees["traced_cli.py"]
+    for module in _bench_constant(traced, "MODULES"):
+        importlib.import_module("clusterdeform." + module)
+    methods = _bench_constant(traced, "METHODS")
+    assert ("properties", "SemigroupData", "contains") in methods
+    for module, cls, meth in methods:
+        owner = getattr(importlib.import_module("clusterdeform." + module), cls)
+        assert callable(getattr(owner, meth)), (module, cls, meth)
 
 
 def test_scan_sees_an_uncalled_method_behind_a_slot():

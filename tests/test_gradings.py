@@ -136,8 +136,13 @@ def test_add_frozen_for_positivity(g2_seed):
     assert D is not None
     for var in atlas.variables.values():
         assert vec_dot(var.g_vector, D) >= 1
-    # the stored all-ones grading really is a grading
-    assert augmented.grading_rows is not None
+    # every column of B~ sums to zero, so (1,...,1) is a grading
+    entries = augmented.matrix.entries
+    assert all(sum(row[j] for row in entries) == 0
+               for j in range(augmented.matrix.n))
+    # the frozen rows keep the mutable block, so d is derived unchanged
+    assert (augmented.matrix.skew_symmetrizer
+            == g2_seed.matrix.skew_symmetrizer)
 
 
 def test_a2_t_degrees(a2_univ):

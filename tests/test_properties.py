@@ -15,8 +15,7 @@ from clusterdeform.cones import dual_cone
 from clusterdeform.cotangent import variable_weights
 from clusterdeform.intlinalg import nonnegative_solutions, vec_dot
 from clusterdeform.properties import (PropertyError, SemigroupData, check_t0,
-                                      check_t0_star, check_t1,
-                                      exchangeable_pairs, repair_t1,
+                                      check_t0_star, check_t1, repair_t1,
                                       semigroup_data)
 from clusterdeform.seeds import mutate
 from clusterdeform.universal import build_universal
@@ -188,7 +187,7 @@ def test_verdicts_are_seed_invariant(name, path):
 
 
 def test_exchangeable_pairs(a2_atlas):
-    pairs = exchangeable_pairs(a2_atlas)
+    pairs = a2_atlas.exchange_pairs
     assert len(pairs) == 5
     assert frozenset({"x13", "x(-1,1,0,1,0)"}) in pairs
 
@@ -304,7 +303,7 @@ def _t0_star_unpruned(J, univ, semigroup, D_strict):
     ids = J.variables
     index = {v: i for i, v in enumerate(ids)}
     weights = variable_weights(atlas, ids, D_strict)
-    pairs = exchangeable_pairs(atlas)
+    pairs = atlas.exchange_pairs
     witnesses = []
     for v in [x.id for x in atlas.mutable_variables]:
         i = index[v]

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterdeform.intlinalg import identity_matrix
-from clusterdeform.seeds import (ExtendedExchangeMatrix, Seed, e_column,
-                                 is_isolated_vertex_free, mutate_entries,
-                                 mutate_grading, seed_from_dict, seed_to_dict)
+from clusterdeform.seeds import (ExtendedExchangeMatrix,
+                                 is_isolated_vertex_free, load_seed,
+                                 mutate_entries, seed_from_dict, seed_to_dict)
+from tests.atlas_oracle import e_column
 from tests.conftest import data_seed
 
 
@@ -77,12 +78,18 @@ def skew_symmetrizable(draw):
 @settings(max_examples=150, deadline=None)
 def test_skew_symmetrizer_is_minimal_per_component(case):
     B, components, d = case
+    n = len(B)
     found = ExtendedExchangeMatrix(B).skew_symmetrizer
     for comp in components:
         g = 0
         for i in comp:
             g = gcd(g, d[i])
         assert [found[i] for i in comp] == [d[i] // g for i in comp]
+    # mutation keeps the components and the symmetrizers, so a mutated
+    # matrix derives the parent's d again
+    for k in range(n):
+        mutated = ExtendedExchangeMatrix(mutate_entries(B, k), n=n)
+        assert mutated.skew_symmetrizer == found
 
 
 def test_mutation_preserves_skew_symmetrizability():
@@ -110,33 +117,6 @@ def test_e_matrix_inverts_mutation_on_g():
                   for i in range(m.m)]
 
 
-def test_grading_rows_validated():
-    B = [[0, -1, 0], [1, 0, -1], [0, 1, 0],
-         [-1, 0, 1], [1, 0, -2], [0, 0, 1]]
-    D = [[2], [1], [2], [3], [2], [2]]
-    seed = Seed(ExtendedExchangeMatrix(B, n=3),
-                ["z1", "z2", "z3", "f1", "f2", "f3"], D)
-    assert seed.grading_rows is not None
-    bad = [list(r) for r in D]
-    bad[0] = [5]
-    with pytest.raises(ValueError):
-        Seed(ExtendedExchangeMatrix(B, n=3),
-             ["z1", "z2", "z3", "f1", "f2", "f3"], bad)
-
-
-def test_grading_transport_stays_a_grading():
-    seed = data_seed("a3_bad")
-    matrix = seed.matrix
-    rows = seed.grading_rows
-    for k in (0, 1, 2, 0):
-        rows = mutate_grading(matrix, rows, k)
-        matrix = ExtendedExchangeMatrix(mutate_entries(matrix.entries, k),
-                                        n=matrix.n)
-        for j in range(matrix.n):
-            assert sum(matrix.entries[i][j] * rows[i][0]
-                       for i in range(matrix.m)) == 0
-
-
 def test_is_isolated_vertex_free():
     assert is_isolated_vertex_free(SAMPLE_MATRICES[0])
     lonely = ExtendedExchangeMatrix([[0]], n=1)
@@ -148,11 +128,15 @@ def test_is_isolated_vertex_free():
 def test_seed_dict_roundtrip(tmp_path):
     seed = data_seed("a3_bad")
     data = seed_to_dict(seed)
+    assert list(data) == ["n", "m", "B", "labels"]
     assert seed_from_dict(data) == seed
     p = tmp_path / "s.json"
     p.write_text(json.dumps(data))
-    from clusterdeform.seeds import load_seed
     assert load_seed(str(p)) == seed
+    # grading rows "D" are not part of the format: the key is ignored, even
+    # when B~^T D = 0 fails
+    assert seed_from_dict(dict(data, D=[[2], [1], [2], [3], [2], [2]])) == seed
+    assert seed_from_dict(dict(data, D=[[5], [1], [2], [3], [2], [2]])) == seed
 
 
 def test_seed_dict_validation():
