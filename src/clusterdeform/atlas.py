@@ -1,17 +1,18 @@
 """Exhaustive exchange-graph enumeration for finite cluster type, in two
 layers.
 
-The search is integer-only.  Each seed carries its extended exchange matrix
-with the c-vector rows of principal coefficients under it, and its g-matrix.
-Mutation at k requires the k-th c-vector to be sign-coherent with sign eps
-and changes only column k of the g-matrix, to -g_k + sum over i != k of
-max(0, -eps*b_ik) g_i.  Variables are named by their g-vectors, so each
-edge computes only that sum over the variables' g-vectors, and a seed is
-identified by the set of its mutable variable ids.  The mutated matrix and
-g-matrix are built only for a new seed, the exchange monomials only for a
-new pair, and a back edge is the position of the new variable in the seed
-found.  The first n coordinates of the g-vectors also give the universal
-coefficients, by tropical duality (see `universal`).
+The search is integer-only.  Each seed keeps B~_t and H_t, the inverse of
+its mutable g-matrix block; its g-vectors are its variables', and its
+c-vectors come from H_t by tropical duality (Nakanishi-Zelevinsky, "On
+tropical dualities in cluster algebras", 2012): D^-1 G_t^T D C_t = I, so
+c_ik = H_ki d_k / d_i, d the skew-symmetrizer.  Mutation at k requires row
+k of H_t to be sign-coherent with sign eps and changes only the k-th
+g-vector, to -g_k + sum over i != k of max(0, -eps*b_ik) g_i.  Variables
+are named by their g-vectors, so each edge computes only that sum, and a
+seed is identified by the set of its mutable variable ids.  B~_t and H_t
+are built only for a new seed, the exchange monomials only for a new pair,
+and a back edge is the position of the new variable in the seed found.
+The same duality gives the universal coefficients (see `universal`).
 
 The Laurent layer, `Atlas.principal`, is computed on first read: each
 variable's principal-coefficient expansion in the ring
@@ -65,15 +66,16 @@ class ExchangePair:
 
 
 class SeedState:
-    """One enumerated seed: matrix, variable ids by position, g-matrix."""
+    """One enumerated seed: B~_t, variable ids by position, and H_t (see the
+    module docstring)."""
 
-    __slots__ = ("index", "matrix", "ids", "g_matrix", "path")
+    __slots__ = ("index", "matrix", "ids", "inverse", "path")
 
-    def __init__(self, index, matrix, ids, g_matrix, path):
+    def __init__(self, index, matrix, ids, inverse, path):
         self.index = index
-        self.matrix = matrix          # (m+n) x n principal extension rows
+        self.matrix = matrix          # m x n, B~_t
         self.ids = ids                # length m
-        self.g_matrix = g_matrix      # m x m, columns are g-vectors
+        self.inverse = inverse        # n x n, H_t
         self.path = path              # mutation sequence from the root
 
 
@@ -87,7 +89,6 @@ class Atlas:
         self.seeds = []
         self.seed_graph = {}
         self.exchange_pairs = {}
-        self._inverses = {0: identity_matrix(self.n)}
 
     @property
     def frozen_ids(self):
@@ -117,6 +118,12 @@ class Atlas:
             raise KeyError("unknown variable id %r" % (variable_id,))
         return self.variables[variable_id]
 
+    def exchanged(self, s, k):
+        """The id of the variable that edge (s, k) puts at position k."""
+        (new,) = (set(self.seeds[self.seed_graph[(s, k)]].ids)
+                  - set(self.seeds[s].ids))
+        return new
+
     def cluster_monomial(self, g):
         """The cluster monomial with g-vector g as sorted (id, exponent)
         pairs, or None if g lies in no cone or needs a negative frozen
@@ -124,63 +131,39 @@ class Atlas:
 
         A walk through the g-vector fan finds the cone: from the root seed
         it mutates at a negative coordinate of g until none is left, reading
-        coordinates through the inverse of each seed's mutable g-matrix
-        block, computed once per seed.  In finite type the fan is the normal
-        fan of a simple polytope (Hohlweg-Pilaud-Stella 2018), where such a
-        mutation is a simplex pivot that strictly raises the objective g, so
-        the walk enters each seed at most once."""
+        coordinates through each seed's H_t.  In finite type the fan is the
+        normal fan of a simple polytope (Hohlweg-Pilaud-Stella 2018), where
+        such a mutation is a simplex pivot that strictly raises the
+        objective g, so the walk enters each seed at most once.  The frozen
+        coordinates are what the mutable variables' g-vectors leave of g."""
         n, s = self.n, 0
         for _ in self.seeds:
-            c = [vec_dot(h, g) for h in self._inverse(s)]
+            c = [vec_dot(h, g) for h in self.seeds[s].inverse]
             if min(c) >= 0:
                 break
             s = self.seed_graph[(s, c.index(min(c)))]
         else:
             return None
-        G = self.seeds[s].g_matrix
-        c += [g[r] - vec_dot(G[r], c) for r in range(n, self.m)]
+        ids = self.seeds[s].ids
+        c += [g[r] - sum(x * self.variables[v].g_vector[r]
+                         for x, v in zip(c, ids)) for r in range(n, self.m)]
         if min(c) < 0:
             return None
-        return tuple(sorted((v, x) for v, x in zip(self.seeds[s].ids, c)
-                            if x))
-
-    def _inverse(self, s):
-        """The inverse of seed s's mutable g-matrix block, computed once.
-
-        The root's block is the identity, stored at construction.  Every
-        other block differs from its BFS parent's in column k alone, k the
-        last index of its path.  If H inverts the parent's block and
-        u = H g_k, the block is unimodular iff u_k = +-1, and its inverse
-        is H with row k scaled by u_k and u_i u_k times it taken from row
-        i."""
-        if s not in self._inverses:
-            k = self.seeds[s].path[-1]
-            H = self._inverse(self.seed_graph[(s, k)])
-            g = [r[k] for r in self.seeds[s].g_matrix[:self.n]]
-            u = [vec_dot(h, g) for h in H]
-            if u[k] not in (1, -1):
-                raise ValueError("matrix is not unimodular")
-            hk = [u[k] * x for x in H[k]]
-            self._inverses[s] = [
-                hk if i == k else [x - u[i] * y for x, y in zip(h, hk)]
-                for i, h in enumerate(H)]
-        return self._inverses[s]
+        return tuple(sorted((v, x) for v, x in zip(ids, c) if x))
 
     def fan_defect(self):
         """None if the seeds' cones form a complete simplicial fan by the
         pseudomanifold criterion (De Loera, Rambau and Santos,
         "Triangulations", 2010, ch. 4), else its first failure.  (a) Each
-        cone is unimodular; (b) each edge (s, k) -> j has its back edge, and
-        (c) j's new variable has a negative k-th coordinate in s's basis, so
-        the two cones lie on opposite sides of their wall: then the number
-        of cones holding a point off the walls is constant, and (d) no cone
-        but the root's holding (1, ..., 1) makes it 1."""
+        cone is unimodular, which the search checks as it builds H_t; (b)
+        each edge (s, k) -> j has its back edge, and (c) j's new variable
+        has a negative k-th coordinate in s's basis, so the two cones lie on
+        opposite sides of their wall: then the number of cones holding a
+        point off the walls is constant, and (d) no cone but the root's
+        holding (1, ..., 1) makes it 1."""
         n = self.n
         for s, state in enumerate(self.seeds):
-            try:
-                H = self._inverse(s)
-            except ValueError:
-                return "the cone of seed %d is not unimodular" % s
+            H = state.inverse
             if s and min(map(sum, H)) >= 0:
                 return "the cone of seed %d holds (1, ..., 1)" % s
             for k in range(n):
@@ -188,8 +171,8 @@ class Atlas:
                 edge = "edge (%d, %d) -> %s" % (s, k, j)
                 if s not in (self.seed_graph.get((j, i)) for i in range(n)):
                     return "%s has no back edge" % edge
-                (new,) = set(self.seeds[j].ids[:n]) - set(state.ids)
-                if vec_dot(H[k], self.variables[new].g_vector) >= 0:
+                new = self.variables[self.exchanged(s, k)]
+                if vec_dot(H[k], new.g_vector) >= 0:
                     return "%s: the cones lie on one side of their wall" % edge
         return None
 
@@ -209,14 +192,27 @@ def _extract_g(principal, m, n):
     return tuple(e[:m])
 
 
+def _pivot(H, g, k):
+    """H_t of a seed whose k-th g-vector became g, from H of the seed
+    before, or None if its cone is not unimodular, that is if u = H g has
+    u_k != +-1.  Else H_t is H with row k scaled by u_k and u_i u_k times
+    it taken from row i; rows with u_i = 0 are shared."""
+    u = [vec_dot(h, g) for h in H]
+    if u[k] not in (1, -1):
+        return None
+    hk = [u[k] * x for x in H[k]]
+    return [hk if i == k else [x - ui * y for x, y in zip(h, hk)] if ui
+            else h for i, (h, ui) in enumerate(zip(H, u))]
+
+
 def enumerate_atlas(seed, max_seeds=100000):
     """BFS over labeled seeds, deduplicated by the set of mutable variable
     ids; collects all cluster variables and exchange relations.
 
     Every edge (s, k) checks the sign-coherence of the k-th c-vector and
     computes the new g-vector sparsely from the variables' g-vectors, which
-    names the new variable.  The mutated matrix, the new g-matrix and the
-    exchange monomials are built only for a new seed or a new pair."""
+    names the new variable.  The mutated matrix, its H_t and the exchange
+    monomials are built only for a new seed or a new pair."""
     n, m = seed.matrix.n, seed.matrix.m
     atlas = Atlas(seed)
     variables, seeds, graph = atlas.variables, atlas.seeds, atlas.seed_graph
@@ -227,10 +223,8 @@ def enumerate_atlas(seed, max_seeds=100000):
         variables[var.id] = var
         atlas.id_by_g[g] = var.id
 
-    bp0 = tuple(tuple(seed.matrix.entries[i]) for i in range(m)) + \
-        tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-    g0 = tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
-    root = SeedState(0, bp0, tuple(seed.var_ids), g0, ())
+    root = SeedState(0, seed.matrix.entries, tuple(seed.var_ids),
+                     identity_matrix(n), ())
     seeds.append(root)
     cluster_index = {frozenset(root.ids[:n]): 0}
 
@@ -242,9 +236,9 @@ def enumerate_atlas(seed, max_seeds=100000):
             for k in range(n):
                 if (s, k) in graph:
                     continue
-                c_col = [row[k] for row in rows[m:]]
-                eps = 1 if max(c_col) > 0 else -1
-                if eps == 1 and min(c_col) < 0:
+                hk = state.inverse[k]
+                eps = 1 if max(hk) > 0 else -1
+                if eps == 1 and min(hk) < 0:
                     raise AtlasError("c-vector sign-coherence violated")
                 g_new = [-x for x in variables[ids[k]].g_vector]
                 for v, row in zip(ids, rows):
@@ -256,6 +250,9 @@ def enumerate_atlas(seed, max_seeds=100000):
                 new_id = atlas.id_by_g.get(g_new)
                 if new_id is None:
                     new_id = _variable_name(g_new)
+                    if new_id in variables:
+                        raise AtlasError("the new variable %s is named like "
+                                         "a label of the seed" % new_id)
                     variables[new_id] = ClusterVariable(new_id, g_new, False)
                     atlas.id_by_g[g_new] = new_id
                 new_ids = ids[:k] + (new_id,) + ids[k + 1:]
@@ -270,10 +267,12 @@ def enumerate_atlas(seed, max_seeds=100000):
                             "exchange-graph search: more than %d seeds "
                             "(--max-seeds %d)" % (len(seeds), max_seeds))
                     j = cluster_index[key] = len(seeds)
-                    new_state = SeedState(
-                        j, mutate_entries(rows, k), new_ids,
-                        tuple(zip(*(variables[v].g_vector for v in new_ids))),
-                        state.path + (k,))
+                    inverse = _pivot(state.inverse, g_new, k)
+                    if inverse is None:
+                        raise AtlasError(
+                            "the cone of seed %d is not unimodular" % j)
+                    new_state = SeedState(j, mutate_entries(rows, k), new_ids,
+                                          inverse, state.path + (k,))
                     seeds.append(new_state)
                     graph[(s, k)] = j
                     graph[(j, k)] = s
@@ -282,7 +281,7 @@ def enumerate_atlas(seed, max_seeds=100000):
                 if pair_key not in atlas.exchange_pairs:
                     monomials = tuple(sorted(
                         tuple(sorted(side.items()))
-                        for side in exchange_monomials(ids, rows[:m], k)))
+                        for side in exchange_monomials(ids, rows, k)))
                     atlas.exchange_pairs[pair_key] = ExchangePair(
                         pair_key, monomials, s, k)
         frontier = next_frontier
@@ -292,10 +291,13 @@ def enumerate_atlas(seed, max_seeds=100000):
 def _principal_expansions(atlas):
     """Walk every edge (s, k) -> j of the seed graph with j > s once, in the
     order the search found it: the new variable's principal expansion is the
-    exchange binomial in the expansions of seed s divided by that of its
-    k-th variable, and separation must read off the search's g-vector."""
+    exchange binomial in the expansions of seed s, with the k-th c-vector
+    c_ik = H_ki d_k / d_i as its y-exponents, divided by the expansion of
+    its k-th variable, and separation must read off the search's
+    g-vector."""
     n, m = atlas.n, atlas.m
     nv = m + n
+    d = atlas.initial_seed.matrix.skew_symmetrizer
     principal = {v: Poly.variable(nv, i)
                  for i, v in enumerate(atlas.initial_seed.var_ids)}
     ys = [Poly.variable(nv, i) for i in range(m, nv)]
@@ -303,15 +305,15 @@ def _principal_expansions(atlas):
         if j < s:
             continue
         state = atlas.seeds[s]
-        bases = [principal[v] for v in state.ids] + ys
-        sides = []
-        for side in exchange_monomials(range(nv), state.matrix, k):
-            poly = Poly.one(nv)
-            for i, b in side.items():
-                poly = poly * bases[i] ** b
-            sides.append(poly)
-        new = exact_divide(sides[0] + sides[1], bases[k])
-        (new_id,) = set(atlas.seeds[j].ids[:n]) - set(state.ids[:n])
+        hk = state.inverse[k]
+        column = [row[k] for row in state.matrix] + \
+            [hk[i] * d[k] // d[i] for i in range(n)]
+        sides = [Poly.one(nv), Poly.one(nv)]
+        for base, b in zip([principal[v] for v in state.ids] + ys, column):
+            if b:
+                sides[b < 0] = sides[b < 0] * base ** abs(b)
+        new = exact_divide(sides[0] + sides[1], principal[state.ids[k]])
+        new_id = atlas.exchanged(s, k)
         g_new = atlas.variables[new_id].g_vector
         g_extracted = _extract_g(new, m, n)
         if g_extracted != g_new:

@@ -24,11 +24,9 @@ class T1Degree:
     witness vector w.
     """
 
-    __slots__ = ("seed_index", "k", "pair", "omega", "a", "b", "family",
-                 "witness_w")
+    __slots__ = ("k", "pair", "omega", "a", "b", "family", "witness_w")
 
-    def __init__(self, seed_index, k, pair, omega, a, b, family, witness_w=None):
-        self.seed_index = seed_index
+    def __init__(self, k, pair, omega, a, b, family, witness_w=None):
         self.k = k
         self.pair = frozenset(pair)
         self.omega = frozenset(omega)
@@ -54,16 +52,6 @@ def _subsets(items):
     return out
 
 
-def _partner_id(atlas, state, k):
-    other = atlas.seeds[atlas.seed_graph[(state.index, k)]]
-    n = atlas.n
-    diff = set(other.ids[:n]) - set(state.ids[:n])
-    if len(diff) != 1:
-        raise CotangentError("adjacent clusters differ in %d variables"
-                             % len(diff))
-    return diff.pop()
-
-
 def t1_degree_families(atlas, K):
     """Family-form degrees: one per (exchangeable pair, omega) where omega
     contains every neighbor of the mutated vertex in the mutable graph."""
@@ -72,7 +60,7 @@ def t1_degree_families(atlas, K):
     for state in atlas.seeds:
         B = state.matrix
         for k in range(n):
-            pair = frozenset({state.ids[k], _partner_id(atlas, state, k)})
+            pair = frozenset({state.ids[k], atlas.exchanged(state.index, k)})
             neighbors = [i for i in range(n) if i != k and B[i][k] != 0]
             required = {state.ids[i] for i in neighbors}
             optional = [state.ids[i] for i in range(n)
@@ -83,8 +71,7 @@ def t1_degree_families(atlas, K):
                 if key in seen:
                     continue
                 b = {v: 1 for v in pair}
-                seen[key] = T1Degree(state.index, k, pair, omega,
-                                     None, b, family=True)
+                seen[key] = T1Degree(k, pair, omega, None, b, family=True)
     return sorted(seen.values(),
                   key=lambda d: (tuple(sorted(d.pair)), tuple(sorted(d.omega))))
 
@@ -145,9 +132,8 @@ def t1_witness_walk(atlas, D, grading):
     (iv) By (i) and (ii) the degree map induces a surjection from
     Z^m / colspan(B~_t) onto M; a surjection between isomorphic finitely
     generated abelian groups is injective, so the kernel is the span."""
-    m = atlas.m
     for state in atlas.seeds:
-        rows = state.matrix[:m]
+        rows = state.matrix
         weights = variable_weights(atlas, state.ids, D)
         free, torsion = grading.degree_rows(state.ids)
         for j in range(atlas.n):
@@ -162,7 +148,7 @@ def t1_invariant(atlas, D_strict, grading):
         raise CotangentError("no strictly positive grading")
     found = {}
     for state, rows, k, w in t1_witness_walk(atlas, D_strict, grading):
-        pair = frozenset({state.ids[k], _partner_id(atlas, state, k)})
+        pair = frozenset({state.ids[k], atlas.exchanged(state.index, k)})
         b = {v: 1 for v in pair}
         a = {}
         for i, row in enumerate(rows):
@@ -170,7 +156,6 @@ def t1_invariant(atlas, D_strict, grading):
             if e:
                 a[state.ids[i]] = e
         omega = {state.ids[i] for i in range(atlas.n) if a.get(state.ids[i])}
-        deg = T1Degree(state.index, k, pair, omega, a, b,
-                       family=False, witness_w=w)
+        deg = T1Degree(k, pair, omega, a, b, family=False, witness_w=w)
         found.setdefault(deg.degree_key(), deg)
     return sorted(found.values(), key=lambda d: d.degree_key())

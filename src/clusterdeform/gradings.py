@@ -113,8 +113,11 @@ def add_frozen_for_positivity(seed, max_seeds=100000):
         rows.append([-abs(c) if j == k else 0 for j in range(n)])
     # balancing row: make every column sum zero, so (1,...,1) is a grading
     rows.append([-sum(row[j] for row in rows) for j in range(n)])
-    labels = list(seed.var_ids) + \
-        ["aux%d" % (k + 1) for k in range(n)] + ["bal"]
+    labels = list(seed.var_ids)
+    for label in ["aux%d" % (k + 1) for k in range(n)] + ["bal"]:
+        while label in labels:      # a seed augmented before holds it
+            label += "'"
+        labels.append(label)
     out = Seed(ExtendedExchangeMatrix(rows, n=n), labels)
 
     # re-verify: every cluster variable of the augmented algebra has

@@ -187,7 +187,7 @@ def repair_t1(seed, max_seeds=100000, max_rounds=64):
             return current
         witness = report.witnesses[0]
         state = atlas.seeds[witness["seed"]]
-        rows = state.matrix[:atlas.m]
+        rows = state.matrix
         lam = lattice_coordinates(witness["w"], [list(r) for r in rows])
         if lam is None:
             raise PropertyError("witness not in the column lattice")

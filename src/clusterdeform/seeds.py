@@ -116,6 +116,8 @@ class Seed:
         self.var_ids = tuple(var_ids)
         if len(self.var_ids) != matrix.m:
             raise ValueError("need one variable id per row")
+        if len(set(self.var_ids)) != matrix.m:
+            raise ValueError("variable ids must be distinct")
 
     def __eq__(self, other):
         return (isinstance(other, Seed) and self.matrix == other.matrix
@@ -145,16 +147,33 @@ def is_isolated_vertex_free(matrix):
                for k in range(matrix.n))
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def seed_from_dict(data):
-    n = data["n"]
-    m = data["m"]
-    B = data["B"]
+    """The seed of a JSON object with keys "n", "m", "B" and optionally
+    "labels"; other keys are ignored.  A malformed value raises ValueError
+    naming its key."""
+    if not isinstance(data, dict):
+        raise ValueError("a seed must be a JSON object")
+    for key in ("n", "m"):
+        if not _is_int(data.get(key)) or data[key] < 0:
+            raise ValueError('"%s" must be a nonnegative integer' % key)
+    n, m, B = data["n"], data["m"], data.get("B")
+    if not (isinstance(B, list) and all(isinstance(row, list)
+                                        and all(map(_is_int, row))
+                                        for row in B)):
+        raise ValueError('"B" must be a list of rows of integers')
     if len(B) != m:
         raise ValueError("B must have m rows")
     labels = data.get("labels")
     if labels is None:
         labels = ["x%d" % (i + 1) for i in range(n)] + \
                  ["f%d" % (i + 1) for i in range(m - n)]
+    if not (isinstance(labels, list)
+            and all(isinstance(x, str) for x in labels)):
+        raise ValueError('"labels" must be a list of strings')
     if len(labels) != m:
         raise ValueError("need m labels")
     matrix = ExtendedExchangeMatrix(B, n=n)

@@ -6,11 +6,11 @@ geometric cluster algebras", Math. Z. 2014), the g-vectors of the
 transpose pattern B^T.  They are read off the base atlas by tropical
 duality (Nakanishi-Zelevinsky, "On tropical dualities in cluster
 algebras", Contemp. Math. 565, 2012): D^-1 G_t^T D C_t = I, so the
-variable with g-vector g at position i of a seed gives the row
-h_j = -d_j g_j / d_i, with d the skew-symmetrizer of B.  Frozen rows mutate
-with the mutable block alone (Fomin-Zelevinsky, Cluster algebras IV), so
-each extended exchange relation is a column of the extended matrix at a
-base seed.
+variable at position i of a seed, with g-vector g in `Atlas.variables`,
+gives the row h_j = -d_j g_j / d_i, with d the skew-symmetrizer of B.
+Frozen rows mutate with the mutable block alone (Fomin-Zelevinsky, Cluster
+algebras IV), so each extended exchange relation is a column of the
+extended matrix at a base seed.
 """
 
 from .atlas import exchange_monomials
@@ -56,23 +56,24 @@ def build_universal(base_atlas):
     each extended exchange relation off column k of that matrix moved to
     the seed where the base atlas first found the pair; the two sides are
     ordered by their sorted (id, exponent) items.  Each variable's row must
-    be integral and the same at every seed that holds it."""
+    be integral, and the same at every seed that holds it: its g-vector is
+    fixed, so every position it takes must have the same d_i."""
     seed = base_atlas.initial_seed
-    n, m = seed.matrix.n, seed.matrix.m
+    n = seed.matrix.n
     d = seed.matrix.skew_symmetrizer
 
     first, u_rows = {}, {}
     for state in base_atlas.seeds:
-        columns = zip(*state.g_matrix[:n])
-        for i, (v, g) in enumerate(zip(state.ids[:n], columns)):
+        for i, v in enumerate(state.ids[:n]):
             if v in first:
-                if first[v][:2] != (g, d[i]):
+                if first[v][0] != d[i]:
                     raise UniversalError(
                         "duality check: the coefficient row of %s differs "
                         "between seeds %d and %d"
-                        % (v, first[v][2], state.index))
+                        % (v, first[v][1], state.index))
                 continue
-            first[v] = (g, d[i], state.index)
+            first[v] = (d[i], state.index)
+            g = base_atlas.variables[v].g_vector
             h = [-d[j] * g[j] for j in range(n)]
             if any(x % d[i] for x in h):
                 raise UniversalError(
@@ -99,7 +100,7 @@ def build_universal(base_atlas):
             raise UniversalError("mutable block moved along the path of "
                                  "seed %d does not match it" % ep.seed)
         t_sides = exchange_monomials(t_ids, rows_at[n:], ep.k)
-        z_sides = exchange_monomials(state.ids, state.matrix[:m], ep.k)
+        z_sides = exchange_monomials(state.ids, state.matrix, ep.k)
         sides = sorted(zip(t_sides, z_sides),
                        key=lambda tz: sorted([*tz[0].items(), *tz[1].items()]))
         relations.append({"pair": ep.pair, "sides": tuple(sides)})

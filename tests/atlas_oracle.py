@@ -3,11 +3,14 @@ coefficients, kept as oracles for `atlas.enumerate_atlas` and
 `universal.build_universal`.
 
 `reference_atlas` is the search as it was first written: it mutates the
-whole seed (matrix by the textbook rule, g-matrix by the dense E_{k,eps}
-product, exchange monomials) on every edge, keys clusters by the sorted mutable g-vectors and
-finds each back edge by comparing g-vector sets.  `transpose_u_rows` reads
-the coefficient rows off a second search, of the transpose pattern B^T
-(Reading, "Universal geometric cluster algebras", 2014).
+whole seed (matrix with its principal-coefficient rows by the textbook
+rule, g-matrix by the dense E_{k,eps} product, exchange monomials) on every
+edge, keys clusters by the sorted mutable g-vectors and finds each back
+edge by comparing g-vector sets.  Its seeds are `ReferenceState`s, which
+keep the c-vectors and the g-matrix that `atlas.SeedState` derives.
+`transpose_u_rows` reads the coefficient rows off a second search, of the
+transpose pattern B^T (Reading, "Universal geometric cluster algebras",
+2014).
 `separation_check` and `tropical_g_vector` recompute the g-vectors from the
 F-polynomials that `f_polynomial` reads off the principal expansions.  `SEARCH_SEEDS` are the seeds both oracles run on.
 """
@@ -15,7 +18,7 @@ F-polynomials that `f_polynomial` reads off the principal expansions.  `SEARCH_S
 import random
 
 from clusterdeform.atlas import (Atlas, AtlasError, ClusterVariable,
-                                 ExchangePair, SeedState, _variable_name,
+                                 ExchangePair, _variable_name,
                                  exchange_monomials)
 from clusterdeform.polynomials import Poly
 from clusterdeform.seeds import ExtendedExchangeMatrix, Seed, mutate
@@ -73,6 +76,19 @@ def _search_seeds():
 SEARCH_SEEDS = _search_seeds()
 
 
+class ReferenceState:
+    """One seed of `reference_atlas`: its (m+n) x n matrix, B~_t over the
+    principal-coefficient rows C_t, its variable ids by position, and its
+    m x m g-matrix, whose columns are their g-vectors."""
+
+    def __init__(self, index, matrix, ids, g_matrix, path):
+        self.index = index
+        self.matrix = matrix
+        self.ids = ids
+        self.g_matrix = g_matrix
+        self.path = path
+
+
 def reference_atlas(seed, max_seeds=100000):
     """BFS over labeled seeds, deduplicated by the multiset of mutable
     g-vectors, with the full mutation on every edge."""
@@ -88,7 +104,7 @@ def reference_atlas(seed, max_seeds=100000):
     bp0 = tuple(tuple(seed.matrix.entries[i]) for i in range(m)) + \
         tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
     g0 = tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
-    root = SeedState(0, bp0, tuple(seed.var_ids), g0, ())
+    root = ReferenceState(0, bp0, tuple(seed.var_ids), g0, ())
     atlas.seeds.append(root)
     cluster_index = {_cluster_key(atlas, root, n): 0}
 
@@ -184,8 +200,8 @@ def _mutate_state(atlas, state, k, n, m):
 
     new_ids = list(state.ids)
     new_ids[k] = new_id
-    new_state = SeedState(-1, _mutate_rows(rows, k), tuple(new_ids),
-                          new_g_matrix, state.path + (k,))
+    new_state = ReferenceState(-1, _mutate_rows(rows, k), tuple(new_ids),
+                               new_g_matrix, state.path + (k,))
     return new_state, (pair_key, monomials)
 
 

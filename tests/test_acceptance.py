@@ -217,7 +217,7 @@ def test_criterion_4_counting_properties():
         assert minimal_nonfaces(K) == walked, name
 
         for state in atlas.seeds:
-            bm = ExtendedExchangeMatrix(state.matrix[:m], n=n)
+            bm = ExtendedExchangeMatrix(state.matrix, n=n)
             for k in range(n):
                 assert mutate_entries(mutate_entries(bm.entries, k), k) == \
                     bm.entries, name

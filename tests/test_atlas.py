@@ -1,11 +1,10 @@
 """Exchange-pattern enumeration: variables, g-vectors, Laurent data."""
 
-import copy
-
 import pytest
 
 from clusterdeform import atlas as atlas_module
 from clusterdeform.atlas import AtlasError, enumerate_atlas
+from clusterdeform.intlinalg import identity_matrix, mat_vec
 from clusterdeform.polynomials import Poly, exact_divide
 from clusterdeform.seeds import ExtendedExchangeMatrix, Seed
 from tests.atlas_oracle import (SEARCH_SEEDS, f_polynomial, reference_atlas,
@@ -163,12 +162,11 @@ def test_laurent_layer_divides_once_per_edge(monkeypatch, seed, divisions):
 
 
 def _search_record(atlas):
-    """Everything the search decides, in the order it decides it."""
+    """Everything the search decides but its seeds, in the order it decides
+    it."""
     return {
         "variables": [(v.id, v.g_vector, v.is_frozen)
                       for v in atlas.variables.values()],
-        "seeds": [(s.index, s.ids, s.matrix, s.g_matrix, s.path)
-                  for s in atlas.seeds],
         "seed_graph": list(atlas.seed_graph.items()),
         "exchange_pairs": [(key, ep.pair, ep.monomials, ep.seed, ep.k)
                            for key, ep in atlas.exchange_pairs.items()]}
@@ -177,30 +175,46 @@ def _search_record(atlas):
 @pytest.mark.parametrize("name", SEARCH_SEEDS)
 def test_search_matches_full_mutation_reference(name):
     """The sparse search and the full mutation on every edge agree on
-    seeds, edges and pairs, insertion order included."""
+    variables, edges and pairs, insertion order included, and seed by
+    seed: B~_t, ids and path are the reference's, H_t d_k / d_i is its
+    c-matrix, and H_t inverts its mutable g-matrix block."""
     seed = SEARCH_SEEDS[name]()
-    assert _search_record(enumerate_atlas(seed)) \
-        == _search_record(reference_atlas(seed))
+    n, m, d = seed.matrix.n, seed.matrix.m, seed.matrix.skew_symmetrizer
+    atlas, reference = enumerate_atlas(seed), reference_atlas(seed)
+    assert _search_record(atlas) == _search_record(reference)
+    assert len(atlas.seeds) == len(reference.seeds)
+    for state, ref in zip(atlas.seeds, reference.seeds):
+        assert (state.index, state.matrix, state.ids, state.path) \
+            == (ref.index, ref.matrix[:m], ref.ids, ref.path)
+        H = state.inverse
+        assert [[H[k][i] * d[k] for k in range(n)] for i in range(n)] \
+            == [[c * d[i] for c in row]
+                for i, row in enumerate(ref.matrix[m:])], state.path
+        block = [row[:n] for row in ref.g_matrix[:n]]
+        assert [mat_vec(H, col) for col in zip(*block)] \
+            == identity_matrix(n), state.path
 
 
 @pytest.mark.parametrize("name", [name for name in SEARCH_SEEDS
                                   if not name.endswith(("_op", "_mu"))])
 def test_inverses_match_invert_unimodular(name):
-    """Each seed's inverse, updated from its BFS parent's, is the one
-    `invert_unimodular` computes from scratch."""
+    """Each seed's H_t, updated from its BFS parent's, is the one
+    `invert_unimodular` computes from scratch from its variables'
+    g-vectors."""
     atlas = enumerate_atlas(SEARCH_SEEDS[name]())
     n = atlas.n
-    for s, state in enumerate(atlas.seeds):
-        assert atlas._inverse(s) == invert_unimodular(
-            [row[:n] for row in state.g_matrix[:n]]), s
+    for state in atlas.seeds:
+        block = [atlas.variables[v].g_vector[:n] for v in state.ids[:n]]
+        assert state.inverse == invert_unimodular(list(zip(*block))), \
+            state.index
 
 
-def test_inverse_names_a_singular_cone(a2_atlas):
-    """A doubled new column fails the pivot test of the inverse update."""
-    atlas = copy.deepcopy(a2_atlas)
-    s = len(atlas.seeds) - 1
-    state = atlas.seeds[s]
-    k = state.path[-1]
-    state.g_matrix = tuple(row[:k] + (2 * row[k],) + row[k + 1:]
-                           for row in state.g_matrix)
-    assert atlas.fan_defect() == "the cone of seed %d is not unimodular" % s
+def test_inverse_names_a_singular_cone(monkeypatch, a2_seed):
+    """A doubled new column fails the pivot test of the inverse update at
+    the first seed the search builds."""
+    pivot = atlas_module._pivot
+    monkeypatch.setattr(atlas_module, "_pivot",
+                        lambda H, g, k: pivot(H, [2 * x for x in g], k))
+    with pytest.raises(AtlasError,
+                       match=r"^the cone of seed 1 is not unimodular$"):
+        enumerate_atlas(a2_seed)

@@ -404,3 +404,34 @@ def test_each_command_searches_once(monkeypatch, capsys, argv, searches, name):
     code, _ = run(capsys, argv[0], str(_DATA / (name + ".json")), *argv[1:])
     assert code in (0, 1)
     assert len(calls) == searches
+
+
+A2_PLAIN = {"n": 2, "m": 2, "B": [[0, 1], [-1, 0]]}
+
+
+@pytest.mark.parametrize("data, argv, message", [
+    ({"n": 2, "B": [[0, 1], [-1, 0]]}, ["enumerate"],
+     'error: "m" must be a nonnegative integer'),
+    ([A2_PLAIN], ["enumerate"], "error: a seed must be a JSON object"),
+    (dict(A2_PLAIN, B=[[0, 1.5], [-1, 0]]), ["enumerate"],
+     'error: "B" must be a list of rows of integers'),
+    (dict(A2_PLAIN, labels=["a", "a"]), ["enumerate"],
+     "error: variable ids must be distinct"),
+    (dict(A2_PLAIN, labels=["x(-1,0)", "x2"]), ["complex"],
+     "error: the new variable x(-1,0) is named like a label of the seed"),
+    (dict(A2_PLAIN, labels=["x(-1,0)", "x2"]), ["sr-ideal"],
+     "error: the new variable x(-1,0) is named like a label of the seed"),
+], ids=["no-m", "list", "float-entry", "repeated-label", "label-complex",
+        "label-sr-ideal"])
+def test_malformed_seed_file_exits_2(tmp_path, data, argv, message):
+    """A malformed seed file ends in exit code 2 and a one-line message on
+    stderr, in a fresh interpreter and without a traceback."""
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(data))
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "clusterdeform.cli", *argv, str(path)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (result.returncode, result.stdout, result.stderr) \
+        == (2, "", message + "\n")

@@ -1,5 +1,9 @@
 """Graded deformation degrees and witnesses."""
 
+import copy
+import re
+from collections import Counter
+
 import pytest
 
 import clusterdeform
@@ -9,6 +13,7 @@ from clusterdeform.cli import _data_path, main
 from clusterdeform.cotangent import (CotangentError, T1Degree,
                                      t1_degree_families, t1_invariant,
                                      t1_witnesses, variable_weights)
+from clusterdeform.gradings import t_degrees
 from clusterdeform.intlinalg import lattice_coordinates, mat_vec
 from clusterdeform.properties import check_t1
 from clusterdeform.simplicial import cluster_complex
@@ -31,7 +36,7 @@ def characteristic_image(univ):
         _, z_part = rel["sides"][side_idx]
         b = {v: 1 for v in rel["pair"]}
         omega = {v for v in z_part if v in mutable}
-        out.append(T1Degree(None, None, rel["pair"], omega,
+        out.append(T1Degree(None, rel["pair"], omega,
                             dict(z_part), b, family=False))
     return out
 
@@ -85,7 +90,7 @@ def test_characteristic_image_rejects_isolated():
 
 def _seed_inputs(atlas, state, D, grading):
     """What t1_witness_walk passes t1_witnesses at one seed, j aside."""
-    return ((state.matrix[:atlas.m], variable_weights(atlas, state.ids, D))
+    return ((state.matrix, variable_weights(atlas, state.ids, D))
             + grading.degree_rows(state.ids))
 
 
@@ -173,17 +178,65 @@ def test_witnesses_match_per_candidate_solve(name):
     assert found > 0 and rejected > 0
 
 
+def check_coefficient_degrees(atlas, univ, uncovered):
+    """The multiset {-deg_T(t_i)} of the coefficient degrees lies inside
+    the pinned T1 degrees {a - b}, both over univ.variable_order; the two
+    are equal exactly when T1 holds, and `uncovered` pinned degrees have
+    no coefficient."""
+    D, grading = gradings_of(atlas)
+    order = univ.variable_order
+    pinned = Counter(degree_vector(d, order)
+                     for d in t1_invariant(atlas, D, grading))
+    coefficients = Counter(tuple(-x for x in deg)
+                           for deg in t_degrees(univ).values())
+    assert not coefficients - pinned, \
+        "coefficient degrees not pinned: %r" % sorted(coefficients - pinned)
+    gap = sorted((pinned - coefficients).elements())
+    assert (not gap) == check_t1(atlas, D, grading).holds, \
+        "pinned degrees without a coefficient: %r" % gap
+    assert len(gap) == uncovered, gap
+
+
+# Every bundled and augmented seed with a strictly positive grading; a1f,
+# a3, b2, c2 and g2 have none.
+@pytest.mark.parametrize("name, uncovered", [
+    ("a2", 0), ("a3_bad", 5), ("d4", 6), ("gr26_pullback", 0),
+    ("aug_b3", 0), ("aug_c3", 2), ("aug_a4", 0), ("aug_b4", 1),
+    ("aug_c4", 5), ("aug_d4", 6), ("aug_f4", 17)])
+def test_coefficient_degrees_are_pinned_t1_degrees(name, uncovered):
+    """The degree-level shadow of A^univ as the semiuniversal deformation:
+    the base's coordinates t_i sit in pinned T1 degrees, and fill them
+    exactly on the seeds where T1 holds."""
+    seed = augmented_seed(name) if name.startswith("aug_") else data_seed(name)
+    atlas = enumerate_atlas(seed)
+    check_coefficient_degrees(atlas, build_universal(atlas), uncovered)
+
+
+def test_a_dropped_coefficient_row_names_its_degree(a2_atlas, a2_univ):
+    """With the first coefficient row gone, T1 still holds on a2 but one
+    pinned degree, the dropped coefficient's, has no coefficient."""
+    univ = copy.copy(a2_univ)
+    univ.t_ids, univ.u_rows = a2_univ.t_ids[1:], a2_univ.u_rows[1:]
+    dropped = tuple(-x for x in t_degrees(a2_univ)[a2_univ.t_ids[0]])
+    with pytest.raises(AssertionError, match=re.escape(
+            "pinned degrees without a coefficient: %r" % [dropped])):
+        check_coefficient_degrees(a2_atlas, univ, 0)
+
+
 @pytest.mark.parametrize("name", sorted(SEARCH_SEEDS))
 def test_tropical_duality_on_every_seed(name):
-    """G_t B~_t = B~_0 C_t on every seed: the g-matrix times the extended
-    exchange matrix is the initial matrix times the c-matrix, the identity
-    behind t1_witness_walk's lemma."""
+    """G_t B~_t = B~_0 C_t on every seed: the g-matrix, read off the
+    variables, times the extended exchange matrix is the initial matrix
+    times the c-matrix c_ik = H_ki d_k / d_i, the identity behind
+    t1_witness_walk's lemma."""
     atlas = enumerate_atlas(SEARCH_SEEDS[name]())
-    m = atlas.m
-    B0 = atlas.seeds[0].matrix[:m]
+    n, d = atlas.n, atlas.initial_seed.matrix.skew_symmetrizer
+    B0 = atlas.seeds[0].matrix
     for state in atlas.seeds:
-        B, C = state.matrix[:m], state.matrix[m:]
-        assert ([mat_vec(state.g_matrix, col) for col in zip(*B)]
+        G = list(zip(*(atlas.variables[v].g_vector for v in state.ids)))
+        H = state.inverse
+        C = [[H[k][i] * d[k] // d[i] for k in range(n)] for i in range(n)]
+        assert ([mat_vec(G, col) for col in zip(*state.matrix)]
                 == [mat_vec(B0, col) for col in zip(*C)]), state.path
 
 

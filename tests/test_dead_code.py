@@ -1,7 +1,8 @@
 """Every function and method defined in `src/clusterdeform` is referenced
 somewhere in `src/clusterdeform` outside its own body, or is named in
-TEST_ONLY.  The re-exports in `__init__.py` do not count as references,
-and neither do references from inside a TEST_ONLY function.
+TEST_ONLY; and every `__slots__` field of a class there is read as an
+attribute somewhere there.  The re-exports in `__init__.py` do not count as
+references, and neither do references from inside a TEST_ONLY function.
 
 The scan is by name.  A module-level function is reached only by a bare
 name: `" ".join(parts)` says nothing of a function `join`.  A method is
@@ -117,6 +118,48 @@ def test_every_src_function_has_a_src_caller():
     assert sorted(dead - TEST_ONLY) == []
     assert sorted(TEST_ONLY - dead) == [], \
         "take the names with a src caller off TEST_ONLY"
+
+
+def unread_slots(trees):
+    """(file, "Class.slot") of each `__slots__` entry that no attribute
+    load anywhere in the trees reads."""
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for name, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.Assign)
+                        and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                                for t in node.targets)):
+                    unread += [(name, "%s.%s" % (cls.name, e.value))
+                               for e in ast.walk(node.value)
+                               if isinstance(e, ast.Constant)
+                               and e.value not in loaded]
+    return unread
+
+
+def test_every_src_slot_is_read():
+    assert unread_slots(_trees()) == []
+
+
+def test_scan_sees_an_unread_slot():
+    """A slot that is only stored, like the `T1Degree.seed_index` that no
+    reader ever had, is reported until some attribute load reads it."""
+    tree = ast.parse(
+        "class D:\n"
+        "    __slots__ = ('k', 'seed')\n"
+        "    def __init__(self, k, seed):\n"
+        "        self.k = k\n"
+        "        self.seed = seed\n"
+        "def use(d):\n"
+        "    return d.k\n")
+    assert unread_slots({"m.py": tree}) == [("m.py", "D.seed")]
+    tree.body.append(ast.parse("def read(d):\n    return d.seed\n").body[0])
+    assert unread_slots({"m.py": tree}) == []
 
 
 def test_test_only_is_kept_for_the_benchmark():

@@ -311,16 +311,15 @@ def test_pointed_term_certificate(monkeypatch):
 
 
 def test_fan_certificate_names_a_folded_wall():
-    """One g-vector reflected in one seed's g-matrix, on a copy of the
-    atlas: the new variable of an edge out of that seed lands on the same
-    side of their wall."""
+    """One g-vector reflected in one seed's cone, on a copy of the atlas,
+    so row k of its H_t is negated: the new variable of an edge out of that
+    seed lands on the same side of their wall."""
     pipe = pipeline("a2")
     atlas = copy.deepcopy(pipe.atlas)
     assert pipe.atlas.fan_defect() is None
     s, k = len(atlas.seeds) - 1, 0
-    state = atlas.seeds[s]
-    state.g_matrix = tuple(row[:k] + (-row[k],) + row[k + 1:]
-                           for row in state.g_matrix)
+    H = atlas.seeds[s].inverse
+    H[k] = [-x for x in H[k]]
     j = atlas.seed_graph[(s, k)]
     assert atlas.fan_defect() == ("edge (%d, %d) -> %d: the cones lie on one "
                                   "side of their wall" % (s, k, j))
@@ -335,14 +334,13 @@ def scanned_cluster_monomial(atlas, inverses, g):
     """The cluster monomial with g-vector g, read off every seed whose cone
     holds g through its inverse mutable g-matrix block; all of them must
     agree."""
-    n = atlas.n
     found = set()
     for state, H in zip(atlas.seeds, inverses):
         c = [vec_dot(h, g) for h in H]
         if min(c) < 0:
             continue
-        c += [g[r] - vec_dot(state.g_matrix[r][:n], c)
-              for r in range(n, atlas.m)]
+        G = list(zip(*(atlas.variables[v].g_vector for v in state.ids)))
+        c += [g[r] - vec_dot(G[r], c) for r in range(atlas.n, atlas.m)]
         found.add(None if min(c) < 0 else
                   tuple(sorted((v, x) for v, x in zip(state.ids, c) if x)))
     assert len(found) == 1, found
@@ -365,8 +363,9 @@ def test_fan_index_matches_linear_scan(name, monkeypatch):
     pipe.lifted_family(16)
     assert len(answers) >= 30
     atlas = pipe.atlas
-    inverses = [invert_unimodular([row[:atlas.n]
-                                   for row in state.g_matrix[:atlas.n]])
+    n = atlas.n
+    inverses = [invert_unimodular(list(zip(*(atlas.variables[v].g_vector[:n]
+                                             for v in state.ids[:n]))))
                 for state in atlas.seeds]
     for g, mono in answers.items():
         assert mono == scanned_cluster_monomial(atlas, inverses, g), g

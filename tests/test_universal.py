@@ -170,32 +170,25 @@ def test_u_rows_are_the_transpose_g_vectors(name):
     assert univ.u_rows == transpose_u_rows(seed)
 
 
-def _corrupted(atlas, s, i, change):
-    """A copy of atlas with column i of seed s's g-matrix changed."""
-    atlas = copy.deepcopy(atlas)
-    state = atlas.seeds[s]
-    col = change([row[i] for row in state.g_matrix])
-    state.g_matrix = tuple(row[:i] + (x,) + row[i + 1:]
-                           for row, x in zip(state.g_matrix, col))
-    return atlas
-
-
-def test_duality_check_names_a_corrupted_g_vector(a2_atlas):
-    """x14 reflected at the first seed after the root that holds it."""
-    s = next(s for s, state in enumerate(a2_atlas.seeds)
-             if s and "x14" in state.ids)
-    atlas = _corrupted(a2_atlas, s, a2_atlas.seeds[s].ids.index("x14"),
-                       lambda g: [-x for x in g])
+def test_duality_check_names_a_moved_variable(g2_atlas):
+    """With d = (3, 1), a copy of the atlas with the two positions of the
+    first seed after the root swapped holds z2 where d_i = 3."""
+    atlas = copy.deepcopy(g2_atlas)
+    state = atlas.seeds[1]
+    assert state.ids[1] == "z2"
+    state.ids = (state.ids[1], state.ids[0]) + state.ids[2:]
     with pytest.raises(UniversalError, match=r"^duality check: the "
-                       r"coefficient row of x14 differs between seeds 0 "
-                       r"and %d$" % s):
+                       r"coefficient row of z2 differs between seeds 0 "
+                       r"and 1$"):
         build_universal(atlas)
 
 
 def test_duality_check_names_a_non_integral_row(g2_atlas):
     """With d = (3, 1), the row of the variable at position 0 divides its
     g-vector's second coordinate by 3."""
-    atlas = _corrupted(g2_atlas, 0, 0, lambda g: [g[0], g[1] + 1])
+    atlas = copy.deepcopy(g2_atlas)
+    z1 = atlas.variables["z1"]
+    z1.g_vector = (z1.g_vector[0], z1.g_vector[1] + 1) + z1.g_vector[2:]
     with pytest.raises(UniversalError, match=r"^duality check: the "
                        r"coefficient row of z1 is not integral at seed 0$"):
         build_universal(atlas)
