@@ -17,8 +17,8 @@ from .gradings import (add_frozen_for_positivity, find_positive_grading,
                        t_degrees)
 from .groebner import GroebnerError, groebner_cone
 from .polynomials import MonomialOrder, join_terms, monomial_str
-from .properties import (PropertyError, check_t0, check_t0_star, check_t1,
-                         repair_t1, semigroup_data)
+from .properties import (PropertyError, PropertyReport, check_t0,
+                         check_t0_star, check_t1, repair_t1, semigroup_data)
 from .seeds import load_seed, seed_to_dict
 from .simplicial import cluster_complex, sr_ideal
 from .universal import UniversalError, build_universal, fiber_at_zero
@@ -256,7 +256,11 @@ def cmd_check(args):
         raise PropertyError("--repair only applies to --property t1")
     pipe = _pipeline(args)
     atlas, D = pipe.atlas, pipe.strict_grading
-    if args.property == "t1":
+    if args.repair and D is None:
+        # the repair first adds the frozen rows of a strictly positive grading
+        report = PropertyReport("T1", [])
+        report.holds = None
+    elif args.property == "t1":
         report = check_t1(atlas, D, pipe.grading)
     elif args.property == "t0":
         report = check_t0(pipe.ideal, pipe.grading, atlas, D)
@@ -265,7 +269,9 @@ def cmd_check(args):
         report = check_t0_star(pipe.ideal, univ, semigroup_data(univ), D)
     payload = {"property": report.property, "holds": report.holds,
                "witnesses": report.witnesses}
-    lines = ["%s holds: %s" % (report.property, report.holds)]
+    verdict = ("undecided (no strictly positive grading)"
+               if report.holds is None else report.holds)
+    lines = ["%s holds: %s" % (report.property, verdict)]
     lines += ["  witness: %s" % w for w in report.witnesses]
     code = 0 if report.holds else 1
     if args.repair and not report.holds:
@@ -369,11 +375,23 @@ def cmd_demo(args):
     return 0
 
 
+def _budget(text):
+    """An argparse type for a budget: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be an integer >= 1, not %r"
+                                         % text)
+    return value
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON instead of text")
-    common.add_argument("--max-seeds", type=int, default=100000,
+    common.add_argument("--max-seeds", type=_budget, default=100000,
                         help="enumeration budget (default 100000)")
 
     parser = argparse.ArgumentParser(
@@ -410,7 +428,7 @@ def build_parser():
     demo = add("demo", cmd_demo, with_seed=False,
                help="run the bundled showcase examples end to end")
     for p in (lf, demo):
-        p.add_argument("--max-order", type=int, default=16,
+        p.add_argument("--max-order", type=_budget, default=16,
                        help="cap on the lifted family's t-degree "
                             "(default 16)")
     return parser

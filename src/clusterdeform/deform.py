@@ -20,7 +20,6 @@ from operator import add, sub
 from .gradings import t_degrees
 from .intlinalg import vec_dot
 from .polynomials import MonomialOrder, Poly, monomial_str
-from .universal import universal_images
 
 
 class DeformError(Exception):
@@ -93,6 +92,29 @@ def _max_possible_order(family):
                for l in family.sr_leads) // min_lam
 
 
+def _separation(univ):
+    """F, p and R of the separation formula (Fomin-Zelevinsky, "Cluster
+    algebras IV", Cor. 6.3): the image in A^univ of variable v of
+    `univ.variable_order` is the sum of c * x^(p[v] + R beta) over the
+    terms c * y^beta of F[v], v's principal expansion at x = 1.  R stacks
+    B~_0 over the coefficient rows U, and p[v] = (g_v, -low_v), low_v the
+    entrywise least U beta over F[v].  Each F[v] must have constant term 1
+    and exponents >= 0: the pointed-term certificate of `lift`."""
+    atlas = univ.base_atlas
+    m, n = atlas.m, atlas.n
+    R = [list(row) for row in atlas.initial_seed.matrix.entries] + univ.u_rows
+    F, p = [], []
+    for v in univ.variable_order:
+        f = atlas.principal[v].project(range(m, m + n))
+        if f.terms.get((0,) * n) != 1 or min(map(min, f.terms)) < 0:
+            raise DeformError("pointed-term certificate: the F-polynomial of "
+                              "%s is not 1 plus terms of exponents >= 0" % v)
+        F.append(f)
+        p.append(atlas.variables[v].g_vector + tuple(
+            -min(vec_dot(row, b) for b in f.terms) for row in univ.u_rows))
+    return F, p, R
+
+
 def lift(univ, J, weight, max_order=16):
     """The flat family of A^univ over Z[t] with fibre the SR ring of J at
     t = 0, J the SR ideal of the cluster complex of `univ.base_atlas`, and
@@ -104,35 +126,25 @@ def lift(univ, J, weight, max_order=16):
 
     Lemma: the generators G are a Groebner basis of the kernel of
     z -> images, with quotient free over Z[t] on the standard monomials,
-    if (1) each image has a unique term of least phi (see `_expansion`),
-    of coefficient 1 and x-exponent its variable's g-vector (the
-    pointed-term certificate), and (2) the g-vector fan is complete and
-    simplicial, of unimodular cones (the fan certificate,
+    if (1) each F-polynomial has constant term 1 and exponents >= 0 (the
+    pointed-term certificate, `_separation`), and (2) the g-vector fan is
+    complete and simplicial, of unimodular cones (the fan certificate,
     `Atlas.fan_defect`).  Proof: `_expansion` stops only when nothing is
     left of z^lead's image, so G lies in the kernel.  A standard monomial
-    is t^gamma * M, M a cluster monomial; as phi is additive, (1) makes
-    x^g(M) * t^(gamma + p(M)) the unique least-phi term of its image, with
-    coefficient 1.  By (2), frozen g-vectors being unit vectors, g is
-    injective on cluster monomials, so these terms are distinct, and in a
-    nonzero combination of images the least-phi ones cannot all cancel:
-    the images are linearly independent.  Dividing a kernel element by G
-    leaves a combination of standard monomials in the kernel, hence 0, so
-    the kernel is (G) and G is a Groebner basis of it."""
+    is t^gamma * M, M a cluster monomial.  The root's j-th variable has
+    coefficient row -e_j (duality at the root, where H_t = I), so psi(e),
+    minus the sum of the t-exponents of those n rows, has psi(R beta) =
+    |beta|, and by (1) the image of t^gamma * M has x^g(M) *
+    t^(gamma + p(M)) as its unique least-psi term, with coefficient 1.  By (2), frozen g-vectors being
+    unit vectors, g is injective on cluster monomials, so these terms are
+    distinct, and in a nonzero combination of images the least-psi ones
+    cannot all cancel: the images are linearly independent.  Dividing a
+    kernel element by G leaves a combination of standard monomials in the
+    kernel, hence 0, so the kernel is (G) and G is a Groebner basis of it."""
     family = _family(univ, J, weight)
-    atlas = univ.base_atlas
-    m = atlas.m
-    images = universal_images(univ)
-    unit = [m + i for i, row in enumerate(univ.u_rows)
-            if sorted(row) == [0] * (len(row) - 1) + [1]]
-
-    def phi(e):
-        return sum(e[i] for i in unit)
-
-    # the t-exponent of each variable's pointed term, the least in phi
-    pointed = [min(img.terms, key=phi)[m:] for img in images]
+    F, p, R = _separation(univ)
     known = {}
-    family.generators = [_expansion(family, lead, images, pointed, phi,
-                                    known, max_order)
+    family.generators = [_expansion(family, lead, F, p, R, known, max_order)
                          for lead in family.sr_leads]
 
     key = MonomialOrder(family.weights).key
@@ -140,13 +152,7 @@ def lift(univ, J, weight, max_order=16):
         if max(g.terms, key=key) != lead:
             raise DeformError("generator %s: its SR monomial is not its "
                               "leading term" % _name(family, lead))
-    for v, img in zip(family.z_vars, images):
-        least = min(map(phi, img.terms))
-        low = [(e[:m], c) for e, c in img.terms.items() if phi(e) == least]
-        if low != [(atlas.variables[v].g_vector, 1)]:
-            raise DeformError("pointed-term certificate: the image of %s has "
-                              "no unique least-phi term x^g(%s)" % (v, v))
-    defect = atlas.fan_defect()
+    defect = univ.base_atlas.fan_defect()
     if defect:
         raise DeformError("fan certificate: %s" % defect)
 
@@ -162,41 +168,49 @@ def _name(family, e):
     return monomial_str(family.z_vars, e[:family.nz])
 
 
-def _expansion(family, lead, images, pointed, phi, known, max_order):
-    """z^lead minus its expansion sum c * t^gamma * M in cluster monomials.
+def _expansion(family, lead, F, p, R, known, max_order):
+    """z^lead minus its expansion sum c * t^gamma * M in cluster monomials,
+    peeled over the product of the F[v]^a[v], a = lead's z-part.
 
-    phi sums the exponents of the t's whose coefficient row is a unit
-    vector, the y-degree of the F-polynomial, so the image of a cluster
-    monomial M with g-vector g is x^g * t^p(M) plus terms of larger phi
-    (the lemma in `lift`).  The term c * x^g * t^beta of least phi left in
-    the image of z^lead names M and gamma = beta - p(M), and subtracting
-    c * t^gamma times the image of M cancels it.  `known` keeps, by g and
-    across calls, each M's z-exponent, p(M) and image."""
+    A term c * y^beta stands for c * x^e[:m] * t^e[m:], e = p(a) + R beta
+    (`_separation`).  The term of least |beta| left names M by its g-vector
+    e[:m], and gamma = e[m:] - p(M)[m:]: the image of t^gamma * M stands
+    for y^beta * F_M in the same way, so by F_M(0) = 1 and exponents >= 0,
+    subtracting c * y^beta * F_M cancels the term and adds only larger
+    |beta|.  `known` keeps, by g and across calls, M's z-exponent, p(M)[m:]
+    and the terms of F_M but its constant."""
     atlas = family.univ.base_atlas
     m, nz = atlas.m, family.nz
-    work = dict(_image(images, lead[:nz]).terms)
-    heap = [(phi(e), e) for e in work]
+
+    def pointed(a):
+        return [sum(x * q[i] for x, q in zip(a, p) if x)
+                for i in range(len(R))]
+
+    base = pointed(lead[:nz])
+    work = dict(_product(F, lead[:nz]).terms)
+    heap = [(sum(beta), beta) for beta in work]
     heapify(heap)
     terms = {lead: 1}
     while heap:
-        _, e = heappop(heap)
-        c = work.get(e)
+        _, beta = heappop(heap)
+        c = work.pop(beta, None)
         if c is None:
             continue
-        if e[:m] not in known:
-            mono = atlas.cluster_monomial(e[:m])
+        e = [x + vec_dot(row, beta) for x, row in zip(base, R)]
+        g = tuple(e[:m])
+        if g not in known:
+            mono = atlas.cluster_monomial(g)
             if mono is None:
                 raise DeformError("generator %s: exponent %r lies in no cone "
                                   "of the g-vector fan"
-                                  % (_name(family, lead), e[:m]))
+                                  % (_name(family, lead), g))
             z = [0] * nz
             for v, x in mono:
                 z[family.z_vars.index(v)] = x
-            p = [sum(x * q[t] for x, q in zip(z, pointed) if x)
-                 for t in range(len(e) - m)]
-            known[e[:m]] = (tuple(z), p, _image(images, z))
-        z, p, image = known[e[:m]]
-        gamma = tuple(map(sub, e[m:], p))
+            known[g] = (tuple(z), pointed(z)[m:], [
+                t for t in _product(F, z).terms.items() if any(t[0])])
+        z, pm, tail = known[g]
+        gamma = tuple(map(sub, e[m:], pm))
         if min(gamma) < 0:
             raise DeformError("generator %s: negative t-exponent %r"
                               % (_name(family, lead), gamma))
@@ -205,29 +219,32 @@ def _expansion(family, lead, images, pointed, phi, known, max_order):
                               "term of t-degree %d > %d" % (
                                   _name(family, lead), sum(gamma), max_order))
         terms[z + gamma] = -c
-        shift = (0,) * m + gamma
-        for x, cx in image.terms.items():
-            x = tuple(map(add, x, shift))
-            s = work.pop(x, 0) - c * cx
+        for b, cb in tail:
+            b = tuple(map(add, beta, b))
+            old = work.pop(b, None)
+            s = (old or 0) - c * cb
             if s:
-                if x not in work:
-                    heappush(heap, (phi(x), x))
-                work[x] = s
-        if e in work:
-            raise DeformError("generator %s: the image of %s does not lead "
-                              "with x^g * t^p(M) and coefficient 1"
-                              % (_name(family, lead), _name(family, z)))
+                if old is None:
+                    heappush(heap, (sum(b), b))
+                work[b] = s
     return Poly(family.nv, terms)
 
 
-def _image(images, z):
-    """The product of images[i]^z[i], by repeated products: `Poly.__pow__`
+def _product(polys, a):
+    """The product of polys[i]^a[i], by repeated products: `Poly.__pow__`
     squares once more than it needs."""
-    out = Poly.one(images[0].nvars)
-    for img, k in zip(images, z):
+    out = Poly.one(polys[0].nvars)
+    for f, k in zip(polys, a):
         for _ in range(k):
-            out = out * img
+            out = out * f
     return out
+
+
+def _laurent_images(F, p, R):
+    """Each variable's image in A^univ, over x and then t (`_separation`)."""
+    return [Poly(len(R), {tuple(x + vec_dot(row, b) for x, row in zip(pv, R)):
+                          c for b, c in f.terms.items()})
+            for f, pv in zip(F, p)]
 
 
 def verify_family(family):
@@ -240,7 +257,7 @@ def verify_family(family):
         {e: c for e, c in g.terms.items() if family.tdeg(e) == 0} == {lead: 1}
         for g, lead in zip(family.generators, family.sr_leads))
 
-    images = universal_images(univ)
+    images = _laurent_images(*_separation(univ))
     nx, nz = images[0].nvars, family.nz
 
     def image(g):
@@ -250,7 +267,7 @@ def verify_family(family):
             parts.setdefault(e[:nz], {})[(0,) * (nx - univ.p) + e[nz:]] = c
         out = Poly.zero(nx)
         for z, ts in parts.items():
-            out = out + _image(images, z) * Poly(nx, ts)
+            out = out + _product(images, z) * Poly(nx, ts)
         return out
 
     report["laurent_vanishing"] = all(image(g).is_zero()

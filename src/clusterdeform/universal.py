@@ -14,8 +14,6 @@ extended matrix at a base seed.
 """
 
 from .atlas import exchange_monomials
-from .intlinalg import vec_dot
-from .polynomials import Poly
 from .seeds import is_isolated_vertex_free, mutate_entries
 from .simplicial import support_mask
 
@@ -137,22 +135,6 @@ def build_universal(base_atlas):
         univ_relations=relations,
         owners=owners,
         variable_order=order, has_isolated_vertex=has_isolated)
-
-
-def universal_images(univ):
-    """Each variable of `univ.variable_order` in A^univ over the initial
-    variables, then the t's: its principal expansion with y_j -> prod_t
-    t^{u_rows[t][j]} over the tropical value of its F-polynomial, by the
-    separation formula (Fomin-Zelevinsky, Cluster algebras IV)."""
-    m = univ.base_atlas.m
-    images = []
-    for v in univ.variable_order:
-        terms = {e[:m] + tuple(vec_dot(e[m:], row) for row in univ.u_rows): c
-                 for e, c in univ.base_atlas.principal[v].terms.items()}
-        low = [0] * m + [min(col) for col in zip(*terms)][m:]
-        images.append(Poly(m + univ.p, {
-            tuple(a - b for a, b in zip(e, low)): c for e, c in terms.items()}))
-    return images
 
 
 def fiber_at_zero(univ, ideal):

@@ -13,6 +13,10 @@ quotient term has t-degree >= 1: at order k only the cofactors m_i and m_l
 multiply a correction.  Corrections at each order live in the
 standard-monomial complement of the order-zero ideal, so each obstruction
 system is a small sparse rational linear system.
+
+`universal_images` substitutes the coefficient rows into the principal
+expansions, over m + p variables: the oracle for the images that
+`deform.verify_family` builds from the F-polynomials.
 """
 
 from operator import add
@@ -24,6 +28,22 @@ from clusterdeform.intlinalg import vec_dot
 from clusterdeform.polynomials import MonomialOrder, Poly
 from tests.groebner_oracle import divide
 from tests.rational_oracle import rref
+
+
+def universal_images(univ):
+    """Each variable of `univ.variable_order` in A^univ over the initial
+    variables, then the t's: its principal expansion with y_j -> prod_t
+    t^{u_rows[t][j]} over the tropical value of its F-polynomial, by the
+    separation formula (Fomin-Zelevinsky, Cluster algebras IV)."""
+    m = univ.base_atlas.m
+    images = []
+    for v in univ.variable_order:
+        terms = {e[:m] + tuple(vec_dot(e[m:], row) for row in univ.u_rows): c
+                 for e, c in univ.base_atlas.principal[v].terms.items()}
+        low = [0] * m + [min(col) for col in zip(*terms)][m:]
+        images.append(Poly(m + univ.p, {
+            tuple(a - b for a, b in zip(e, low)): c for e, c in terms.items()}))
+    return images
 
 
 def first_order(univ, J, weight):

@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 from clusterdeform import atlas, cli, gradings, properties
+from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.cli import Pipeline, main
-from clusterdeform.seeds import load_seed, seed_to_dict
-from tests.conftest import AUGMENTED, augmented_seed, path_seed
+from clusterdeform.properties import check_t1
+from clusterdeform.seeds import load_seed, seed_from_dict, seed_to_dict
+from tests.conftest import AUGMENTED, augmented_seed, gradings_of, path_seed
 
 _DATA = resources.files("clusterdeform.data")
 A2 = str(_DATA / "a2.json")
@@ -136,6 +138,38 @@ def test_check_repair(capsys):
     repaired = json.loads(tail[len("repaired seed: "):])
     assert repaired["m"] == 9
     assert repaired["B"][6:] == [[0, 0, -1], [-1, 0, 0], [1, 0, 0]]
+
+
+@pytest.mark.parametrize("name", ["b2", "g2"])
+def test_check_repair_without_a_strict_grading(capsys, name):
+    """With no strictly positive grading T1 is undecided, and the repair
+    adds the frozen rows of one first: the printed seed satisfies T1."""
+    code, out = run(capsys, "check", str(_DATA / (name + ".json")),
+                    "--property", "t1", "--repair")
+    assert code == 0
+    head, tail = out.splitlines()
+    assert head == "T1 holds: undecided (no strictly positive grading)"
+    assert tail.startswith("repaired seed: ")
+    repaired = seed_from_dict(json.loads(tail[len("repaired seed: "):]))
+    repaired_atlas = enumerate_atlas(repaired)
+    assert check_t1(repaired_atlas, *gradings_of(repaired_atlas)).holds
+
+
+def test_check_repair_without_a_strict_grading_json(capsys):
+    code, out = run(capsys, "check", str(_DATA / "b2.json"), "--property",
+                    "t1", "--repair", "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["holds"], payload["witnesses"]) == (None, [])
+    assert payload["repaired_seed"]["labels"][2:] == ["aux1", "aux2", "bal"]
+
+
+def test_check_repair_needs_a_full_rank_matrix(capsys):
+    assert main(["check", str(_DATA / "a3.json"), "--property", "t1",
+                 "--repair"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: repair requires a full-rank matrix\n")
 
 
 def test_check_repair_rejected_for_t0_properties(capsys):
@@ -337,6 +371,19 @@ def test_budget_error(capsys):
     assert main(["enumerate", A3_BAD, "--max-seeds", "2"]) == 2
     assert capsys.readouterr().err == (
         "error: exchange-graph search: more than 2 seeds (--max-seeds 2)\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["enumerate", A2, "--max-seeds", "0"], "--max-seeds"),
+    (["lift", A2, "--max-order", "-3"], "--max-order")])
+def test_budget_below_one_is_a_usage_error(capsys, argv, flag):
+    """A budget below 1 is refused as the flags are parsed: exit 2, a
+    usage message that names the flag, and no traceback."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument %s: must be an integer >= 1" % flag in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_usage_error(capsys):

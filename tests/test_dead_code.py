@@ -11,12 +11,19 @@ attribute that is also a data attribute (a `__slots__` entry or an
 assigned attribute) reaches a method only where it is called:
 `var.g_vector` reads a `ClusterVariable` slot and says nothing of a method
 `Atlas.g_vector`.  A property is read, never called, so every attribute
-load of its name counts."""
+load of its name counts.
+
+Every backticked name in a docstring or comment there resolves: a bare
+identifier to a name of its file or a top-level name of the package, and
+`A.B`, A a module or class of the package, to a member of A."""
 
 import ast
 import importlib
 import inspect
+import io
 import pathlib
+import re
+import tokenize
 from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "clusterdeform"
@@ -267,3 +274,109 @@ def test_test_only_does_not_hide_a_method_of_the_same_name():
         ("m.py", "M.mutate")}
     tree.body.append(ast.parse("def use(s):\n    return s.mutate(0)\n").body[0])
     assert set(unreferenced({"m.py": tree}, only)) - only == {("m.py", "use")}
+
+
+def _docs_and_comments(source, tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc:
+                yield doc
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            yield tok.string
+
+
+def _slots(body):
+    return {e.value for node in body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                    for t in node.targets)
+            for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+
+
+def _members(body):
+    """The functions, classes and assigned names of a module or class
+    body, and its slots."""
+    out = _slots(body)
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Assign):
+            out.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return out
+
+
+def _file_names(tree):
+    """Every name a file defines, loads or imports, attributes included."""
+    out = _slots(n for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for n in node.body)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.arg):
+            out.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+    return out
+
+
+def unresolved_names(sources):
+    """(file, name) of each backticked identifier or `A.B` in a docstring
+    or comment of the sources, by file name, that does not resolve.  A
+    dotted name whose A is not a module or class of the sources, like
+    `univ.base_atlas`, and a backticked span that is no name, like `x*y^2`,
+    are not checked."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    owners = {name[:-3]: _members(tree.body) for name, tree in trees.items()}
+    top = set(owners).union(*owners.values())
+    for tree in trees.values():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                attrs = owners.setdefault(cls.name, set())
+                attrs |= _members(cls.body)
+                attrs.update(n.attr for n in ast.walk(cls)
+                             if isinstance(n, ast.Attribute)
+                             and isinstance(n.ctx, ast.Store)
+                             and isinstance(n.value, ast.Name)
+                             and n.value.id == "self")
+    out = set()
+    for name, tree in trees.items():
+        known = _file_names(tree) | top
+        for text in _docs_and_comments(sources[name], tree):
+            for ref in re.findall(r"`([^`]+)`", text):
+                ref = ref.strip()
+                if re.fullmatch(r"[A-Za-z_]\w*", ref):
+                    if ref not in known:
+                        out.add((name, ref))
+                elif re.fullmatch(r"[A-Za-z_]\w*\.[A-Za-z_]\w*", ref):
+                    owner, attr = ref.split(".")
+                    if owner in owners and attr not in owners[owner]:
+                        out.add((name, ref))
+    return sorted(out)
+
+
+def test_every_backticked_src_name_resolves():
+    assert unresolved_names({path.name: path.read_text()
+                             for path in sorted(SRC.glob("*.py"))}) == []
+
+
+def test_scan_sees_a_stale_backticked_name():
+    """A docstring that names a deleted function, like the
+    `universal_images` that `deform` once called, or a member its class
+    lacks, is reported; a comment counts as well as a docstring."""
+    source = (
+        "class Atlas:\n"
+        "    __slots__ = ('seeds',)\n"
+        "    def __init__(self):\n"
+        "        self.variables = {}\n"
+        "def lift(univ):\n"
+        "    \"\"\"Reads `Atlas.seeds`, `Atlas.variables`, `univ.u_rows`,\n"
+        "    `x*y^2`, `helper` and `m.lift`; `universal_images`.\"\"\"\n"
+        "    # `Atlas.nope`\n"
+        "    return univ\n")
+    assert unresolved_names({"m.py": source, "n.py": "def helper(): pass\n"}) \
+        == [("m.py", "Atlas.nope"), ("m.py", "universal_images")]

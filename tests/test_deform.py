@@ -18,12 +18,14 @@ from clusterdeform.polynomials import MonomialOrder, Poly, monomial_str
 from clusterdeform.simplicial import cluster_complex, sr_ideal
 from clusterdeform.universal import build_universal
 from tests import lift_oracle
-from tests.conftest import data_seed, path_seed
+from tests.conftest import (AUGMENTED, augmented_seed, data_seed,
+                            path_seed)
 from tests.groebner_oracle import buchberger, compose
 from tests.lift_oracle import (_candidates, _exchange_minimal,
                                _pair_reductions, _spairs, first_order,
-                               in_order_zero)
+                               in_order_zero, universal_images)
 from tests.rational_oracle import invert_unimodular, rref
+from tests.simplicial_oracle import BUNDLED
 
 
 A2_FAMILY_LINES = [
@@ -228,36 +230,44 @@ def test_vanishing_check_keeps_t():
     assert report["fiber_at_zero"] and not report["laurent_vanishing"]
 
 
-def divide_by_every_t(images, u, univ):
-    """An image divided by every t: the peel of the first generator, which
-    holds variable u, meets a t-exponent -1."""
-    nx = images[u].nvars - univ.p
-    images[u] = images[u].scale_monomial((0,) * nx + (-1,) * univ.p)
+def divide_by_every_t(pipe, u, fam, monkeypatch):
+    """p(u)'s t-part lowered by 1, as if u's image were divided by every
+    t: the peel of the first generator, which holds u, meets a t-exponent
+    -1."""
+    separation = deform._separation
+
+    def lowered(univ):
+        F, p, R = separation(univ)
+        m = univ.base_atlas.m
+        p[u] = p[u][:m] + tuple(x - 1 for x in p[u][m:])
+        return F, p, R
+
+    monkeypatch.setattr(deform, "_separation", lowered)
+    return "generator %s: " % monomial_str(fam.z_vars,
+                                           fam.sr_leads[0][:fam.nz])
 
 
-def double_every_image(images, u, univ):
-    """Every cluster monomial's pointed term gets coefficient 2^degree."""
-    images[:] = [img * 2 for img in images]
+def double_every_image(pipe, u, fam, monkeypatch):
+    """Every principal expansion doubled, so every F-polynomial has
+    constant term 2: the certificate names the first variable."""
+    principal = pipe.atlas.principal
+    for v in principal:
+        principal[v] = principal[v] * 2
+    return "pointed-term certificate: the F-polynomial of %s " % fam.z_vars[0]
 
 
 @pytest.mark.parametrize("alter, message", [
     (divide_by_every_t, "negative t-exponent"),
-    (double_every_image, "does not lead with .* coefficient 1")])
+    (double_every_image, "pointed-term certificate")])
 def test_bad_images_name_the_generator(alter, message, monkeypatch):
+    """Corrupted F-space data stops `lift` with an error that names the
+    generator or the variable it reached."""
     fam = first_order_family("a2")
-    lead = fam.sr_leads[0]
-    images = deform.universal_images
-
-    def altered(univ):
-        out = images(univ)
-        alter(out, lead.index(1), univ)
-        return out
-
-    monkeypatch.setattr(deform, "universal_images", altered)
-    name = monomial_str(fam.z_vars, lead[:fam.nz])
-    with pytest.raises(DeformError, match="generator %s: .*%s"
-                       % (re.escape(name), message)):
-        lifted_family("a2")
+    pipe = pipeline("a2")
+    start = alter(pipe, fam.sr_leads[0].index(1), fam, monkeypatch)
+    with pytest.raises(DeformError, match=message) as err:
+        pipe.lifted_family(16)
+    assert str(err.value).startswith(start)
 
 
 def test_exponent_outside_the_fan_names_the_generator(monkeypatch):
@@ -291,23 +301,43 @@ def test_dropped_tail_term_is_not_flat(monkeypatch):
     assert any(not r.is_zero() for *_, r, _ in reductions)
 
 
-def test_pointed_term_certificate(monkeypatch):
-    """A frozen variable's image plus another's: the peel still ends, in
-    the frozen exponents, but the image has two terms of least phi."""
-    fam = first_order_family("a2")
-    frozen = [i for i, v in enumerate(fam.z_vars)
-              if fam.univ.base_atlas.variables[v].is_frozen]
-    images = deform.universal_images
+def test_pointed_term_certificate():
+    """A frozen variable's principal expansion plus a mutable one's: its
+    F-polynomial has constant term 2, and the certificate names it."""
+    pipe = pipeline("a2")
+    atlas = pipe.atlas
+    frozen = atlas.frozen_ids[0]
+    mutable = atlas.mutable_variables[0].id
+    atlas.principal[frozen] = atlas.principal[frozen] + \
+        atlas.principal[mutable]
+    with pytest.raises(DeformError, match="^pointed-term certificate: the "
+                       "F-polynomial of %s " % re.escape(frozen)):
+        pipe.lifted_family(16)
 
-    def altered(univ):
-        out = images(univ)
-        out[frozen[0]] = out[frozen[0]] + out[frozen[1]]
-        return out
 
-    monkeypatch.setattr(deform, "universal_images", altered)
-    with pytest.raises(DeformError, match="pointed-term certificate: the "
-                       "image of %s " % re.escape(fam.z_vars[frozen[0]])):
-        lifted_family("a2")
+def test_pointed_term_certificate_sees_a_negative_exponent():
+    """A term x^g * y_1^-1 added to one principal expansion: the constant
+    term of its F-polynomial is still 1, but the exponent -1 trips the
+    certificate, which names the variable."""
+    pipe = pipeline("a2")
+    atlas = pipe.atlas
+    v = atlas.mutable_variables[-1]
+    e = v.g_vector + (-1,) + (0,) * (atlas.n - 1)
+    atlas.principal[v.id] = atlas.principal[v.id] + Poly.monomial(len(e), e)
+    with pytest.raises(DeformError, match="^pointed-term certificate: the "
+                       "F-polynomial of %s " % re.escape(v.id)):
+        pipe.lifted_family(16)
+
+
+@pytest.mark.parametrize("name", BUNDLED + sorted(AUGMENTED))
+def test_images_are_the_principal_expansions(name):
+    """The images `verify_family` builds from F, p and R equal the ones
+    the principal expansions give by substitution: the full x-exponents of
+    `Atlas.principal` are in separation form."""
+    seed = augmented_seed(name) if name in AUGMENTED else data_seed(name)
+    univ = build_universal(enumerate_atlas(seed))
+    assert deform._laurent_images(*deform._separation(univ)) == \
+        universal_images(univ)
 
 
 def test_fan_certificate_names_a_folded_wall():
