@@ -16,7 +16,7 @@ from .gradings import (m_grading, rank_flags, find_positive_grading,
                        find_strictly_positive, add_frozen_for_positivity,
                        t_degrees)
 from .universal import build_universal, fiber_at_zero
-from .cotangent import t1_degree_families, t1_invariant, t1_witnesses
+from .cotangent import t1_invariant, t1_witnesses
 from .properties import (check_t0, check_t0_star, check_t1, repair_t1,
                          semigroup_data)
 from .groebner import groebner_cone, interior_weight, cone_certificates
@@ -33,7 +33,7 @@ __all__ = [
     "m_grading", "rank_flags", "find_positive_grading",
     "find_strictly_positive", "add_frozen_for_positivity", "t_degrees",
     "build_universal", "fiber_at_zero",
-    "t1_degree_families", "t1_invariant", "t1_witnesses",
+    "t1_invariant", "t1_witnesses",
     "check_t0", "check_t0_star", "check_t1", "repair_t1", "semigroup_data",
     "groebner_cone", "interior_weight", "cone_certificates",
     "lift", "verify_family",

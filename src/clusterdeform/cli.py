@@ -1,16 +1,18 @@
 """Command-line interface: every pipeline stage behind one binary.
 
 Exit codes: 0 success, 1 property-check failure (witnesses reported),
-2 input or usage error.
+2 input or usage error, 141 (128 + SIGPIPE, as a shell reports a writer
+killed by SIGPIPE) when the reader closes stdout before the output ends.
 """
 
 import argparse
 import json
+import os
 import sys
 from functools import cached_property
 
 from .atlas import AtlasError, enumerate_atlas
-from .cotangent import CotangentError, t1_degree_families, t1_invariant
+from .cotangent import CotangentError, t1_invariant
 from .deform import DeformError, lift, verify_family
 from .gradings import (add_frozen_for_positivity, find_positive_grading,
                        find_strictly_positive, m_grading, rank_flags,
@@ -225,29 +227,11 @@ def cmd_univ(args):
 
 def cmd_t1(args):
     pipe = _pipeline(args)
-    want_families = args.families or not args.invariant
-    want_invariant = args.invariant or not args.families
-    payload = {}
-    lines = []
-    if want_families:
-        fams = t1_degree_families(pipe.atlas, pipe.complex)
-        payload["families"] = [{"pair": sorted(d.pair),
-                                "omega": sorted(d.omega)} for d in fams]
-        lines.append("degree families: %d" % len(fams))
-        lines += ["  pair {%s}  omega {%s}" % (
-            ", ".join(f["pair"]), ", ".join(f["omega"]))
-            for f in payload["families"]]
-    if want_invariant:
-        pinned = t1_invariant(pipe.atlas, pipe.strict_grading, pipe.grading)
-        payload["pinned"] = [{"pair": sorted(d.pair),
-                              "a": dict(sorted(d.a.items())),
-                              "b": dict(sorted(d.b.items())),
-                              "witness": d.witness_w} for d in pinned]
-        lines.append("pinned degrees: %d" % len(pinned))
-        lines += ["  pair {%s}  a=%s  w=%s" % (
-            ", ".join(p["pair"]), p["a"], p["witness"])
-            for p in payload["pinned"]]
-    _emit(args, payload, lines)
+    pinned = t1_invariant(pipe.atlas, pipe.strict_grading, pipe.grading)
+    lines = ["pinned degrees: %d" % len(pinned)]
+    lines += ["  pair {%s}  a=%s  w=%s" % (", ".join(p["pair"]), p["a"],
+                                           p["witness"]) for p in pinned]
+    _emit(args, {"pinned": pinned}, lines)
     return 0
 
 
@@ -415,9 +399,7 @@ def build_parser():
     g.add_argument("--find-positive", action="store_true")
     g.add_argument("--add-frozen", action="store_true")
     add("univ", cmd_univ, help="universal coefficient extension")
-    t = add("t1", cmd_t1, help="graded deformation degrees")
-    t.add_argument("--invariant", action="store_true")
-    t.add_argument("--families", action="store_true")
+    add("t1", cmd_t1, help="pinned deformation degrees")
     c = add("check", cmd_check, help="decision procedures")
     c.add_argument("--property", required=True,
                    choices=["t0", "t0star", "t1"])
@@ -442,7 +424,15 @@ def main(argv=None):
         # argparse exits 2 on usage errors and 0 on --help; preserve both
         return exc.code
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # a closed pipe shows here, not at the flush on exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the output is unwanted: point stdout at /dev/null so that the
+        # flush on exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OSError, json.JSONDecodeError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2

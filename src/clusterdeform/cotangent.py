@@ -1,5 +1,5 @@
-"""Graded first-order deformation degrees of the cluster complex: family
-enumeration and the invariant pinned degrees.
+"""Graded first-order deformation degrees: the pinned T1 degrees a - b,
+read off the witnesses of a lattice walk over the seeds.
 
 The T1 witness search is a call to `intlinalg.nonnegative_solutions`, the
 bounded search that the T0 and T0* checkers in `properties` use too;
@@ -13,67 +13,6 @@ from .intlinalg import nonnegative_solutions, vec_dot
 
 class CotangentError(Exception):
     pass
-
-
-class T1Degree:
-    """One graded degree c = a - b.
-
-    b is supported on an exchangeable pair; a is supported on omega plus
-    frozen variables.  In family form a is left symbolic (any nonnegative
-    support on omega); pinned degrees carry the exact exponents and the
-    witness vector w.
-    """
-
-    __slots__ = ("k", "pair", "omega", "a", "b", "family", "witness_w")
-
-    def __init__(self, k, pair, omega, a, b, family, witness_w=None):
-        self.k = k
-        self.pair = frozenset(pair)
-        self.omega = frozenset(omega)
-        self.a = dict(a) if a is not None else None
-        self.b = dict(b)
-        self.family = family
-        self.witness_w = witness_w
-
-    def degree_key(self):
-        if self.a is None:
-            raise ValueError("family degrees have no pinned exponents")
-        return (tuple(sorted(self.a.items())), tuple(sorted(self.b.items())))
-
-    def __repr__(self):
-        return "T1Degree(pair=%r, a=%r, family=%r)" % (
-            set(self.pair), self.a, self.family)
-
-
-def _subsets(items):
-    out = [[]]
-    for x in items:
-        out += [s + [x] for s in out]
-    return out
-
-
-def t1_degree_families(atlas, K):
-    """Family-form degrees: one per (exchangeable pair, omega) where omega
-    contains every neighbor of the mutated vertex in the mutable graph."""
-    n = atlas.n
-    seen = {}
-    for state in atlas.seeds:
-        B = state.matrix
-        for k in range(n):
-            pair = frozenset({state.ids[k], atlas.exchanged(state.index, k)})
-            neighbors = [i for i in range(n) if i != k and B[i][k] != 0]
-            required = {state.ids[i] for i in neighbors}
-            optional = [state.ids[i] for i in range(n)
-                        if i != k and state.ids[i] not in required]
-            for extra in _subsets(optional):
-                omega = frozenset(required | set(extra))
-                key = (pair, omega)
-                if key in seen:
-                    continue
-                b = {v: 1 for v in pair}
-                seen[key] = T1Degree(k, pair, omega, None, b, family=True)
-    return sorted(seen.values(),
-                  key=lambda d: (tuple(sorted(d.pair)), tuple(sorted(d.omega))))
 
 
 def t1_witnesses(rows, j, weights, free, torsion):
@@ -142,20 +81,20 @@ def t1_witness_walk(atlas, D, grading):
 
 
 def t1_invariant(atlas, D_strict, grading):
-    """Pinned degrees: for every seed and mutable index, every witness w in
-    the column span meeting the bounds yields a = w + max(0, B_k)."""
+    """Pinned degrees: for every seed and mutable index k, every witness w
+    of `t1_witness_walk` yields a = w + max(0, B_k), and b is 1 on the
+    exchangeable pair.  Each distinct (a, b) gives one dict {"pair", "a",
+    "b", "witness"}, with the first witness found; the pair, a and b are
+    sorted by variable id, and the list by (a, b)."""
     if D_strict is None:
         raise CotangentError("no strictly positive grading")
     found = {}
     for state, rows, k, w in t1_witness_walk(atlas, D_strict, grading):
-        pair = frozenset({state.ids[k], atlas.exchanged(state.index, k)})
+        pair = sorted({state.ids[k], atlas.exchanged(state.index, k)})
+        exponents = sorted((state.ids[i], w[i] + max(0, row[k]))
+                           for i, row in enumerate(rows))
+        a = {v: e for v, e in exponents if e}
         b = {v: 1 for v in pair}
-        a = {}
-        for i, row in enumerate(rows):
-            e = w[i] + max(0, row[k])
-            if e:
-                a[state.ids[i]] = e
-        omega = {state.ids[i] for i in range(atlas.n) if a.get(state.ids[i])}
-        deg = T1Degree(k, pair, omega, a, b, family=False, witness_w=w)
-        found.setdefault(deg.degree_key(), deg)
-    return sorted(found.values(), key=lambda d: d.degree_key())
+        found.setdefault((tuple(a.items()), tuple(b.items())),
+                         {"pair": pair, "a": a, "b": b, "witness": w})
+    return [found[key] for key in sorted(found)]

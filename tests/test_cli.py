@@ -326,18 +326,57 @@ def test_enumerate_json(capsys):
     assert len(payload["exchange_pairs"]) == 8
 
 
-def test_t1_invariant_text(capsys):
-    code, out = run(capsys, "t1", A2, "--invariant")
+def test_t1_invariant_text(monkeypatch, capsys):
+    """`t1` prints the pinned degrees, and builds no cluster complex."""
+    monkeypatch.setattr(cli, "cluster_complex", None)
+    code, out = run(capsys, "t1", A2)
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "pinned degrees: 5"
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("flag", ["--families", "--invariant"])
+def test_t1_takes_no_listing_flag(capsys, flag):
+    """`t1` prints the pinned degrees only; the flags that chose between
+    them and the family listing are usage errors."""
+    assert main(["t1", A2, flag]) == 2
+    assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["a1f", "a3", "b2", "c2", "g2"])
+def test_t1_without_strictly_positive_grading(capsys, name):
+    """With no strictly positive grading there is no box for the witness
+    search: `t1` exits 2 and prints nothing on stdout."""
+    code = main(["t1", str(_DATA / (name + ".json"))])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: no strictly positive grading\n"
+
+
+def test_closed_stdout_is_no_input_error():
+    """A reader that closes the pipe before the output ends, as `| head -1`
+    does, gets exit 141, as from a writer killed by SIGPIPE, and nothing
+    on stderr: no "input error" and no "Exception ignored" at shutdown."""
+    src = Path(cli.__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "clusterdeform.cli", "t1", A2],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert result.stderr == ""
+
+
 @pytest.mark.parametrize("name", ["a3_bad", "d4", "gr26_pullback", "aug_b3",
                                   "aug_c3"])
 def test_t1_json_golden(capsys, tmp_path, name):
-    """`t1 --json` prints the degree families and the pinned degrees."""
+    """`t1 --json` prints the pinned degrees."""
     if name in AUGMENTED:
         seed_file = tmp_path / (name + ".json")
         seed_file.write_text(json.dumps(seed_to_dict(augmented_seed(name))))

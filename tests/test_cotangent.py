@@ -10,34 +10,29 @@ import clusterdeform
 from clusterdeform import intlinalg
 from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.cli import _data_path, main
-from clusterdeform.cotangent import (CotangentError, T1Degree,
-                                     t1_degree_families, t1_invariant,
+from clusterdeform.cotangent import (CotangentError, t1_invariant,
                                      t1_witnesses, variable_weights)
 from clusterdeform.gradings import t_degrees
 from clusterdeform.intlinalg import lattice_coordinates, mat_vec
 from clusterdeform.properties import check_t1
-from clusterdeform.simplicial import cluster_complex
 from clusterdeform.universal import build_universal
 from tests.atlas_oracle import SEARCH_SEEDS
 from tests.conftest import augmented_seed, data_seed, gradings_of, path_seed
 
 
 def characteristic_image(univ):
-    """One pinned degree per universal coefficient, read off the relation
-    that carries the coefficient alone with exponent 1: the reference for
-    the degrees that t1_invariant pins."""
+    """One degree {"pair", "a", "b"} per universal coefficient, read off
+    the relation that carries the coefficient alone with exponent 1: the
+    reference for the degrees that t1_invariant pins."""
     if univ.has_isolated_vertex:
         raise CotangentError("isolated vertex: characteristic map degenerate")
-    mutable = {v.id for v in univ.base_atlas.mutable_variables}
     out = []
     for t_id in univ.t_ids:
         rel_idx, side_idx = univ.owners[t_id][0]
         rel = univ.univ_relations[rel_idx]
         _, z_part = rel["sides"][side_idx]
-        b = {v: 1 for v in rel["pair"]}
-        omega = {v for v in z_part if v in mutable}
-        out.append(T1Degree(None, rel["pair"], omega,
-                            dict(z_part), b, family=False))
+        out.append({"pair": sorted(rel["pair"]), "a": dict(z_part),
+                    "b": {v: 1 for v in rel["pair"]}})
     return out
 
 
@@ -45,24 +40,11 @@ def degree_vector(degree, order):
     """The degree a - b as a vector over the variable ids in `order`."""
     index = {v: i for i, v in enumerate(order)}
     vec = [0] * len(order)
-    for v, e in degree.a.items():
+    for v, e in degree["a"].items():
         vec[index[v]] += e
-    for v, e in degree.b.items():
+    for v, e in degree["b"].items():
         vec[index[v]] -= e
     return tuple(vec)
-
-
-def test_a2_families(a2_atlas):
-    K = cluster_complex(a2_atlas)
-    fams = t1_degree_families(a2_atlas, K)
-    # rank 2: the mutated vertex always has its single neighbor required,
-    # so omega is forced and there is one family per exchangeable pair
-    assert len(fams) == 5
-    for d in fams:
-        assert d.family
-        assert len(d.pair) == 2
-        assert len(d.omega) == 1
-        assert not d.omega & d.pair
 
 
 def test_a2_pinned_degrees(a2_atlas, a2_univ):
@@ -78,8 +60,8 @@ def test_characteristic_image_structure(a2_univ):
     image = characteristic_image(a2_univ)
     assert len(image) == a2_univ.p
     for deg in image:
-        assert sum(deg.b.values()) == 2
-        assert deg.omega <= set(deg.a)
+        assert sum(deg["b"].values()) == 2
+        assert not set(deg["a"]) & set(deg["pair"])
 
 
 def test_characteristic_image_rejects_isolated():
@@ -276,11 +258,10 @@ def test_witness_searches_compute_one_smith_form_per_pipeline(
     atlas = enumerate_atlas(data_seed(name))
     D, grading = gradings_of(atlas)
     expected = (check_t1(atlas, D, grading).witnesses,
-                [d.degree_key() for d in t1_invariant(atlas, D, grading)])
+                t1_invariant(atlas, D, grading))
     calls = _smith_calls(monkeypatch)
     assert check_t1(atlas, D, grading).witnesses == expected[0]
-    assert [d.degree_key() for d in t1_invariant(atlas, D, grading)] == \
-        expected[1]
+    assert t1_invariant(atlas, D, grading) == expected[1]
     assert calls == []
     main(["check", "--property", "t1", _data_path(name)])
     capsys.readouterr()

@@ -17,6 +17,7 @@ Every backticked name in a docstring or comment there resolves: a bare
 identifier to a name of its file or a top-level name of the package, and
 `A.B`, A a module or class of the package, to a member of A."""
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -26,7 +27,10 @@ import re
 import tokenize
 from collections import Counter
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "clusterdeform"
+from clusterdeform.cli import build_parser
+
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "clusterdeform"
 
 # Reached only from the tests and the benchmark's case builder, which
 # imports mutate.  Every other test-only function lives in the tests, next
@@ -380,3 +384,20 @@ def test_scan_sees_a_stale_backticked_name():
         "    return univ\n")
     assert unresolved_names({"m.py": source, "n.py": "def helper(): pass\n"}) \
         == [("m.py", "Atlas.nope"), ("m.py", "universal_images")]
+
+
+def test_every_cli_option_is_passed_by_a_test():
+    """Every option string of every subcommand, -h and --help aside,
+    appears quoted in some test file: an option that no test names, like
+    the `t1 --families` listing that nothing checked, is a dead flag."""
+    text = "".join(path.read_text() for path in sorted(TESTS.glob("*.py")))
+    subcommands = [item for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)
+                   for item in action.choices.items()]
+    assert subcommands
+    unquoted = sorted(
+        (name, option) for name, sub in subcommands
+        for action in sub._actions for option in action.option_strings
+        if option not in ("-h", "--help")
+        and '"%s"' % option not in text and "'%s'" % option not in text)
+    assert unquoted == []

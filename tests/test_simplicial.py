@@ -1,5 +1,8 @@
 """Complexes, monomial ideals, links, joins, sphere and flag checks."""
 
+from collections import Counter
+from math import comb
+
 import pytest
 
 from clusterdeform.atlas import enumerate_atlas
@@ -7,8 +10,9 @@ from clusterdeform.seeds import ExtendedExchangeMatrix, Seed
 from clusterdeform.simplicial import (MonomialIdeal, SimplicialComplex,
                                       cluster_complex, minimal_nonfaces,
                                       sr_ideal, support_mask)
-from tests.conftest import path_seed
-from tests.simplicial_oracle import (ORACLE_SEEDS, dimension,
+from tests.atlas_oracle import SEARCH_SEEDS
+from tests.conftest import data_seed, path_seed
+from tests.simplicial_oracle import (BUNDLED, ORACLE_SEEDS, dimension,
                                      face_walk_nonfaces, faces, is_pure, join,
                                      link, sphere_check)
 
@@ -69,6 +73,42 @@ def test_sr_ideal_matches_face_walk(name):
     assert J.variables == variables
     assert J.generators == sorted(tuple(int(v in nf) for v in variables)
                                   for nf in face_walk_nonfaces(K))
+
+
+def h_vector_of_faces(K, d):
+    """h_k = sum_i (-1)^(k-i) C(d-i, k-i) f_(i-1) for k = 0..d, from the
+    number f_(i-1) of faces with i vertices of a complex of dimension
+    d - 1, the empty face included."""
+    f = Counter(len(face) for face in faces(K))
+    return [sum((-1) ** (k - i) * comb(d - i, k - i) * f[i]
+                for i in range(k + 1)) for k in range(d + 1)]
+
+
+def h_vector_of_signs(atlas):
+    """h_k = the number of seeds with exactly k negative c-vectors, that
+    is, whose H_t has exactly k rows with no positive entry."""
+    h = [0] * (atlas.n + 1)
+    for state in atlas.seeds:
+        h[sum(max(row) <= 0 for row in state.inverse)] += 1
+    return h
+
+
+H_VECTOR_SEEDS = dict(
+    [(name, lambda name=name: data_seed(name)) for name in BUNDLED]
+    + list(SEARCH_SEEDS.items()))
+
+
+@pytest.mark.parametrize("name", sorted(H_VECTOR_SEEDS))
+def test_h_vector_from_c_vector_signs(name):
+    """Counting the seeds by their number of negative c-vectors gives the
+    h-vector of the cluster complex, read off its faces, and that vector
+    is palindromic, as the h-vector of a sphere is (Dehn-Sommerville).
+    The first equality is a cross-check, on every bundled seed and every
+    seed of the exchange-graph oracle, not a cited theorem."""
+    atlas = enumerate_atlas(H_VECTOR_SEEDS[name]())
+    h = h_vector_of_signs(atlas)
+    assert h == h_vector_of_faces(cluster_complex(atlas), atlas.n)
+    assert h == h[::-1]
 
 
 def test_full_simplex_zero_ideal():
