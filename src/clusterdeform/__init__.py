@@ -13,8 +13,7 @@ from .atlas import enumerate_atlas
 from .simplicial import (SimplicialComplex, MonomialIdeal, cluster_complex,
                          sr_ideal, minimal_nonfaces)
 from .gradings import (m_grading, rank_flags, find_positive_grading,
-                       find_strictly_positive, add_frozen_for_positivity,
-                       t_degrees)
+                       find_strictly_positive, add_frozen_for_positivity)
 from .universal import build_universal, fiber_at_zero
 from .cotangent import t1_invariant, t1_witnesses
 from .properties import (check_t0, check_t0_star, check_t1, repair_t1,
@@ -31,7 +30,7 @@ __all__ = [
     "SimplicialComplex", "MonomialIdeal", "cluster_complex", "sr_ideal",
     "minimal_nonfaces",
     "m_grading", "rank_flags", "find_positive_grading",
-    "find_strictly_positive", "add_frozen_for_positivity", "t_degrees",
+    "find_strictly_positive", "add_frozen_for_positivity",
     "build_universal", "fiber_at_zero",
     "t1_invariant", "t1_witnesses",
     "check_t0", "check_t0_star", "check_t1", "repair_t1", "semigroup_data",

@@ -15,8 +15,7 @@ from .atlas import AtlasError, enumerate_atlas
 from .cotangent import CotangentError, t1_invariant
 from .deform import DeformError, lift, verify_family
 from .gradings import (add_frozen_for_positivity, find_positive_grading,
-                       find_strictly_positive, m_grading, rank_flags,
-                       t_degrees)
+                       find_strictly_positive, m_grading, rank_flags)
 from .groebner import GroebnerError, groebner_cone
 from .polynomials import MonomialOrder, join_terms, monomial_str
 from .properties import (PropertyError, PropertyReport, check_t0,
@@ -208,16 +207,15 @@ def _relation_line(rel):
 def cmd_univ(args):
     pipe = _pipeline(args)
     univ = pipe.universal
-    degs = t_degrees(univ)
     fiber = fiber_at_zero(univ, pipe.ideal)
     payload = {"u_rows": univ.u_rows, "t_ids": univ.t_ids,
                "relations": _relation_payload(univ),
-               "t_degrees": {t: list(degs[t]) for t in univ.t_ids},
+               "t_degrees": dict(zip(univ.t_ids, map(list, univ.t_degrees))),
                "variable_order": univ.variable_order,
                "fiber_at_zero": fiber["verdict"]}
     lines = ["coefficients: %d" % univ.p]
-    for t, row in zip(univ.t_ids, univ.u_rows):
-        lines.append("  %s  row %s  deg_T %s" % (t, row, degs[t]))
+    for t, row, deg in zip(univ.t_ids, univ.u_rows, univ.t_degrees):
+        lines.append("  %s  row %s  deg_T %s" % (t, row, deg))
     lines.append("relations: %d" % len(univ.univ_relations))
     lines += ["  " + _relation_line(r) for r in payload["relations"]]
     lines.append("fiber at zero in the monomial ideal: %s" % fiber["verdict"])

@@ -45,7 +45,11 @@ def t1_witnesses(rows, j, weights, free, torsion):
 
 def variable_weights(atlas, ids, D):
     """Degrees g . D of the given variables, each of which must be >= 1: a
-    strictly positive grading D of the initial seed, read at any seed."""
+    strictly positive grading D of the initial seed, read at any seed.  The
+    T1, T0 and T0* checkers all read D here, so this is where a missing D
+    (None) is reported."""
+    if D is None:
+        raise CotangentError("no strictly positive grading")
     weights = [vec_dot(atlas.variables[v].g_vector, D) for v in ids]
     if any(x < 1 for x in weights):
         raise CotangentError("grading not strictly positive on all variables")
@@ -86,8 +90,6 @@ def t1_invariant(atlas, D_strict, grading):
     exchangeable pair.  Each distinct (a, b) gives one dict {"pair", "a",
     "b", "witness"}, with the first witness found; the pair, a and b are
     sorted by variable id, and the list by (a, b)."""
-    if D_strict is None:
-        raise CotangentError("no strictly positive grading")
     found = {}
     for state, rows, k, w in t1_witness_walk(atlas, D_strict, grading):
         pair = sorted({state.ids[k], atlas.exchanged(state.index, k)})

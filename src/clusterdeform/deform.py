@@ -11,13 +11,13 @@ Generators are `Poly`s over the variables z first, t after, ordered by
 `MonomialOrder(weights)`: the weights cover the z-variables only, and ties
 break by total degree, then lexicographically.  Each generator leads with
 its SR monomial, coefficient 1, and is homogeneous for the fine grading in
-which z_v has degree e_v and t_i the degree from the gradings module.
+which z_v has degree e_v and t_i its degree deg_T from the universal
+module.
 """
 
 from heapq import heapify, heappop, heappush
 from operator import add, sub
 
-from .gradings import t_degrees
 from .intlinalg import vec_dot
 from .polynomials import MonomialOrder, Poly, monomial_str
 
@@ -66,8 +66,7 @@ def _family(univ, J, weight):
     z_vars, t_vars = list(univ.variable_order), list(univ.t_ids)
     index = {v: i for i, v in enumerate(z_vars + t_vars)}
     nv = len(index)
-    tdeg_map = t_degrees(univ)
-    lam = [vec_dot(weight, tdeg_map[t]) for t in t_vars]
+    lam = [vec_dot(weight, deg) for deg in univ.t_degrees]
     for t, x in zip(t_vars, lam):
         if x < 1:
             raise DeformError("weight is not positive on %s" % t)

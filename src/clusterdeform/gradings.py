@@ -1,5 +1,5 @@
 """Gradings: the M-grading (cokernel of the exchange matrix), positive
-grading search, rank flags, frozen-variable augmentation, and t-degrees."""
+grading search, rank flags and frozen-variable augmentation."""
 
 from .atlas import enumerate_atlas
 from .cones import slack_ray
@@ -105,8 +105,10 @@ def find_strictly_positive(atlas, grading):
 def add_frozen_for_positivity(seed, max_seeds=100000):
     """Add n frozen rows plus one balancing row so that (1,...,1) becomes a
     grading giving every cluster variable positive degree."""
-    base = enumerate_atlas(seed, max_seeds=max_seeds)
     n = seed.matrix.n
+    if n == 0:
+        raise ValueError("rank 0: no mutable variable to make positive")
+    base = enumerate_atlas(seed, max_seeds=max_seeds)
     c = min(sum(v.g_vector) for v in base.mutable_variables) - 1
     rows = [list(r) for r in seed.matrix.entries]
     for k in range(n):
@@ -127,25 +129,3 @@ def add_frozen_for_positivity(seed, max_seeds=100000):
         raise RuntimeError("positivity augmentation failed verification")
     return out
 
-
-def t_degrees(univ):
-    """deg_T(t_i) in Z^{p+q}: exchange-monomial degree minus the degree of
-    the alpha_1 side owned by t_i, over the base variable order."""
-    order = univ.variable_order
-    index = {v: i for i, v in enumerate(order)}
-    out = {}
-    for t_id in univ.t_ids:
-        degs = set()
-        for rel_idx, side_idx in univ.owners[t_id]:
-            relation = univ.univ_relations[rel_idx]
-            vec = [0] * len(order)
-            for v in relation["pair"]:
-                vec[index[v]] += 1
-            _, z_part = relation["sides"][side_idx]
-            for v, e in z_part.items():
-                vec[index[v]] -= e
-            degs.add(tuple(vec))
-        if len(degs) != 1:
-            raise ValueError("inconsistent degrees for %s: %r" % (t_id, degs))
-        out[t_id] = degs.pop()
-    return out

@@ -2,7 +2,6 @@
 simpliciality and smoothness certificates, and interior weight selection."""
 
 from .cones import dual_cone, slack_ray
-from .gradings import t_degrees
 from .intlinalg import (identity_matrix, kernel_basis, primitive,
                         smith_normal_form, vec_dot)
 
@@ -67,8 +66,7 @@ def groebner_cone(univ):
     cone is their dual, with certificates from the ray matrix."""
     if univ.has_isolated_vertex:
         raise GroebnerError("isolated vertex: degenerate exchange relation")
-    degs = t_degrees(univ)
-    gens = [tuple(degs[t]) for t in univ.t_ids]
+    gens = univ.t_degrees
     dim = len(univ.variable_order)
     cone = dual_cone(gens, dim)
     simplicial, smooth = cone_certificates(cone)

@@ -11,7 +11,7 @@ from .atlas import enumerate_atlas
 from .cones import dual_cone
 from .cotangent import t1_witness_walk, variable_weights
 from .gradings import (add_frozen_for_positivity, find_strictly_positive,
-                       m_grading, rank_flags, t_degrees)
+                       m_grading, rank_flags)
 from .intlinalg import lattice_coordinates, nonnegative_solutions, vec_dot
 from .seeds import ExtendedExchangeMatrix, Seed, mutate_along
 from .simplicial import support_mask
@@ -58,8 +58,7 @@ class SemigroupData:
 
 def semigroup_data(univ):
     """Generators are the negated coefficient degrees."""
-    degs = t_degrees(univ)
-    gens = [tuple(-x for x in degs[t]) for t in univ.t_ids]
+    gens = [tuple(-x for x in deg) for deg in univ.t_degrees]
     if not any(any(g) for g in gens):
         raise PropertyError("all generators are zero")
     return SemigroupData(gens)
@@ -82,9 +81,6 @@ def check_t1(atlas, D_strict, grading):
     """For every seed matrix and every mutable index, the only lattice
     witnesses allowed are 0 and the negated column; lattice membership is
     read off the M-grading `grading` (see `t1_witness_walk`)."""
-    if D_strict is None:
-        raise PropertyError("no strictly positive grading: cannot bound "
-                            "the witness search")
     witnesses = []
     for state, rows, j, w in t1_witness_walk(atlas, D_strict, grading):
         if any(w) and w != [-row[j] for row in rows]:
@@ -99,8 +95,6 @@ def check_t0(J, grading, atlas, D_strict):
     ideal.  The monomials come from `nonnegative_solutions` with v's D-weight
     and the free part of v's fine degree as equalities; their torsion
     residues are compared modulo `grading.torsion` at the leaf."""
-    if D_strict is None:
-        raise PropertyError("no strictly positive grading")
     ids = J.variables
     weights = variable_weights(atlas, ids, D_strict)
     free, torsion = grading.degree_rows(ids)
@@ -129,8 +123,6 @@ def check_t0_star(J, univ, semigroup, D_strict):
     semigroup must act on a generator coming from an exchangeable pair.
     Only monomials whose degree alpha - e_v lies in the generators' cone
     (rows: the lineality and the rays of its dual) reach `contains`."""
-    if D_strict is None:
-        raise PropertyError("no strictly positive grading")
     atlas = univ.base_atlas
     ids = J.variables
     index = {v: i for i, v in enumerate(ids)}

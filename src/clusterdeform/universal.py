@@ -1,5 +1,6 @@
 """Universal coefficients: the canonical frozen extension, its exchange
-relations, coefficient ownership, and the fiber-at-zero consistency check.
+relations, the coefficient degrees deg_T, and the fiber-at-zero
+consistency check.
 
 The coefficient rows are the universal coefficients of Reading ("Universal
 geometric cluster algebras", Math. Z. 2014), the g-vectors of the
@@ -28,12 +29,14 @@ class UniversalData:
     u_rows are the added frozen rows (one per coefficient), t_ids their
     names, univ_relations the exchange relations of the extended algebra
     with each side split into a t-part and a z-part over base variables.
-    owners maps each t to every (relation index, side index) where it
-    appears alone with exponent 1 on a side containing a mutable variable.
+    t_degrees lists deg_T(t) for each t of t_ids, over variable_order: the
+    exponent vector of an exchangeable pair minus the z-part of the side
+    that carries t alone, with exponent 1, opposite a side with no mutable
+    variable.
     """
 
     __slots__ = ("base_atlas", "u_rows", "t_ids", "univ_relations",
-                 "owners", "variable_order", "has_isolated_vertex")
+                 "t_degrees", "variable_order", "has_isolated_vertex")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -55,7 +58,9 @@ def build_universal(base_atlas):
     the seed where the base atlas first found the pair; the two sides are
     ordered by their sorted (id, exponent) items.  Each variable's row must
     be integral, and the same at every seed that holds it: its g-vector is
-    fixed, so every position it takes must have the same d_i."""
+    fixed, so every position it takes must have the same d_i.  Each
+    coefficient's degree deg_T is read off the relation side that carries
+    it alone, and must be the same on every such side."""
     seed = base_atlas.initial_seed
     n = seed.matrix.n
     d = seed.matrix.skew_symmetrizer
@@ -104,13 +109,14 @@ def build_universal(base_atlas):
         relations.append({"pair": ep.pair, "sides": tuple(sides)})
     relations.sort(key=lambda r: tuple(sorted(r["pair"])))
 
-    # a coefficient is owned through the relations where it appears alone
-    # with exponent 1 while the opposite side involves no mutable variable;
-    # for a sink-and-source pair both sides qualify and contribute one each
     has_isolated = not is_isolated_vertex_free(seed.matrix)
     frozen_base = set(base_atlas.frozen_ids)
-    owners = {}
-    for idx, rel in enumerate(relations):
+    order = [v.id for v in base_atlas.mutable_variables] + base_atlas.frozen_ids
+    # a side carries its coefficient alone when the opposite side involves
+    # no mutable variable; a sink-and-source pair has two such sides, one
+    # for each of its coefficients
+    degrees = {}
+    for rel in relations:
         pure_frozen = [all(v in frozen_base for v in z)
                        for _, z in rel["sides"]]
         for s in (0, 1):
@@ -119,21 +125,22 @@ def build_universal(base_atlas):
             t_part, z_part = rel["sides"][s]
             if len(t_part) != 1 or next(iter(t_part.values())) != 1:
                 raise UniversalError(
-                    "distinguished side of %r does not carry a single "
-                    "coefficient with exponent 1" % (set(rel["pair"]),))
-            t_id = next(iter(t_part))
-            owners.setdefault(t_id, []).append((idx, s))
+                    "distinguished side of {%s} does not carry a single "
+                    "coefficient with exponent 1"
+                    % ", ".join(sorted(rel["pair"])))
+            (t_id,) = t_part
+            vec = tuple((v in rel["pair"]) - z_part.get(v, 0) for v in order)
+            if degrees.setdefault(t_id, vec) != vec:
+                raise UniversalError("inconsistent degrees for %s: %r and %r"
+                                     % (t_id, degrees[t_id], vec))
 
-    missing = [t for t in t_ids if t not in owners]
+    missing = [t for t in t_ids if t not in degrees]
     if missing:
         raise UniversalError("coefficients never appear alone: %r" % missing)
 
-    order = [v.id for v in base_atlas.mutable_variables] + base_atlas.frozen_ids
-
     return UniversalData(
         base_atlas=base_atlas, u_rows=[list(g) for g in t_gs], t_ids=t_ids,
-        univ_relations=relations,
-        owners=owners,
+        univ_relations=relations, t_degrees=[degrees[t] for t in t_ids],
         variable_order=order, has_isolated_vertex=has_isolated)
 
 

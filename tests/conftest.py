@@ -48,6 +48,20 @@ AUGMENTED = {
 }
 
 
+def owning_sides(relations, frozen):
+    """t -> (relation index, side index) of the side that carries the
+    coefficient t alone, opposite a side whose z-part is frozen.  Every
+    coefficient has exactly one such side on every seed tested."""
+    out = {}
+    for idx, rel in enumerate(relations):
+        for s in (0, 1):
+            if all(v in frozen for v in rel["sides"][1 - s][1]):
+                (t_id,) = rel["sides"][s][0]
+                assert t_id not in out, "two owning sides for " + t_id
+                out[t_id] = (idx, s)
+    return out
+
+
 def gradings_of(atlas):
     """The strictly positive grading D and the M-grading of an atlas, as
     the pipeline builds them: D is searched in the M-grading's free rows."""

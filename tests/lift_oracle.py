@@ -23,9 +23,9 @@ from operator import add
 
 from clusterdeform.deform import (DeformError, _exponent, _family,
                                   _max_possible_order)
-from clusterdeform.gradings import t_degrees
 from clusterdeform.intlinalg import vec_dot
 from clusterdeform.polynomials import MonomialOrder, Poly
+from tests.conftest import owning_sides
 from tests.groebner_oracle import divide
 from tests.rational_oracle import rref
 
@@ -53,8 +53,9 @@ def first_order(univ, J, weight):
     index = {v: i for i, v in enumerate(family.z_vars + family.t_vars)}
     lead_index = {l: i for i, l in enumerate(family.sr_leads)}
     generators = [dict(g.terms) for g in family.generators]
+    owners = owning_sides(univ.univ_relations, univ.base_atlas.frozen_ids)
     for t in family.t_vars:
-        rel_idx, side_idx = univ.owners[t][0]
+        rel_idx, side_idx = owners[t]
         rel = univ.univ_relations[rel_idx]
         b = _exponent(index, family.nv, dict.fromkeys(rel["pair"], 1))
         _, z_part = rel["sides"][side_idx]
@@ -111,17 +112,11 @@ def exchange_flags(family):
     return [l in pairs for l in family.sr_leads]
 
 
-def t_degree_list(family):
-    """deg_T of each t-variable, in `family.t_vars` order."""
-    degs = t_degrees(family.univ)
-    return [degs[t] for t in family.t_vars]
-
-
 def prune_tables(family):
     """The t-degrees, their nonzero entries, and `_candidates`' gain and
     slope."""
     nz = family.nz
-    degs = t_degree_list(family)
+    degs = family.univ.t_degrees
     gain = [[0] * nz]
     for d in reversed(degs):
         gain.append([max(g, -y) for g, y in zip(gain[-1], d)])

@@ -355,6 +355,21 @@ def test_t1_without_strictly_positive_grading(capsys, name):
     assert captured.err == "error: no strictly positive grading\n"
 
 
+@pytest.mark.parametrize("argv", [["grading", "--add-frozen"],
+                                  ["check", "--property", "t1", "--repair"]],
+                         ids=["grading-add-frozen", "check-t1-repair"])
+def test_rank_zero_seed_has_nothing_to_make_positive(capsys, tmp_path, argv):
+    """A seed without mutable variables cannot be augmented towards a
+    strictly positive grading: both commands that augment exit 2 with a
+    message that names the cause."""
+    path = tmp_path / "rank0.json"
+    path.write_text(json.dumps({"n": 0, "m": 0, "B": []}))
+    code = main([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        2, "", "error: rank 0: no mutable variable to make positive\n")
+
+
 def test_closed_stdout_is_no_input_error():
     """A reader that closes the pipe before the output ends, as `| head -1`
     does, gets exit 141, as from a writer killed by SIGPIPE, and nothing

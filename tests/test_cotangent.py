@@ -12,12 +12,12 @@ from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.cli import _data_path, main
 from clusterdeform.cotangent import (CotangentError, t1_invariant,
                                      t1_witnesses, variable_weights)
-from clusterdeform.gradings import t_degrees
 from clusterdeform.intlinalg import lattice_coordinates, mat_vec
 from clusterdeform.properties import check_t1
 from clusterdeform.universal import build_universal
 from tests.atlas_oracle import SEARCH_SEEDS
-from tests.conftest import augmented_seed, data_seed, gradings_of, path_seed
+from tests.conftest import (augmented_seed, data_seed, gradings_of,
+                            owning_sides, path_seed)
 
 
 def characteristic_image(univ):
@@ -26,9 +26,10 @@ def characteristic_image(univ):
     reference for the degrees that t1_invariant pins."""
     if univ.has_isolated_vertex:
         raise CotangentError("isolated vertex: characteristic map degenerate")
+    owners = owning_sides(univ.univ_relations, univ.base_atlas.frozen_ids)
     out = []
     for t_id in univ.t_ids:
-        rel_idx, side_idx = univ.owners[t_id][0]
+        rel_idx, side_idx = owners[t_id]
         rel = univ.univ_relations[rel_idx]
         _, z_part = rel["sides"][side_idx]
         out.append({"pair": sorted(rel["pair"]), "a": dict(z_part),
@@ -169,8 +170,7 @@ def check_coefficient_degrees(atlas, univ, uncovered):
     order = univ.variable_order
     pinned = Counter(degree_vector(d, order)
                      for d in t1_invariant(atlas, D, grading))
-    coefficients = Counter(tuple(-x for x in deg)
-                           for deg in t_degrees(univ).values())
+    coefficients = Counter(tuple(-x for x in deg) for deg in univ.t_degrees)
     assert not coefficients - pinned, \
         "coefficient degrees not pinned: %r" % sorted(coefficients - pinned)
     gap = sorted((pinned - coefficients).elements())
@@ -199,7 +199,8 @@ def test_a_dropped_coefficient_row_names_its_degree(a2_atlas, a2_univ):
     pinned degree, the dropped coefficient's, has no coefficient."""
     univ = copy.copy(a2_univ)
     univ.t_ids, univ.u_rows = a2_univ.t_ids[1:], a2_univ.u_rows[1:]
-    dropped = tuple(-x for x in t_degrees(a2_univ)[a2_univ.t_ids[0]])
+    univ.t_degrees = a2_univ.t_degrees[1:]
+    dropped = tuple(-x for x in a2_univ.t_degrees[0])
     with pytest.raises(AssertionError, match=re.escape(
             "pinned degrees without a coefficient: %r" % [dropped])):
         check_coefficient_degrees(a2_atlas, univ, 0)

@@ -15,7 +15,9 @@ load of its name counts.
 
 Every backticked name in a docstring or comment there resolves: a bare
 identifier to a name of its file or a top-level name of the package, and
-`A.B`, A a module or class of the package, to a member of A."""
+`A.B`, A a module or class of the package, to a member of A.  The
+package's `__all__` lists exactly the public functions and classes that
+its `__init__` binds."""
 
 import argparse
 import ast
@@ -27,6 +29,7 @@ import re
 import tokenize
 from collections import Counter
 
+import clusterdeform
 from clusterdeform.cli import build_parser
 
 TESTS = pathlib.Path(__file__).resolve().parent
@@ -226,6 +229,20 @@ def test_benchmark_bindings_resolve():
     for module, cls, meth in methods:
         owner = getattr(importlib.import_module("clusterdeform." + module), cls)
         assert callable(getattr(owner, meth)), (module, cls, meth)
+
+
+def test_package_exports_match_all():
+    """Every name in `clusterdeform.__all__` is bound in the package, once,
+    and every public function or class bound there is listed: a deleted
+    function left in `__all__` fails here, and so does an export left out
+    of it."""
+    listed = clusterdeform.__all__
+    assert len(set(listed)) == len(listed)
+    assert [name for name in listed if not hasattr(clusterdeform, name)] == []
+    bound = {name for name, obj in vars(clusterdeform).items()
+             if not name.startswith("_")
+             and (inspect.isfunction(obj) or inspect.isclass(obj))}
+    assert bound == set(listed)
 
 
 def test_scan_sees_an_uncalled_method_behind_a_slot():

@@ -453,7 +453,7 @@ def reference_candidates(fam, k):
     lexicographic order, kept when it fits the weight budget of j and
     leaves a standard z-part >= 0."""
     nz, nt = fam.nz, len(fam.t_vars)
-    degs = lift_oracle.t_degree_list(fam)
+    degs = fam.univ.t_degrees
     moves = [(beta, vec_dot(fam.lam, beta),
               [sum(b * d[x] for b, d in zip(beta, degs)) for x in range(nz)])
              for beta in compositions(k, nt)]

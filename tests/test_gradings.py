@@ -6,7 +6,7 @@ from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.gradings import (add_frozen_for_positivity,
                                     find_positive_grading,
                                     find_strictly_positive, m_grading,
-                                    rank_flags, t_degrees)
+                                    rank_flags)
 from clusterdeform.intlinalg import vec_dot
 from clusterdeform.seeds import ExtendedExchangeMatrix, Seed
 from tests.conftest import data_seed
@@ -146,7 +146,7 @@ def test_add_frozen_for_positivity(g2_seed):
 
 
 def test_a2_t_degrees(a2_univ):
-    assert t_degrees(a2_univ) == A2_T_DEGREES
+    assert dict(zip(a2_univ.t_ids, a2_univ.t_degrees)) == A2_T_DEGREES
 
 
 def test_t_degree_matches_relation_balance(a2_univ):
@@ -154,7 +154,7 @@ def test_t_degree_matches_relation_balance(a2_univ):
     variables carry unit degrees."""
     order = a2_univ.variable_order
     index = {v: i for i, v in enumerate(order)}
-    degs = t_degrees(a2_univ)
+    degs = dict(zip(a2_univ.t_ids, a2_univ.t_degrees))
     for rel in a2_univ.univ_relations:
         pair_vec = [0] * len(order)
         for v in rel["pair"]:

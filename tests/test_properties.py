@@ -12,7 +12,7 @@ from clusterdeform import cones, properties
 from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.cli import Pipeline
 from clusterdeform.cones import dual_cone
-from clusterdeform.cotangent import variable_weights
+from clusterdeform.cotangent import CotangentError, variable_weights
 from clusterdeform.intlinalg import nonnegative_solutions, vec_dot
 from clusterdeform.properties import (PropertyError, SemigroupData, check_t0,
                                       check_t0_star, check_t1, repair_t1,
@@ -141,11 +141,17 @@ def test_fine_degree_enumeration_matches_filter(name, max_weight):
     assert kept > 0 and dropped > 0
 
 
-def test_checks_require_strict_grading(a2_atlas, a2_ideal, g2_atlas):
-    with pytest.raises(PropertyError):
+def test_checks_require_strict_grading(a2_atlas, a2_ideal, a2_univ,
+                                      g2_atlas):
+    """Each checker reads D through `variable_weights`, which reports a
+    missing one."""
+    missing = "no strictly positive grading"
+    with pytest.raises(CotangentError, match=missing):
         check_t0(a2_ideal, None, a2_atlas, None)
+    with pytest.raises(CotangentError, match=missing):
+        check_t0_star(a2_ideal, a2_univ, None, None)
     # no strictly positive grading exists without frozen variables
-    with pytest.raises(PropertyError):
+    with pytest.raises(CotangentError, match=missing):
         check_t1(g2_atlas, *gradings_of(g2_atlas))
 
 

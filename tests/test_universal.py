@@ -1,16 +1,18 @@
 """The canonical coefficient extension and its exchange relations."""
 
 import copy
+import re
 
 import pytest
 
+from clusterdeform import universal
 from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.seeds import ExtendedExchangeMatrix, Seed, mutate
 from clusterdeform.simplicial import cluster_complex, sr_ideal, support_mask
 from clusterdeform.universal import (UniversalError, build_universal,
                                      fiber_at_zero)
 from tests.atlas_oracle import SEARCH_SEEDS, transpose_u_rows
-from tests.conftest import data_seed, path_seed
+from tests.conftest import data_seed, owning_sides, path_seed
 
 
 A2_U_ROWS = [[-1, 0], [0, -1], [0, 1], [1, -1], [1, 0]]
@@ -58,13 +60,29 @@ def test_a2_relations(a2_univ):
     assert len(got) == 5
 
 
+def _degrees(relations, owners, order):
+    """t -> the exponent vector over `order` of its owning relation's pair
+    minus the z-part of its owning side."""
+    out = {}
+    for t, (rel_idx, side_idx) in owners.items():
+        rel = relations[rel_idx]
+        _, z_part = rel["sides"][side_idx]
+        out[t] = tuple((v in rel["pair"]) - z_part.get(v, 0) for v in order)
+    return out
+
+
 def test_owner_bookkeeping(a2_univ):
-    for t in a2_univ.t_ids:
-        assert a2_univ.owners[t]
-        for rel_idx, side_idx in a2_univ.owners[t]:
-            rel = a2_univ.univ_relations[rel_idx]
-            t_part, _ = rel["sides"][side_idx]
-            assert t_part == {t: 1}
+    """Each coefficient's degree is its owning relation's pair minus the
+    z-part of the side that carries it alone."""
+    owners = owning_sides(a2_univ.univ_relations,
+                          a2_univ.base_atlas.frozen_ids)
+    assert set(owners) == set(a2_univ.t_ids)
+    assert _degrees(a2_univ.univ_relations, owners,
+                    a2_univ.variable_order) == dict(
+        zip(a2_univ.t_ids, a2_univ.t_degrees))
+    for t, (rel_idx, side_idx) in owners.items():
+        t_part, _ = a2_univ.univ_relations[rel_idx]["sides"][side_idx]
+        assert t_part == {t: 1}
 
 
 def test_relation_count_preserved():
@@ -84,7 +102,9 @@ def test_sink_and_source_relation():
     assert sides == {((("t(1)", 1),), (("f1", 1),)),
                      ((("t(-1)", 1),), ())}
     # both coefficients are distinguished through the single relation
-    assert set(univ.owners) == {"t(1)", "t(-1)"}
+    assert univ.variable_order == ["x1", "x(-1,0)", "f1"]
+    assert dict(zip(univ.t_ids, univ.t_degrees)) == {
+        "t(1)": (1, 1, -1), "t(-1)": (1, 1, 0)}
 
 
 def test_isolated_vertex_flag():
@@ -102,10 +122,10 @@ def test_fiber_at_zero(a2_univ, a2_ideal):
 
 
 def _enumerated_extension(seed, univ):
-    """Relations and owners from a full enumeration of the extended
-    pattern: the seed with the coefficient rows stacked under its matrix,
-    its variables mapped to base ones by g-vector prefix, each side split
-    into a t-part and a z-part."""
+    """Relations and coefficient degrees from a full enumeration of the
+    extended pattern: the seed with the coefficient rows stacked under its
+    matrix, its variables mapped to base ones by g-vector prefix, each side
+    split into a t-part and a z-part."""
     n, m = seed.matrix.n, seed.matrix.m
     base = univ.base_atlas
     rows = [list(r) for r in seed.matrix.entries] + univ.u_rows
@@ -128,14 +148,8 @@ def _enumerated_extension(seed, univ):
     for rel in relations:
         z_sides = sorted(tuple(sorted(z.items())) for _, z in rel["sides"])
         assert tuple(z_sides) == base.exchange_pairs[rel["pair"]].monomials
-    frozen = set(base.frozen_ids)
-    owners = {}
-    for idx, rel in enumerate(relations):
-        for s in (0, 1):
-            if all(v in frozen for v in rel["sides"][1 - s][1]):
-                (t_id,) = rel["sides"][s][0]
-                owners.setdefault(t_id, []).append((idx, s))
-    return relations, owners
+    owners = owning_sides(relations, base.frozen_ids)
+    return relations, _degrees(relations, owners, univ.variable_order)
 
 
 BUNDLED = ("a1f", "a2", "a3", "a3_bad", "b2", "c2", "d4", "g2",
@@ -155,10 +169,10 @@ def test_relations_match_enumerated_extension(name):
     enumeration of the extended pattern, side order included."""
     seed = MORE_SEEDS[name]() if name in MORE_SEEDS else data_seed(name)
     univ = build_universal(enumerate_atlas(seed))
-    relations, owners = _enumerated_extension(seed, univ)
+    relations, degrees = _enumerated_extension(seed, univ)
     assert len(relations) == len(univ.base_atlas.exchange_pairs)
     assert univ.univ_relations == relations
-    assert univ.owners == owners
+    assert dict(zip(univ.t_ids, univ.t_degrees)) == degrees
 
 
 @pytest.mark.parametrize("name", SEARCH_SEEDS)
@@ -192,3 +206,48 @@ def test_duality_check_names_a_non_integral_row(g2_atlas):
     with pytest.raises(UniversalError, match=r"^duality check: the "
                        r"coefficient row of z1 is not integral at seed 0$"):
         build_universal(atlas)
+
+
+def _doctored_a1f(monkeypatch, t_doctor=None, z_doctor=None):
+    """build_universal on a1f, whose one relation is
+    x1 x(-1,0) = t(1) f1 + t(-1), with the sides read off the coefficient
+    rows passed through t_doctor and those read off the base rows through
+    z_doctor."""
+    atlas = enumerate_atlas(data_seed("a1f"))
+    read = universal.exchange_monomials
+
+    def doctored(ids, rows, k):
+        sides = read(ids, rows, k)
+        doctor = t_doctor if ids[0].startswith("t(") else z_doctor
+        return sides if doctor is None else tuple(map(doctor, sides))
+
+    monkeypatch.setattr(universal, "exchange_monomials", doctored)
+    return universal.build_universal(atlas)
+
+
+def test_distinguished_side_must_carry_one_coefficient(monkeypatch):
+    """A coefficient with exponent 2 on a distinguished side is refused,
+    and the message names the pair."""
+    with pytest.raises(UniversalError, match=r"^distinguished side of "
+                       r"\{x\(-1,0\), x1\} does not carry a single "
+                       r"coefficient with exponent 1$"):
+        _doctored_a1f(monkeypatch,
+                      t_doctor=lambda side: {t: 2 * e for t, e in side.items()})
+
+
+def test_every_coefficient_must_appear_alone(monkeypatch):
+    """With x1 added to the side of f1, that side is no longer frozen, so
+    the opposite side no longer owns t(-1)."""
+    with pytest.raises(UniversalError, match=re.escape(
+            "coefficients never appear alone: ['t(-1)']")):
+        _doctored_a1f(monkeypatch, z_doctor=lambda side: (
+            {**side, "x1": 1} if "f1" in side else side))
+
+
+def test_owning_sides_must_agree_on_the_degree(monkeypatch):
+    """With t(-1) renamed t(1), both sides own t(1), with the degrees of
+    t(1) and of t(-1)."""
+    with pytest.raises(UniversalError, match=re.escape(
+            "inconsistent degrees for t(1): (1, 1, -1) and (1, 1, 0)")):
+        _doctored_a1f(monkeypatch, t_doctor=lambda side: {
+            t.replace("t(-1)", "t(1)"): e for t, e in side.items()})
