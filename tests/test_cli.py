@@ -306,6 +306,24 @@ def test_grading_find_positive_json_golden_d4(capsys):
     assert out == (GOLDEN / "grading" / "d4-find-positive.json").read_text()
 
 
+@pytest.mark.parametrize("name", ["a1f", "a2", "a3", "a3_bad", "b2", "c2",
+                                  "d4", "g2", "gr26_pullback"]
+                         + sorted(AUGMENTED))
+def test_grading_add_frozen_json_golden(capsys, tmp_path, name):
+    """`grading --add-frozen --json` prints the augmented seed, on every
+    bundled seed and on the `AUGMENTED` seeds before their augmentation."""
+    if name in AUGMENTED:
+        seed_file = tmp_path / (name + ".json")
+        seed_file.write_text(json.dumps(seed_to_dict(AUGMENTED[name]())))
+    else:
+        seed_file = _DATA / (name + ".json")
+    code, out = run(capsys, "grading", str(seed_file), "--add-frozen",
+                    "--json")
+    assert code == 0
+    assert out == (GOLDEN / "grading" / (name + "-add-frozen.json")
+                   ).read_text()
+
+
 def test_grading_text(capsys):
     code, out = run(capsys, "grading", A2, "--find-positive")
     assert code == 0
