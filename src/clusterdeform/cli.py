@@ -247,8 +247,10 @@ def cmd_check(args):
     elif args.property == "t0":
         report = check_t0(pipe.ideal, pipe.grading, atlas, D)
     else:
+        # no semigroup without a grading, nor at rank 0, where T0* holds
         univ = pipe.universal
-        report = check_t0_star(pipe.ideal, univ, semigroup_data(univ), D)
+        semigroup = semigroup_data(univ) if D and atlas.n else None
+        report = check_t0_star(pipe.ideal, univ, semigroup, D)
     payload = {"property": report.property, "holds": report.holds,
                "witnesses": report.witnesses}
     verdict = ("undecided (no strictly positive grading)"

@@ -1,10 +1,12 @@
 """Gradings: the M-grading (cokernel of the exchange matrix), positive
-grading search, rank flags and frozen-variable augmentation."""
+grading search, rank flags and frozen-variable augmentation, whose added
+rows are verified along the base seed's one exchange-graph search."""
 
 from .atlas import enumerate_atlas
 from .cones import slack_ray
 from .intlinalg import identity_matrix, smith_normal_form, vec_dot
 from .seeds import ExtendedExchangeMatrix, Seed
+from .universal import frozen_mover
 
 
 class GradingData:
@@ -67,15 +69,6 @@ def rank_flags(matrix, grading):
             "full_Z_rank": full_rank and not grading.torsion}
 
 
-def positive_combination(constraint_rows, dim):
-    """A mu with <a, mu> >= 1 for every constraint row, or None.
-
-    Solved exactly as the slack ray of the homogenized problem
-    <a, mu> - s >= 0, s >= 0."""
-    ray = slack_ray([list(a) + [-1] for a in constraint_rows], dim + 1)
-    return None if ray is None else ray[:dim]
-
-
 def find_positive_grading(atlas, grading, strict=False):
     """Integer D with B~^T D = 0 and g . D >= 1 for every mutable g-vector,
     searched in the span of the free rows of the atlas's M-grading.
@@ -89,8 +82,10 @@ def find_positive_grading(atlas, grading, strict=False):
     targets = [list(v.g_vector) for v in atlas.mutable_variables]
     if strict:
         targets += identity_matrix(matrix.m)[matrix.n:]
-    constraints = [[vec_dot(g, b) for b in basis] for g in targets]
-    mu = positive_combination(constraints, len(basis))
+    # mu with <a, mu> >= 1 for every constraint row a, solved exactly as the
+    # slack ray of the homogenized problem <a, mu> - s >= 0, s >= 0
+    mu = slack_ray([[vec_dot(g, b) for b in basis] + [-1] for g in targets],
+                   len(basis) + 1)
     if mu is None:
         return None
     D = [sum(mu[b] * basis[b][i] for b in range(len(basis))) for i in range(matrix.m)]
@@ -102,17 +97,38 @@ def find_strictly_positive(atlas, grading):
     return find_positive_grading(atlas, grading, strict=True)
 
 
+def augmented_degrees(base, rows):
+    """Degrees under (1,...,1) of the base atlas's variables with the frozen
+    `rows` added, by the search's recursion on the edge that first reaches
+    each: -deg(x_k) + sum_i max(0, -eps*b~_ik) deg(x_i), eps the sign of row
+    k of H_t and b~ the seed's matrix over the rows moved by `frozen_mover`.
+    Every initial variable and added row has degree 1."""
+    rows_at = frozen_mover(base, rows)
+    deg = dict.fromkeys(base.initial_seed.var_ids, 1)
+    for state in base.seeds[1:]:
+        k = state.path[-1]
+        if state.ids[k] in deg:
+            continue
+        parent = base.seeds[base.seed_graph[(state.index, k)]]
+        eps = 1 if max(parent.inverse[k]) > 0 else -1
+        degrees = [deg[v] for v in parent.ids] + [1] * len(rows)
+        deg[state.ids[k]] = -deg[parent.ids[k]] + sum(
+            max(0, -eps * row[k]) * d
+            for row, d in zip(parent.matrix + rows_at(parent), degrees))
+    return deg
+
+
 def add_frozen_for_positivity(seed, max_seeds=100000):
     """Add n frozen rows plus one balancing row so that (1,...,1) becomes a
-    grading giving every cluster variable positive degree."""
+    grading giving every cluster variable positive degree; one search and
+    `augmented_degrees` verify it."""
     n = seed.matrix.n
     if n == 0:
         raise ValueError("rank 0: no mutable variable to make positive")
     base = enumerate_atlas(seed, max_seeds=max_seeds)
     c = min(sum(v.g_vector) for v in base.mutable_variables) - 1
     rows = [list(r) for r in seed.matrix.entries]
-    for k in range(n):
-        rows.append([-abs(c) if j == k else 0 for j in range(n)])
+    rows += [[-abs(c) if j == k else 0 for j in range(n)] for k in range(n)]
     # balancing row: make every column sum zero, so (1,...,1) is a grading
     rows.append([-sum(row[j] for row in rows) for j in range(n)])
     labels = list(seed.var_ids)
@@ -120,12 +136,6 @@ def add_frozen_for_positivity(seed, max_seeds=100000):
         while label in labels:      # a seed augmented before holds it
             label += "'"
         labels.append(label)
-    out = Seed(ExtendedExchangeMatrix(rows, n=n), labels)
-
-    # re-verify: every cluster variable of the augmented algebra has
-    # positive degree under the all-ones grading
-    check = enumerate_atlas(out, max_seeds=max_seeds)
-    if any(sum(v.g_vector) < 1 for v in check.mutable_variables):
-        raise RuntimeError("positivity augmentation failed verification")
-    return out
-
+    if min(augmented_degrees(base, rows[seed.matrix.m:]).values()) < 1:
+        raise ValueError("positivity augmentation failed verification")
+    return Seed(ExtendedExchangeMatrix(rows, n=n), labels)

@@ -122,16 +122,16 @@ def check_t0_star(J, univ, semigroup, D_strict):
     """Every ideal-non-trivial derivation whose degree lies in the
     semigroup must act on a generator coming from an exchangeable pair.
     Only monomials whose degree alpha - e_v lies in the generators' cone
-    (rows: the lineality and the rays of its dual) reach `contains`."""
+    (rows: the lineality and the rays of its dual) reach `contains`.  The
+    semigroup is read only for a mutable variable: at rank 0 it may be None."""
     atlas = univ.base_atlas
     ids = J.variables
     index = {v: i for i, v in enumerate(ids)}
     weights = variable_weights(atlas, ids, D_strict)
     pairs = atlas.exchange_pairs
-    cone = semigroup.cone
     witnesses = []
     for v in [x.id for x in atlas.mutable_variables]:
-        i = index[v]
+        i, cone = index[v], semigroup.cone
         for alpha in nonnegative_solutions(
                 weights, weights[i], [(l, l[i]) for l in cone.lineality],
                 [(r, r[i]) for r in cone.rays]):

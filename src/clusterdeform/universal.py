@@ -11,7 +11,8 @@ variable at position i of a seed, with g-vector g in `Atlas.variables`,
 gives the row h_j = -d_j g_j / d_i, with d the skew-symmetrizer of B.
 Frozen rows mutate with the mutable block alone (Fomin-Zelevinsky, Cluster
 algebras IV), so each extended exchange relation is a column of the
-extended matrix at a base seed.
+extended matrix at a base seed, where `frozen_mover` (shared with
+`gradings`) moves added frozen rows.
 """
 
 from .atlas import exchange_monomials
@@ -45,6 +46,27 @@ class UniversalData:
     @property
     def p(self):
         return len(self.t_ids)
+
+
+def frozen_mover(base_atlas, rows):
+    """at(state): frozen rows under the base atlas's initial mutable block,
+    mutated along the path of the base seed `state` (memoised by prefix);
+    the moved mutable block must be the state's own."""
+    n = base_atlas.n
+    moved = {(): base_atlas.initial_seed.matrix.entries[:n] + tuple(rows)}
+
+    def move(path):
+        if path not in moved:
+            moved[path] = mutate_entries(move(path[:-1]), path[-1])
+        return moved[path]
+
+    def at(state):
+        stack = move(state.path)
+        if stack[:n] != state.matrix[:n]:
+            raise UniversalError("mutable block moved along the path of "
+                                 "seed %d does not match it" % state.index)
+        return stack[n:]
+    return at
 
 
 def _t_name(g):
@@ -88,21 +110,11 @@ def build_universal(base_atlas):
     if len(set(t_ids)) != len(t_ids):
         raise UniversalError("coefficient g-vectors are not distinct")
 
-    moved = {(): seed.matrix.entries[:n] + tuple(t_gs)}
-
-    def move(path):
-        if path not in moved:
-            moved[path] = mutate_entries(move(path[:-1]), path[-1])
-        return moved[path]
-
+    u_rows_at = frozen_mover(base_atlas, t_gs)
     relations = []
     for ep in base_atlas.exchange_pairs.values():
         state = base_atlas.seeds[ep.seed]
-        rows_at = move(state.path)
-        if rows_at[:n] != state.matrix[:n]:
-            raise UniversalError("mutable block moved along the path of "
-                                 "seed %d does not match it" % ep.seed)
-        t_sides = exchange_monomials(t_ids, rows_at[n:], ep.k)
+        t_sides = exchange_monomials(t_ids, u_rows_at(state), ep.k)
         z_sides = exchange_monomials(state.ids, state.matrix, ep.k)
         sides = sorted(zip(t_sides, z_sides),
                        key=lambda tz: sorted([*tz[0].items(), *tz[1].items()]))

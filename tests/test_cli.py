@@ -388,6 +388,36 @@ def test_rank_zero_seed_has_nothing_to_make_positive(capsys, tmp_path, argv):
         2, "", "error: rank 0: no mutable variable to make positive\n")
 
 
+def test_failed_positivity_verification_is_a_pipeline_error(monkeypatch,
+                                                            capsys):
+    """With the n added rows zero (their depth |c| patched to 0), g2's
+    augmentation leaves a variable of degree < 1 under (1,...,1): the
+    verification fails as a pipeline error, exit 2 with a one-line message,
+    not as a failed property check (exit 1)."""
+    monkeypatch.setattr(gradings, "abs", lambda c: 0, raising=False)
+    code = main(["grading", G2, "--add-frozen"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        2, "", "error: positivity augmentation failed verification\n")
+
+
+@pytest.mark.parametrize("prop, name", [("t0", "T0"), ("t0star", "T0*"),
+                                        ("t1", "T1")])
+def test_rank_zero_seed_checks(capsys, tmp_path, prop, name):
+    """On a seed without mutable variables every property reads the grading
+    first.  With no frozen variable there is no strictly positive grading
+    (exit 2); with one, each property holds trivially."""
+    results = []
+    for data in ({"n": 0, "m": 0, "B": []}, {"n": 0, "m": 1, "B": [[]]}):
+        path = tmp_path / "rank0.json"
+        path.write_text(json.dumps(data))
+        code = main(["check", str(path), "--property", prop])
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert results == [(2, "", "error: no strictly positive grading\n"),
+                       (0, "%s holds: True\n" % name, "")]
+
+
 def test_closed_stdout_is_no_input_error():
     """A reader that closes the pipe before the output ends, as `| head -1`
     does, gets exit 141, as from a writer killed by SIGPIPE, and nothing
@@ -506,12 +536,13 @@ def test_pipeline_computes_each_stage_once(monkeypatch):
 @pytest.mark.parametrize("argv, searches", [
     (("univ",), 1), (("cone",), 1), (("lift",), 1),
     (("check", "--property", "t1"), 1), (("check", "--property", "t0star"), 1),
-    (("grading", "--add-frozen"), 2),
+    (("grading", "--add-frozen"), 1),
 ], ids=lambda a: "-".join(a) if isinstance(a, tuple) else str(a))
 @pytest.mark.parametrize("name", ["a2", "d4"])
 def test_each_command_searches_once(monkeypatch, capsys, argv, searches, name):
-    """One exchange-graph search per command; `grading --add-frozen` also
-    re-verifies the augmented seed with a second one."""
+    """One exchange-graph search per command.  `grading --add-frozen`
+    verifies the augmented seed along the base search, with no second
+    one."""
     calls = []
 
     def counted(*args, **kwargs):

@@ -4,12 +4,13 @@ import pytest
 
 from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.gradings import (add_frozen_for_positivity,
-                                    find_positive_grading,
+                                    augmented_degrees, find_positive_grading,
                                     find_strictly_positive, m_grading,
                                     rank_flags)
 from clusterdeform.intlinalg import vec_dot
 from clusterdeform.seeds import ExtendedExchangeMatrix, Seed
-from tests.conftest import data_seed
+from tests.atlas_oracle import SEARCH_SEEDS
+from tests.conftest import AUGMENTED, data_seed
 
 
 A2_DEG_H = {
@@ -143,6 +144,49 @@ def test_add_frozen_for_positivity(g2_seed):
     # the frozen rows keep the mutable block, so d is derived unchanged
     assert (augmented.matrix.skew_symmetrizer
             == g2_seed.matrix.skew_symmetrizer)
+
+
+def searched_degrees(base, augmented):
+    """The oracle of `augmented_degrees`: a second search, of the augmented
+    seed, with each variable's degree the sum of its g-vector, keyed by the
+    base atlas's ids.  A mutable variable is matched by its mutable g-vector
+    coordinates, which the added frozen rows do not change."""
+    n = base.n
+    atlas = enumerate_atlas(augmented)
+    by_g = {v.g_vector[:n]: sum(v.g_vector)
+            for v in atlas.mutable_variables}
+    assert len(by_g) == len(base.mutable_variables)
+    out = {v: sum(atlas.variables[v].g_vector) for v in base.frozen_ids}
+    out.update((v.id, by_g[v.g_vector[:n]]) for v in base.mutable_variables)
+    return out
+
+
+# The `AUGMENTED` seeds before their augmentation; the "aug_" seeds of
+# SEARCH_SEEDS are augmented already, so they are augmented twice here.
+WALK_SEEDS = dict(SEARCH_SEEDS, **{"plain_" + name: make
+                                   for name, make in AUGMENTED.items()})
+
+
+@pytest.mark.parametrize("name", sorted(WALK_SEEDS))
+def test_augmented_degrees_match_a_search_of_the_augmented_seed(name):
+    """The walk's degrees equal the g-vector sums of a second search: of
+    the augmented seed, and of the same seed without its balancing row.
+    Without that row (1,...,1) is no grading, the two exchange monomials of
+    a pair may differ in degree, and the walk must take the side that the
+    sign of the c-vector picks."""
+    seed = WALK_SEEDS[name]()
+    augmented = add_frozen_for_positivity(seed)
+    base = enumerate_atlas(seed)
+    m, rows = seed.matrix.m, augmented.matrix.entries
+    walk = augmented_degrees(base, rows[m:])
+    assert walk == searched_degrees(base, augmented)
+    assert min(walk.values()) >= 1
+    unbalanced = Seed(ExtendedExchangeMatrix(rows[:-1], n=seed.matrix.n),
+                      augmented.var_ids[:-1])
+    assert (augmented_degrees(base, rows[m:-1])
+            == searched_degrees(base, unbalanced))
+    if name in AUGMENTED:
+        assert augmented.var_ids[-1] == "bal'"
 
 
 def test_a2_t_degrees(a2_univ):

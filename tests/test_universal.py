@@ -208,6 +208,20 @@ def test_duality_check_names_a_non_integral_row(g2_atlas):
         build_universal(atlas)
 
 
+@pytest.mark.parametrize("mover", [
+    lambda atlas: universal.frozen_mover(atlas, [])(atlas.seeds[1]),
+    build_universal], ids=["frozen_mover", "build_universal"])
+def test_mover_names_a_seed_whose_path_is_doctored(g2_atlas, mover):
+    """The first seed after the root, with its path doctored to the root's,
+    holds -B where the mover puts B: the shared mover, and so
+    build_universal, refuses it and names the seed."""
+    atlas = copy.deepcopy(g2_atlas)
+    atlas.seeds[1].path = ()
+    with pytest.raises(UniversalError, match=r"^mutable block moved along "
+                       r"the path of seed 1 does not match it$"):
+        mover(atlas)
+
+
 def _doctored_a1f(monkeypatch, t_doctor=None, z_doctor=None):
     """build_universal on a1f, whose one relation is
     x1 x(-1,0) = t(1) f1 + t(-1), with the sides read off the coefficient
