@@ -208,6 +208,34 @@ def test_check_json_golden(capsys, tmp_path, name, prop):
     assert code == (0 if json.loads(expected)["holds"] else 1)
 
 
+REPAIR_GOLDEN = ["a1f", "a2", "a3_bad", "b2", "c2", "d4", "g2", "gr26_pullback",
+                 "a4", "b4", "c4", "aug_b3", "aug_c3", "aug_a4", "aug_b4",
+                 "aug_c4", "aug_d4"]
+
+
+def _repair_seed_file(tmp_path, name):
+    """A bundled seed, an `AUGMENTED` seed augmented (aug_X), or one before
+    its augmentation (X, for the aug_X of `AUGMENTED`; d4 is bundled)."""
+    if (_DATA / (name + ".json")).is_file():
+        return str(_DATA / (name + ".json"))
+    if name in AUGMENTED:
+        seed = augmented_seed(name)
+    else:
+        seed = AUGMENTED["aug_" + name]()
+    seed_file = tmp_path / (name + ".json")
+    seed_file.write_text(json.dumps(seed_to_dict(seed)))
+    return str(seed_file)
+
+
+@pytest.mark.parametrize("name", REPAIR_GOLDEN)
+def test_check_repair_json_golden(capsys, tmp_path, name):
+    code, out = run(capsys, "check", _repair_seed_file(tmp_path, name),
+                    "--property", "t1", "--repair", "--json")
+    assert code == 0
+    assert out == (GOLDEN / "check" / ("%s-t1-repair.json" % name)
+                   ).read_text()
+
+
 def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
