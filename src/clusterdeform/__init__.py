@@ -16,8 +16,7 @@ from .gradings import (m_grading, rank_flags, find_positive_grading,
                        find_strictly_positive, add_frozen_for_positivity)
 from .universal import build_universal, fiber_at_zero
 from .cotangent import t1_invariant, t1_witnesses
-from .properties import (check_t0, check_t0_star, check_t1, repair_t1,
-                         semigroup_data)
+from .properties import check_t0, check_t0_star, check_t1, semigroup_data
 from .groebner import groebner_cone, interior_weight, cone_certificates
 from .deform import lift, verify_family
 
@@ -33,7 +32,7 @@ __all__ = [
     "find_strictly_positive", "add_frozen_for_positivity",
     "build_universal", "fiber_at_zero",
     "t1_invariant", "t1_witnesses",
-    "check_t0", "check_t0_star", "check_t1", "repair_t1", "semigroup_data",
+    "check_t0", "check_t0_star", "check_t1", "semigroup_data",
     "groebner_cone", "interior_weight", "cone_certificates",
     "lift", "verify_family",
 ]

@@ -17,10 +17,11 @@ from .deform import DeformError, lift, verify_family
 from .gradings import (add_frozen_for_positivity, find_positive_grading,
                        find_strictly_positive, m_grading, rank_flags)
 from .groebner import GroebnerError, groebner_cone
+from .intlinalg import lattice_coordinates
 from .polynomials import MonomialOrder, join_terms, monomial_str
 from .properties import (PropertyError, PropertyReport, check_t0,
-                         check_t0_star, check_t1, repair_t1, semigroup_data)
-from .seeds import load_seed, seed_to_dict
+                         check_t0_star, check_t1, semigroup_data)
+from .seeds import add_frozen_rows, load_seed, mutate_along, seed_to_dict
 from .simplicial import cluster_complex, sr_ideal
 from .universal import UniversalError, build_universal, fiber_at_zero
 
@@ -31,9 +32,9 @@ PIPELINE_ERRORS = (AtlasError, CotangentError, DeformError, GroebnerError,
 
 class Pipeline:
     """The stages built from one seed, each computed on first use and kept:
-    atlas -> complex -> ideal, atlas -> universal -> cone, and
-    atlas -> M-grading -> strictly positive grading.  No stage is computed
-    twice."""
+    atlas -> complex -> ideal, atlas -> universal -> cone, and atlas ->
+    M-grading -> strictly positive grading -> T1.  No stage is computed
+    twice; `repair_t1` runs its rounds as pipelines, this one first."""
 
     def __init__(self, seed, max_seeds):
         self.seed = seed
@@ -66,6 +67,45 @@ class Pipeline:
     @cached_property
     def strict_grading(self):
         return find_strictly_positive(self.atlas, self.grading)
+
+    @cached_property
+    def t1(self):
+        return check_t1(self.atlas, self.strict_grading, self.grading)
+
+    def repair_t1(self, max_rounds=64):
+        """The seed with frozen rows added until T1 holds on every seed in
+        its class: the rows of a strictly positive grading where it has
+        none, then one row per round against the first witness.  A round
+        is one pipeline, one search of its seed; the first is this one."""
+        # added rows keep B~ of full rank, so only the first round can fail
+        if not rank_flags(self.seed.matrix, self.grading)["full_rank"]:
+            raise PropertyError("repair requires a full-rank matrix")
+        pipe = self
+        for _ in range(max_rounds):
+            if pipe.strict_grading is None:
+                pipe = Pipeline(add_frozen_for_positivity(
+                    pipe.seed, max_seeds=self.max_seeds), self.max_seeds)
+                if pipe.strict_grading is None:
+                    raise PropertyError("could not establish a strictly "
+                                        "positive grading")
+            if pipe.t1.holds:
+                return pipe.seed
+            witness, m = pipe.t1.witnesses[0], pipe.seed.matrix.m
+            state = pipe.atlas.seeds[witness["seed"]]
+            lam = lattice_coordinates(witness["w"], state.matrix)
+            if lam is None:
+                raise PropertyError("witness not in the column lattice")
+            k = next(i for i, x in enumerate(lam) if i != witness["j"] and x)
+            row = tuple((i == k) * (1 if lam[k] < 0 else -1)
+                        for i in range(len(lam)))
+            # transport the row back to the initial seed along the reverse path
+            work = mutate_along(state.matrix + (row,), reversed(state.path))
+            if work[:m] != pipe.seed.matrix.entries:
+                raise PropertyError("row transport did not return to the "
+                                    "initial seed")
+            seed = add_frozen_rows(pipe.seed, work[m:], ["r%d" % len(work)])
+            pipe = Pipeline(seed, self.max_seeds)
+        raise PropertyError("repair did not terminate within the round budget")
 
     def lifted_family(self, max_order):
         """The flat family at the cone's interior weight (`deform.lift`)."""
@@ -243,7 +283,7 @@ def cmd_check(args):
         report = PropertyReport("T1", [])
         report.holds = None
     elif args.property == "t1":
-        report = check_t1(atlas, D, pipe.grading)
+        report = pipe.t1
     elif args.property == "t0":
         report = check_t0(pipe.ideal, pipe.grading, atlas, D)
     else:
@@ -259,8 +299,7 @@ def cmd_check(args):
     lines += ["  witness: %s" % w for w in report.witnesses]
     code = 0 if report.holds else 1
     if args.repair and not report.holds:
-        repaired = repair_t1(pipe.seed, max_seeds=args.max_seeds)
-        payload["repaired_seed"] = seed_to_dict(repaired)
+        payload["repaired_seed"] = seed_to_dict(pipe.repair_t1())
         lines.append("repaired seed: %s" % json.dumps(payload["repaired_seed"]))
         code = 0
     _emit(args, payload, lines)

@@ -5,7 +5,7 @@ rows are verified along the base seed's one exchange-graph search."""
 from .atlas import enumerate_atlas
 from .cones import slack_ray
 from .intlinalg import identity_matrix, smith_normal_form, vec_dot
-from .seeds import ExtendedExchangeMatrix, Seed
+from .seeds import add_frozen_rows
 from .universal import frozen_mover
 
 
@@ -127,15 +127,10 @@ def add_frozen_for_positivity(seed, max_seeds=100000):
         raise ValueError("rank 0: no mutable variable to make positive")
     base = enumerate_atlas(seed, max_seeds=max_seeds)
     c = min(sum(v.g_vector) for v in base.mutable_variables) - 1
-    rows = [list(r) for r in seed.matrix.entries]
-    rows += [[-abs(c) if j == k else 0 for j in range(n)] for k in range(n)]
+    rows = [[-abs(c) if j == k else 0 for j in range(n)] for k in range(n)]
     # balancing row: make every column sum zero, so (1,...,1) is a grading
-    rows.append([-sum(row[j] for row in rows) for j in range(n)])
-    labels = list(seed.var_ids)
-    for label in ["aux%d" % (k + 1) for k in range(n)] + ["bal"]:
-        while label in labels:      # a seed augmented before holds it
-            label += "'"
-        labels.append(label)
-    if min(augmented_degrees(base, rows[seed.matrix.m:]).values()) < 1:
+    rows.append([-sum(column) for column in zip(*seed.matrix.entries, *rows)])
+    if min(augmented_degrees(base, rows).values()) < 1:
         raise ValueError("positivity augmentation failed verification")
-    return Seed(ExtendedExchangeMatrix(rows, n=n), labels)
+    return add_frozen_rows(seed, rows,
+                           ["aux%d" % (k + 1) for k in range(n)] + ["bal"])

@@ -1,19 +1,15 @@
 """Decision procedures for the lattice condition on exchange matrices and
-the derivation conditions on the Stanley-Reisner ideal, plus the
-constructive repair by added frozen rows.  All three checkers search
-through the one kernel `intlinalg.nonnegative_solutions`: T1 by way of
+the derivation conditions on the Stanley-Reisner ideal, over stages built
+by `cli.Pipeline`.  All three checkers search through the one kernel
+`intlinalg.nonnegative_solutions`: T1 by way of
 `cotangent.t1_witnesses`, T0 and T0* directly and in
 `SemigroupData.contains`.  T1 and T0 read their lattice conditions off the
 one M-grading of the initial seed (`gradings.m_grading`); no seed takes
 a Smith form of its own."""
 
-from .atlas import enumerate_atlas
 from .cones import dual_cone
 from .cotangent import t1_witness_walk, variable_weights
-from .gradings import (add_frozen_for_positivity, find_strictly_positive,
-                       m_grading, rank_flags)
-from .intlinalg import lattice_coordinates, nonnegative_solutions, vec_dot
-from .seeds import ExtendedExchangeMatrix, Seed, mutate_along
+from .intlinalg import nonnegative_solutions, vec_dot
 from .simplicial import support_mask
 
 
@@ -153,46 +149,3 @@ def check_t0_star(J, univ, semigroup, D_strict):
                 witnesses.append({"v": v, "alpha": alpha,
                                   "blocking": nontrivial})
     return PropertyReport("T0*", witnesses)
-
-
-def repair_t1(seed, max_seeds=100000, max_rounds=64):
-    """Add frozen rows, one per surviving witness, until the lattice
-    condition holds on every seed in the class."""
-    current = seed
-    for _ in range(max_rounds):
-        atlas = enumerate_atlas(current, max_seeds=max_seeds)
-        grading = m_grading(atlas)
-        # added rows keep B~ of full rank, so only the first round can fail
-        if not rank_flags(current.matrix, grading)["full_rank"]:
-            raise PropertyError("repair requires a full-rank matrix")
-        D = find_strictly_positive(atlas, grading)
-        if D is None:
-            current = add_frozen_for_positivity(current, max_seeds=max_seeds)
-            atlas = enumerate_atlas(current, max_seeds=max_seeds)
-            grading = m_grading(atlas)
-            D = find_strictly_positive(atlas, grading)
-            if D is None:
-                raise PropertyError("could not establish a strictly "
-                                    "positive grading")
-        report = check_t1(atlas, D, grading)
-        if report.holds:
-            return current
-        witness = report.witnesses[0]
-        state = atlas.seeds[witness["seed"]]
-        rows = state.matrix
-        lam = lattice_coordinates(witness["w"], [list(r) for r in rows])
-        if lam is None:
-            raise PropertyError("witness not in the column lattice")
-        j = witness["j"]
-        k = next(i for i in range(len(lam)) if i != j and lam[i] != 0)
-        new_row = [0] * atlas.n
-        new_row[k] = 1 if lam[k] < 0 else -1
-        # transport the row back to the initial seed along the reverse path
-        work = mutate_along(rows + (tuple(new_row),),
-                            reversed(state.path))
-        if work[:atlas.m] != current.matrix.entries:
-            raise PropertyError("row transport did not return to the "
-                                "initial seed")
-        labels = list(current.var_ids) + ["r%d" % (len(work),)]
-        current = Seed(ExtendedExchangeMatrix(work, n=atlas.n), labels)
-    raise PropertyError("repair did not terminate within the round budget")

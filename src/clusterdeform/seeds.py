@@ -141,6 +141,18 @@ def mutate(seed, k):
     return Seed(matrix, var_ids)
 
 
+def add_frozen_rows(seed, rows, labels):
+    """The seed with the frozen `rows` appended, labelled `labels`, each
+    primed until it is new (the seed may hold it from an earlier one)."""
+    ids = list(seed.var_ids)
+    for label in labels:
+        while label in ids:
+            label += "'"
+        ids.append(label)
+    return Seed(ExtendedExchangeMatrix(seed.matrix.entries + tuple(rows),
+                                       n=seed.matrix.n), ids)
+
+
 def is_isolated_vertex_free(matrix):
     """True iff no mutable index has an all-zero column of the extended matrix."""
     return all(any(matrix.entries[i][k] != 0 for i in range(matrix.m))

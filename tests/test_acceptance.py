@@ -19,8 +19,7 @@ from clusterdeform.cli import Pipeline, family_lines
 from clusterdeform.gradings import m_grading
 from clusterdeform.groebner import groebner_cone
 from clusterdeform.polynomials import Poly
-from clusterdeform.properties import (check_t0_star, check_t1, repair_t1,
-                                      semigroup_data)
+from clusterdeform.properties import check_t0_star, check_t1, semigroup_data
 from clusterdeform.seeds import ExtendedExchangeMatrix, mutate_entries
 from clusterdeform.simplicial import cluster_complex, minimal_nonfaces
 from clusterdeform.universal import build_universal
@@ -253,7 +252,7 @@ def test_criterion_5_checker_cross_validation():
     assert first["seed"] == 0 and first["j"] == 0
     assert first["w"] == [0, 0, 0, 0, -1, 1]
 
-    repaired = enumerate_atlas(repair_t1(bad))
+    repaired = enumerate_atlas(Pipeline(bad, 100000).repair_t1())
     assert check_t1(repaired, *gradings_of(repaired)).holds
 
 

@@ -1,7 +1,9 @@
 """End-to-end command line checks with frozen text output."""
 
+import importlib
 import json
 import os
+import pkgutil
 import resource
 import subprocess
 import sys
@@ -10,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from clusterdeform import atlas, cli, gradings, properties
+import clusterdeform
+from clusterdeform import atlas, cli, cotangent, gradings
 from clusterdeform.atlas import enumerate_atlas
 from clusterdeform.cli import Pipeline, main
 from clusterdeform.properties import check_t1
@@ -549,7 +552,7 @@ def test_pipeline_computes_each_stage_once(monkeypatch):
                         counted("exact_divide", atlas.exact_divide))
     pipe = Pipeline(load_seed(A2), max_seeds=1000)
     stages = ("atlas", "complex", "ideal", "universal", "cone",
-              "strict_grading")
+              "strict_grading", "t1")
     first = [getattr(pipe, name) for name in stages]
     assert [getattr(pipe, name) for name in stages] == first
     assert pipe.universal.base_atlas is pipe.atlas
@@ -559,6 +562,23 @@ def test_pipeline_computes_each_stage_once(monkeypatch):
                      "exact_divide": 0}
     pipe.atlas.laurent_expansion(pipe.seed.var_ids[0])
     assert calls["exact_divide"] > 0
+
+
+def _count_calls(monkeypatch, fn):
+    """Wrap `fn` in every module of the package that binds it, so that a
+    call counts wherever it is made; returns the list of calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for info in pkgutil.iter_modules(clusterdeform.__path__):
+        module = importlib.import_module("clusterdeform." + info.name)
+        for name, value in vars(module).items():
+            if value is fn:
+                monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 @pytest.mark.parametrize("argv, searches", [
@@ -571,17 +591,28 @@ def test_each_command_searches_once(monkeypatch, capsys, argv, searches, name):
     """One exchange-graph search per command.  `grading --add-frozen`
     verifies the augmented seed along the base search, with no second
     one."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return atlas.enumerate_atlas(*args, **kwargs)
-
-    for module in (cli, gradings, properties):
-        monkeypatch.setattr(module, "enumerate_atlas", counted)
+    calls = _count_calls(monkeypatch, atlas.enumerate_atlas)
     code, _ = run(capsys, argv[0], str(_DATA / (name + ".json")), *argv[1:])
     assert code in (0, 1)
     assert len(calls) == searches
+
+
+@pytest.mark.parametrize("name, searches, walks, code", [
+    ("a3_bad", 4, 4, 0), ("d4", 4, 4, 0), ("b2", 3, 1, 0), ("a3", 1, 0, 2)])
+def test_repair_searches_each_round_once(monkeypatch, capsys, name, searches,
+                                         walks, code):
+    """`check --property t1 --repair` searches each round's seed once and
+    walks its seeds for T1 once; the first round is the command's own.
+    a3_bad and d4 take four rounds, and a3 stops at the rank check.  b2
+    has no strictly positive grading, so its rows are added first, and
+    `add_frozen_for_positivity` searches b2 again (it takes the seed, not
+    the atlas): three searches for one T1 round."""
+    calls = _count_calls(monkeypatch, atlas.enumerate_atlas)
+    walked = _count_calls(monkeypatch, cotangent.t1_witness_walk)
+    assert main(["check", str(_DATA / (name + ".json")), "--property", "t1",
+                 "--repair"]) == code
+    capsys.readouterr()
+    assert (len(calls), len(walked)) == (searches, walks)
 
 
 A2_PLAIN = {"n": 2, "m": 2, "B": [[0, 1], [-1, 0]]}

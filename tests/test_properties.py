@@ -1,4 +1,4 @@
-"""Decision procedures and the constructive repair."""
+"""Decision procedures, and the constructive repair that reads them."""
 
 import json
 from functools import lru_cache
@@ -15,8 +15,7 @@ from clusterdeform.cones import dual_cone
 from clusterdeform.cotangent import CotangentError, variable_weights
 from clusterdeform.intlinalg import nonnegative_solutions, vec_dot
 from clusterdeform.properties import (PropertyError, SemigroupData, check_t0,
-                                      check_t0_star, check_t1, repair_t1,
-                                      semigroup_data)
+                                      check_t0_star, check_t1, semigroup_data)
 from clusterdeform.seeds import mutate
 from clusterdeform.universal import build_universal
 from tests.conftest import augmented_seed, data_seed, gradings_of
@@ -39,7 +38,7 @@ def test_lattice_condition_fails_a3_variant(a3_bad_seed):
 
 
 def test_repair(a3_bad_seed):
-    repaired = repair_t1(a3_bad_seed)
+    repaired = Pipeline(a3_bad_seed, 100000).repair_t1()
     assert repaired.matrix.n == 3
     assert repaired.matrix.m == 9
     assert repaired.matrix.entries[:6] == a3_bad_seed.matrix.entries
@@ -48,7 +47,7 @@ def test_repair(a3_bad_seed):
     atlas = enumerate_atlas(repaired)
     assert check_t1(atlas, *gradings_of(atlas)).holds
     # idempotent: repairing a repaired seed changes nothing
-    again = repair_t1(repaired)
+    again = Pipeline(repaired, 100000).repair_t1()
     assert again.matrix.entries == repaired.matrix.entries
 
 
@@ -57,8 +56,8 @@ def test_repair_requires_full_rank():
 
     degenerate = Seed(ExtendedExchangeMatrix(
         [[0, 0], [0, 0], [1, 1]], n=2), ["a", "b", "f"])
-    with pytest.raises(PropertyError):
-        repair_t1(degenerate)
+    with pytest.raises(PropertyError, match="full-rank"):
+        Pipeline(degenerate, 100000).repair_t1()
 
 
 def test_derivation_condition_a2(a2_atlas, a2_ideal):
