@@ -5,7 +5,7 @@ and their Stanley-Reisner ideals, universal coefficients, graded
 deformation-degree bookkeeping, decision procedures for the lattice and
 derivation conditions, the weight cone of the squarefree degeneration, and
 the flat family over the coefficient parameters, in closed form.
-"""
+`cli.Pipeline` wires the stages and repairs T1; it is not imported here."""
 
 from .seeds import (ExtendedExchangeMatrix, Seed, load_seed, seed_from_dict,
                     seed_to_dict)

@@ -115,11 +115,9 @@ class Pipeline:
 
 def _laurent_parts(poly):
     """Split a Laurent polynomial into (numerator Poly, denominator exps)."""
-    n = poly.nvars
     denom = [max(0, -min((e[i] for e in poly.terms), default=0))
-             for i in range(n)]
-    num = poly.scale_monomial(denom)
-    return num, tuple(denom)
+             for i in range(poly.nvars)]
+    return poly.scale_monomial(denom), tuple(denom)
 
 
 def _emit(args, payload, text_lines):

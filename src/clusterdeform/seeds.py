@@ -142,8 +142,8 @@ def mutate(seed, k):
 
 
 def add_frozen_rows(seed, rows, labels):
-    """The seed with the frozen `rows` appended, labelled `labels`, each
-    primed until it is new (the seed may hold it from an earlier one)."""
+    """The seed with the frozen `rows` appended under `labels`, each primed
+    until it is new: an earlier augmentation or the file may hold it."""
     ids = list(seed.var_ids)
     for label in labels:
         while label in ids:

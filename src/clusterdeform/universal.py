@@ -109,6 +109,10 @@ def build_universal(base_atlas):
     t_ids = [_t_name(g) for g in t_gs]
     if len(set(t_ids)) != len(t_ids):
         raise UniversalError("coefficient g-vectors are not distinct")
+    for t in t_ids:
+        if t in base_atlas.variables:
+            raise UniversalError("the coefficient %s is named like a label "
+                                 "of the seed" % t)
 
     u_rows_at = frozen_mover(base_atlas, t_gs)
     relations = []

@@ -143,6 +143,24 @@ def test_check_repair(capsys):
     assert repaired["B"][6:] == [[0, 0, -1], [-1, 0, 0], [1, 0, 0]]
 
 
+def test_check_repair_primes_a_taken_row_label(capsys, tmp_path):
+    """The row of a repair round is labelled r<m+1>, primed until it is not
+    already a label: with a3_bad's f3 relabelled r7, the rows are a3_bad's
+    three, labelled r7', r8 and r9."""
+    data = seed_to_dict(load_seed(A3_BAD))
+    data["labels"][-1] = "r7"
+    seed_file = tmp_path / "a3_bad_r7.json"
+    seed_file.write_text(json.dumps(data))
+    code, out = run(capsys, "check", str(seed_file), "--property", "t1",
+                    "--repair", "--json")
+    assert code == 0
+    repaired = json.loads(out)["repaired_seed"]
+    assert repaired["labels"][5:] == ["r7", "r7'", "r8", "r9"]
+    expected = json.loads((GOLDEN / "check" / "a3_bad-t1-repair.json")
+                          .read_text())["repaired_seed"]
+    assert repaired["B"] == expected["B"]
+
+
 @pytest.mark.parametrize("name", ["b2", "g2"])
 def test_check_repair_without_a_strict_grading(capsys, name):
     """With no strictly positive grading T1 is undecided, and the repair
@@ -616,6 +634,10 @@ def test_repair_searches_each_round_once(monkeypatch, capsys, name, searches,
 
 
 A2_PLAIN = {"n": 2, "m": 2, "B": [[0, 1], [-1, 0]]}
+# a2 with s1 named like its coefficient of g-vector (1, 0)
+A2_T_LABEL = {"n": 2, "m": 5, "B": [[0, 1], [-1, 0], [1, 1], [-1, -1],
+                                    [1, -1]],
+              "labels": ["x13", "x14", "t(1,0)", "s2", "s3"]}
 
 
 @pytest.mark.parametrize("data, argv, message", [
@@ -630,8 +652,12 @@ A2_PLAIN = {"n": 2, "m": 2, "B": [[0, 1], [-1, 0]]}
      "error: the new variable x(-1,0) is named like a label of the seed"),
     (dict(A2_PLAIN, labels=["x(-1,0)", "x2"]), ["sr-ideal"],
      "error: the new variable x(-1,0) is named like a label of the seed"),
+    (A2_T_LABEL, ["univ"],
+     "error: the coefficient t(1,0) is named like a label of the seed"),
+    (A2_T_LABEL, ["lift"],
+     "error: the coefficient t(1,0) is named like a label of the seed"),
 ], ids=["no-m", "list", "float-entry", "repeated-label", "label-complex",
-        "label-sr-ideal"])
+        "label-sr-ideal", "t-label-univ", "t-label-lift"])
 def test_malformed_seed_file_exits_2(tmp_path, data, argv, message):
     """A malformed seed file ends in exit code 2 and a one-line message on
     stderr, in a fresh interpreter and without a traceback."""
